@@ -22,9 +22,16 @@ DIVERGENT = "divergent"
 INDETERMINATE = "indeterminate"
 
 
+def _frozen(*arrays):
+    """Mark cached arrays read-only: every caller shares the same objects."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 @lru_cache(maxsize=32)
 def _gl_rule(order: int):
-    return np.polynomial.legendre.leggauss(order)
+    return _frozen(*np.polynomial.legendre.leggauss(order))
 
 
 def panel_integral(f, a: float, b: float, order: int = 32) -> float:
@@ -106,7 +113,7 @@ def hermite_tensor(order: int, dim: int):
     Returns (z, w) with z of shape (order**dim, dim) and weights summing
     to one, so that E g(Z) for Z ~ N(0, I_dim) is approximated by
     sum_k w_k g(z_k), exactly when g is polynomial of degree < 2*order
-    per coordinate.
+    per coordinate.  Both arrays are cached and read-only.
     """
     t, w = np.polynomial.hermite.hermgauss(order)
     z1 = np.sqrt(2.0) * t
@@ -117,4 +124,4 @@ def hermite_tensor(order: int, dim: int):
     wt = np.ones(order**dim)
     for g in wgrids:
         wt = wt * g.ravel()
-    return z, wt
+    return _frozen(z, wt)

@@ -20,6 +20,7 @@ measured on seeded state batteries.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass, field as dc_field, replace
@@ -187,28 +188,74 @@ def _warped_time_rule(lam: float, gap: float, grid: ZvonkinGrid):
     return offsets, wt
 
 
-def _bilinear_norm(tensors: np.ndarray) -> np.ndarray:
-    """Operator norm of bilinear maps given as (..., n, n, n) tensors.
+def _axis_stencil(axis: np.ndarray, coords: np.ndarray):
+    """Cell index and offset of coords on a sorted axis, as linear interpolation reads them.
+
+    Points beyond the axis fall in the first or last cell with an offset
+    outside [0, 1], i.e. they are extrapolated linearly.
+    """
+    lo = np.clip(np.searchsorted(axis, coords, side="right") - 1, 0, axis.size - 2)
+    return lo, (coords - axis[lo]) / (axis[lo + 1] - axis[lo])
+
+
+def _multilinear(table: np.ndarray, lo, frac) -> np.ndarray:
+    """Multilinear interpolation of a (*grid, C) table at stencil-described points.
+
+    lo[d] and frac[d] are the cell index and offset along grid dimension d
+    (from _axis_stencil); they broadcast against each other to the layout
+    of the points, and the result has that layout plus the trailing C.
+    Corners are visited and their weights multiplied in the order of
+    scipy's RegularGridInterpolator(method="linear"), so the values agree
+    with it bit for bit.
+    """
+    grid_shape = table.shape[:len(lo)]
+    flat = table.reshape(-1, table.shape[-1])
+    strides = [math.prod(grid_shape[d + 1:]) for d in range(len(lo))]
+    base = sum(l * st for l, st in zip(lo, strides))
+    sides = [(1.0 - y, y) for y in frac]
+    value = 0.0
+    for corner in itertools.product((0, 1), repeat=len(lo)):
+        weight = sides[0][corner[0]]
+        for d in range(1, len(lo)):
+            weight = weight * sides[d][corner[d]]
+        offset = sum(c * st for c, st in zip(corner, strides))
+        value = value + np.take(flat, base + offset, axis=0) * weight[..., None]
+    return value
+
+
+def _sphere_directions(n: int) -> np.ndarray:
+    """Unit directions sampling the half circle (n = 2) or the sphere (n = 3)."""
+    if n == 2:
+        ang = np.linspace(0.0, math.pi, 181)
+        return np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+    k = np.arange(400)
+    phi = math.pi * (3.0 - math.sqrt(5.0)) * k
+    zc = 1.0 - 2.0 * (k + 0.5) / 400
+    rc = np.sqrt(1.0 - zc**2)
+    return np.stack([rc * np.cos(phi), rc * np.sin(phi), zc], axis=-1)
+
+
+def _bilinear_norm(tensors: np.ndarray) -> float:
+    """Largest operator norm among bilinear maps given as (..., n, n, n) tensors.
 
     Estimated as max over unit directions eta' of the spectral norm of
     T[:, :, :] @ eta'; the direction sphere is sampled densely, which is
-    exact up to the sampling resolution in dimension <= 3.
+    exact up to the sampling resolution in dimension <= 3.  A slice's
+    Frobenius norm bounds its spectral norm from above, so only slices
+    whose Frobenius norm reaches the spectral norm of the Frobenius-largest
+    slice can hold the max, and only those go through the SVD.
     """
     n = tensors.shape[-1]
     if n == 1:
-        return np.abs(tensors[..., 0, 0, 0])
-    if n == 2:
-        ang = np.linspace(0.0, math.pi, 181)
-        dirs = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-    else:
-        k = np.arange(400)
-        phi = math.pi * (3.0 - math.sqrt(5.0)) * k
-        zc = 1.0 - 2.0 * (k + 0.5) / 400
-        rc = np.sqrt(1.0 - zc**2)
-        dirs = np.stack([rc * np.cos(phi), rc * np.sin(phi), zc], axis=-1)
-    slices = np.einsum("...kij,dj->...dki", tensors, dirs)
-    svals = np.linalg.svd(slices, compute_uv=False)[..., 0]
-    return svals.max(axis=-1)
+        return float(np.max(np.abs(tensors[..., 0, 0, 0])))
+    slices = np.einsum("...kij,dj->...dki", tensors, _sphere_directions(n)).reshape(-1, n, n)
+    frob = np.sqrt(np.einsum("pki,pki->p", slices, slices))
+    floor = np.linalg.svd(slices[np.argmax(frob)], compute_uv=False)[0]
+    # squares of entries below ~1e-154 underflow, so the Frobenius bound is
+    # trusted only above that; the 1e-9 slack covers its rounding
+    cut = floor * (1.0 - 1e-9) if floor >= 1e-150 else 0.0
+    keep = ~(frob < cut)
+    return float(np.max(np.linalg.svd(slices[keep], compute_uv=False)[..., 0]))
 
 
 @dataclass
@@ -320,8 +367,21 @@ class RegularizingField:
         h.update(self.q_diag.tobytes())
         return h.hexdigest()
 
+    def content_hash(self) -> str:
+        """SHA-256 of the tables, the grid and lam: what a saved field must reproduce."""
+        h = hashlib.sha256()
+        for table in (self.u, self.grad, self.hess, self.times, *self.axes):
+            h.update(repr(table.shape).encode())
+            h.update(table.tobytes())
+        h.update(np.float64(self.lam).tobytes())
+        return h.hexdigest()
+
     def save(self, path_base: str) -> None:
-        """Persist the grid tables (.npz) with a JSON sidecar of the metadata."""
+        """Persist the grid tables (.npz) with a JSON sidecar of the metadata.
+
+        The sidecar carries hashes of the spectrum and of the tables, grid
+        and lam, so that load rejects a field file swapped under it.
+        """
         np.savez(
             f"{path_base}.npz",
             u=self.u, grad=self.grad, hess=self.hess, times=self.times,
@@ -340,6 +400,7 @@ class RegularizingField:
             "norms": self.norms,
             "certified": self.certified,
             "spectrum_hash": self.spectrum_hash(),
+            "content_hash": self.content_hash(),
             "grid": {"time_steps": int(self.times.size - 1),
                      "nodes_per_dim": int(self.axes[0].size),
                      "halfwidth": self.halfwidth},
@@ -363,6 +424,9 @@ class RegularizingField:
             weight_name=meta["weight_name"], norms=meta["norms"])
         if field.spectrum_hash() != meta["spectrum_hash"]:
             raise InputError("field file is inconsistent with its sidecar spectrum hash")
+        if field.content_hash() != meta.get("content_hash"):
+            raise InputError("field tables, grid or lam are inconsistent with the sidecar "
+                             "content hash")
         return field
 
 
@@ -374,7 +438,7 @@ def _field_norms(spec: Spectrum, weight: WeightFunction, u, grad, hess) -> dict:
     svals = np.linalg.svd(flat_grad, compute_uv=False)[..., 0]
     svals_a = np.linalg.svd(flat_grad * aw[None, :, None], compute_uv=False)[..., 0]
     svals_sq = np.linalg.svd(flat_grad * sq[None, :, None], compute_uv=False)[..., 0]
-    hess_norm = float(np.max(_bilinear_norm(hess.reshape(-1, *hess.shape[-3:]))))
+    hess_norm = _bilinear_norm(hess.reshape(-1, *hess.shape[-3:]))
     return {
         "u_a": u_a,
         "grad_a": float(np.max(svals_a)),
@@ -411,9 +475,14 @@ def composite_smallness(field: RegularizingField, weight: WeightFunction,
 
 def solve_u(ref: ReferenceSemigroup, drift: Callable, lam: float, horizon: float,
             grid: ZvonkinGrid = ZvonkinGrid(), *, weight: WeightFunction | None = None,
-            tol: float = 1e-8, max_iter: int = 100, method: str = "auto",
-            mc_samples: int = 512, seed: int = 0) -> RegularizingField:
+            tol: float = 1e-8, max_iter: int = 100) -> RegularizingField:
     """Picard-iterate the resolvent map until the tabulated fix point settles.
+
+    P0 is applied with the tensor Gauss-Hermite rule, so the query point
+    of a grid node in dimension d depends only on that node's coordinate
+    and one 1-D Hermite node.  The linear-interpolation stencils of these
+    points, and the time-interpolation weights of the quadrature times,
+    are built once per call and reused by every sweep.
 
     The contraction factor is measured as the ratio of successive
     differences in the norm |u|_a + |grad u|_a; a ratio at or above one
@@ -432,12 +501,15 @@ def solve_u(ref: ReferenceSemigroup, drift: Callable, lam: float, horizon: float
     aw = np.asarray(weight(lamvec), dtype=float)
 
     axes = grid.axes(n)
+    axis = axes[0]
     mesh = np.meshgrid(*axes, indexing="ij")
     shape = mesh[0].shape
     nodes = np.stack([m.ravel() for m in mesh], axis=-1)  # (M, n)
     m_nodes = nodes.shape[0]
+    width = n + n * n
 
-    z, w = _quad_cloud(ref, method, mc_samples, seed)
+    z, w = hermite_tensor(ref.quad_order, n)
+    z1 = z[: ref.quad_order, -1]  # 1-D Hermite nodes; the last coordinate varies fastest
     pair = z[:, :, None] * z[:, None, :] - np.eye(n)[None]
 
     # uniform slices plus a geometric refinement into the terminal layer,
@@ -451,48 +523,55 @@ def solve_u(ref: ReferenceSemigroup, drift: Callable, lam: float, horizon: float
     u_tab = np.zeros((n_t + 1, m_nodes, n))
     g_tab = np.zeros((n_t + 1, m_nodes, n, n))
 
-    rules = [_warped_time_rule(lam, horizon - s, grid) if s < horizon else (None, None)
-             for s in times[:-1]] + [(None, None)]
-
-    def time_interp(tab, t):
-        lo = int(np.searchsorted(times, t, side="right")) - 1
-        lo = min(max(lo, 0), n_t - 1)
-        frac = (t - times[lo]) / (times[lo + 1] - times[lo])
-        return (1.0 - frac) * tab[lo] + frac * tab[lo + 1]
+    # one entry per (slice j, quadrature time t_q), in sweep order
+    slot, wq, t_q = [], [], []
+    for j in range(n_t):
+        offsets, wts = _warped_time_rule(lam, horizon - times[j], grid)
+        slot += [j] * offsets.size
+        wq += list(wts)
+        t_q += [times[j] + off for off in offsets]
+    t_q = np.array(t_q)
+    t_lo = np.clip(np.searchsorted(times, t_q, side="right") - 1, 0, n_t - 1)
+    t_frac = (t_q - times[t_lo]) / (times[t_lo + 1] - times[t_lo])
+    decay, sigma = map(np.array, zip(*(ref.transition(times[j], t) for j, t in zip(slot, t_q))))
+    # coordinate d of the query point of (grid node, Hermite node) depends on
+    # the node's axis-d index and the Hermite index in d only; its stencil is
+    # laid out on axes d and n + d of the (nodes..., Hermite nodes...) layout
+    stencils = []
+    for d in range(n):
+        layout = tuple(axis.size if a == d else ref.quad_order if a == n + d else 1
+                       for a in range(2 * n))
+        coord = np.clip(decay[:, d, None, None] * axis[None, :, None]
+                        + sigma[:, d, None, None] * z1[None, None, :],
+                        -grid.halfwidth, grid.halfwidth)
+        stencils.append(_axis_stencil(axis, coord.reshape((-1,) + layout)))
 
     def sweep(u_in, g_in, with_hess=False):
+        tab = np.concatenate([u_in, g_in.reshape(n_t + 1, m_nodes, n * n)], axis=-1)
         u_out = np.zeros_like(u_in)
         g_out = np.zeros_like(g_in)
         h_out = np.zeros((n_t + 1, m_nodes, n, n, n)) if with_hess else None
-        for j in range(n_t):
-            s = times[j]
-            offsets, wts = rules[j]
-            for off, wq in zip(offsets, wts):
-                t_q = s + off
-                decay, sigma = ref.transition(s, t_q)
-                u_t = time_interp(u_in, t_q)
-                g_t = time_interp(g_in, t_q)
-                table = np.concatenate(
-                    [u_t.reshape(*shape, n), g_t.reshape(*shape, n * n)], axis=-1)
-                # linear between nodes inside the sweep: the tables carry
-                # kernel-differentiated values, cubic is reserved for the
-                # public field evaluators
-                itp = RegularGridInterpolator(axes, table, method="linear",
-                                              bounds_error=False, fill_value=None)
-                pts = decay * nodes[:, None, :] + sigma * z[None, :, :]
-                flat = np.clip(pts.reshape(-1, n), -grid.halfwidth, grid.halfwidth)
-                vals = itp(flat)
-                u_y = vals[:, :n].reshape(m_nodes, -1, n)
-                g_y = vals[:, n:].reshape(m_nodes, -1, n, n)
-                b_y = np.asarray(drift(t_q, flat), dtype=float).reshape(m_nodes, -1, n)
-                gvec = np.einsum("mgij,mgj->mgi", g_y, b_y) + b_y
-                u_out[j] += wq * np.einsum("g,mgi->mi", w, gvec)
-                stein = decay / sigma
-                g_out[j] += wq * np.einsum("g,mgi,gj->mij", w, gvec, z) * stein[None, None, :]
-                if with_hess:
-                    scale = stein[:, None] * stein[None, :]
-                    h_out[j] += wq * np.einsum("g,mgi,gjk->mijk", w, gvec, pair) \
-                        * scale[None, None]
+        for e, j in enumerate(slot):
+            lo, frac = t_lo[e], t_frac[e]
+            table = ((1.0 - frac) * tab[lo] + frac * tab[lo + 1]).reshape(*shape, width)
+            # linear between nodes inside the sweep: the tables carry
+            # kernel-differentiated values, cubic is reserved for the
+            # public field evaluators
+            vals = _multilinear(table, [c[e] for c, _ in stencils],
+                                [y[e] for _, y in stencils]).reshape(-1, width)
+            pts = decay[e] * nodes[:, None, :] + sigma[e] * z[None, :, :]
+            flat = np.clip(pts.reshape(-1, n), -grid.halfwidth, grid.halfwidth)
+            u_y = vals[:, :n].reshape(m_nodes, -1, n)
+            g_y = vals[:, n:].reshape(m_nodes, -1, n, n)
+            b_y = np.asarray(drift(t_q[e], flat), dtype=float).reshape(m_nodes, -1, n)
+            gvec = np.einsum("mgij,mgj->mgi", g_y, b_y) + b_y
+            u_out[j] += wq[e] * np.einsum("g,mgi->mi", w, gvec)
+            stein = decay[e] / sigma[e]
+            g_out[j] += wq[e] * np.einsum("g,mgi,gj->mij", w, gvec, z) * stein[None, None, :]
+            if with_hess:
+                scale = stein[:, None] * stein[None, :]
+                h_out[j] += wq[e] * np.einsum("g,mgi,gjk->mijk", w, gvec, pair) \
+                    * scale[None, None]
         return u_out, g_out, h_out
 
     def joint_norm(du, dg):
@@ -526,6 +605,7 @@ def solve_u(ref: ReferenceSemigroup, drift: Callable, lam: float, horizon: float
         contraction = 0.0
 
     u_fin, g_fin, h_fin = sweep(u_tab, g_tab, with_hess=True)
+    del stencils
     u_grid = u_fin.reshape((n_t + 1,) + shape + (n,))
     g_grid = g_fin.reshape((n_t + 1,) + shape + (n, n))
     h_grid = h_fin.reshape((n_t + 1,) + shape + (n, n, n))

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from fspdelab import analysis, simulator, zvonkin
+
+# property tests must neither flake between runs nor time out on a loaded box
+settings.register_profile("fspdelab", derandomize=True, deadline=None)
+settings.load_profile("fspdelab")
 
 
 @pytest.fixture(scope="session")

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
+from scipy.interpolate import RegularGridInterpolator
 
 from fspdelab import analysis as an
 from fspdelab import simulator as sim
 from fspdelab import zvonkin as zv
 from fspdelab.errors import CertificationError, InputError
+from fspdelab.quadrature import _gl_rule, hermite_tensor
 from fspdelab.segment import SegmentPath, _steps
 
 
@@ -110,6 +113,62 @@ class TestKernelQuadrature:
         assert got == pytest.approx(float((decay * x) @ v), abs=5e-3)
         with pytest.raises(InputError):
             zv.ou_apply(ref4, lambda y: y @ v, 0.0, 0.7, x, method="gh")
+
+    def test_cached_rules_are_read_only(self):
+        for arr in (*hermite_tensor(5, 2), *_gl_rule(8)):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+
+@st.composite
+def _grid_and_points(draw):
+    """Random grid of 1-3 dims, table, and per-dimension query coordinates.
+
+    The coordinates always include every grid node, so both box edges and
+    interior nodes are hit exactly, plus points drawn inside the box.
+    """
+    n = draw(st.integers(1, 3))
+    finite = st.floats(-4.0, 4.0, allow_nan=False)
+    axes, coords = [], []
+    for _ in range(n):
+        axis = np.array(sorted(draw(st.sets(finite, min_size=2, max_size=4))))
+        inside = draw(st.lists(st.floats(axis[0], axis[-1]), max_size=4))
+        axes.append(axis)
+        coords.append(np.concatenate([axis, inside]))
+    width = draw(st.integers(1, 3))
+    shape = tuple(a.size for a in axes) + (width,)
+    table = np.array(draw(st.lists(finite, min_size=math.prod(shape),
+                                   max_size=math.prod(shape)))).reshape(shape)
+    return axes, table, coords
+
+
+class TestSweepKernels:
+    @given(_grid_and_points())
+    def test_stencil_interpolation_matches_scipy_linear(self, case):
+        axes, table, coords = case
+        n = len(axes)
+        lo, frac = [], []
+        for d, (axis, c) in enumerate(zip(axes, coords)):
+            layout = tuple(c.size if a == d else 1 for a in range(n))
+            cell, offset = zv._axis_stencil(axis, c)
+            lo.append(cell.reshape(layout))
+            frac.append(offset.reshape(layout))
+        got = zv._multilinear(table, lo, frac)
+        pts = np.stack(np.meshgrid(*coords, indexing="ij"), axis=-1)
+        want = RegularGridInterpolator(tuple(axes), table, method="linear")(pts)
+        assert np.array_equal(got, want)
+
+    @given(st.integers(2, 3).flatmap(lambda n: st.lists(
+        st.floats(-1e3, 1e3, allow_nan=False), min_size=n**3, max_size=4 * n**3
+    ).map(lambda v: np.array(v[: len(v) // n**3 * n**3]).reshape(-1, n, n, n))))
+    @example(np.zeros((3, 2, 2, 2)))
+    @example(np.zeros((2, 3, 3, 3)))
+    @example(np.full((2, 2, 2, 2), 1e-170))  # squares underflow: no Frobenius bound
+    def test_pruned_bilinear_norm_equals_full_svd_max(self, tensors):
+        n = tensors.shape[-1]
+        slices = np.einsum("...kij,dj->...dki", tensors, zv._sphere_directions(n))
+        full = float(np.max(np.linalg.svd(slices, compute_uv=False)[..., 0]))
+        assert zv._bilinear_norm(tensors) == full
 
 
 class TestResolventSolve:
@@ -294,6 +353,16 @@ class TestPersistence:
         meta["spectrum_hash"] = "0" * 64
         with open(base + ".json", "w") as fh:
             json.dump(meta, fh)
+        with pytest.raises(InputError):
+            zv.RegularizingField.load(base)
+
+    def test_swapped_table_rejected(self, field, tmp_path):
+        base = str(tmp_path / "field")
+        field.save(base)
+        with np.load(base + ".npz") as data:
+            tables = dict(data)
+        tables["u"] = 0.5 * tables["u"]
+        np.savez(base + ".npz", **tables)
         with pytest.raises(InputError):
             zv.RegularizingField.load(base)
 
