@@ -312,8 +312,9 @@ def run_simulate(cfg: ExperimentConfig) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 # solve-u
 
-def _solve_field_grid(cfg: ExperimentConfig, spec: Spectrum, coeffs: CoefficientSet,
-                      horizon: float):
+def _solve_fields(cfg: ExperimentConfig, spec: Spectrum, coeffs: CoefficientSet,
+                  horizon: float, *, ascending: bool = False):
+    """Solve u lazily, one field per lam of the config grid (in its order, or ascending)."""
     z = cfg.section("zvonkin")
     grid = zvonkin.ZvonkinGrid(
         time_steps=int(z.get("time_steps", 12)),
@@ -325,9 +326,26 @@ def _solve_field_grid(cfg: ExperimentConfig, spec: Spectrum, coeffs: Coefficient
         raise ConfigError("the regularizing solve requires a constant diagonal diffusion")
     ref = zvonkin.ReferenceSemigroup(spec, coeffs.diag_noise,
                                      int(z.get("hermite_order", 7)))
-    fields = [zvonkin.solve_u(ref, coeffs.drift, float(lam), horizon, grid)
-              for lam in z.get("lambda_grid", [40.0, 80.0, 160.0])]
-    return ref, grid, fields
+    lams = [float(lam) for lam in z.get("lambda_grid", [40.0, 80.0, 160.0])]
+    for lam in sorted(lams) if ascending else lams:
+        yield zvonkin.solve_u(ref, coeffs.drift, lam, horizon, grid)
+
+
+def _first_certified(fields, horizon: float):
+    """The field `lambda_threshold` picks, solving only up to it.
+
+    `fields` yields ascending lam.  Each call re-checks every field solved
+    so far, so the pick equals the full grid's; when no lam certifies, the
+    final call raises with every lam's failed checks.
+    """
+    solved = []
+    for field in fields:
+        solved.append(field)
+        try:
+            return zvonkin.lambda_threshold(solved, horizon)
+        except CertificationError:
+            pass
+    return zvonkin.lambda_threshold(solved, horizon)
 
 
 @_timed
@@ -337,7 +355,7 @@ def run_solve_u(cfg: ExperimentConfig) -> ExperimentResult:
     delay, horizon, dt = float(t["delay"]), float(t["horizon"]), float(t["grid_step"])
     seed = int(cfg.section("montecarlo")["seed"])
     coeffs = build_coefficients(cfg, spec, delay)
-    _, _, fields = _solve_field_grid(cfg, spec, coeffs, horizon)
+    fields = list(_solve_fields(cfg, spec, coeffs, horizon))
     rows = [(f.lam, f.contraction_factor, f.iterations, f.norms["u_a"],
              f.norms["grad_a"], f.norms["hess"], f.norms["sqrtA_grad"])
             for f in fields]
@@ -584,8 +602,8 @@ def run_harnack_campaign(cfg: ExperimentConfig) -> ExperimentResult:
     coeffs = build_coefficients(cfg, spec, delay)
     f = build_test_function(cfg, spec.n_modes)
 
-    _, _, fields = _solve_field_grid(cfg, spec, coeffs, horizon)
-    field = zvonkin.lambda_threshold(fields, horizon)
+    field = _first_certified(_solve_fields(cfg, spec, coeffs, horizon, ascending=True),
+                             horizon)
     tsys = zvonkin.transform_coeffs(field, coeffs, delay=delay, grid_step=dt,
                                     seed=seed + 11)
     gain = tsys.bounds["K2"] * tsys.bounds["K3"]

@@ -95,6 +95,18 @@ def _terminal_view(coeffs, xi, horizon, grid_step, spec, samples, seed,
     return result.terminal_view()
 
 
+def _shared_noise_values(coeffs, xi, eta, f, horizon, *, grid_step, spec, samples, seed):
+    """f(X_T^xi) and f(X_T^eta), both endpoints driven by one noise array drawn from `seed`."""
+    steps = _steps(horizon, grid_step)
+    noise = NoisePath.generate(seed, steps, coeffs.noise_dim, grid_step, samples)
+    return tuple(f(_terminal_view(coeffs, start, horizon, grid_step, spec, samples, seed, noise))
+                 for start in (xi, eta))
+
+
+def _mean_stderr(vals) -> tuple[float, float]:
+    return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
+
+
 def estimate_semigroup(coeffs: CoefficientSet, xi: SegmentPath, f: TestFunction,
                        horizon: float, samples: int, seed: int, *,
                        grid_step: float, spec: Spectrum,
@@ -104,9 +116,7 @@ def estimate_semigroup(coeffs: CoefficientSet, xi: SegmentPath, f: TestFunction,
         raise InputError("semigroup estimates require T > r")
     view = _terminal_view(coeffs, xi, horizon, grid_step, spec, samples, seed)
     vals = f(view) if transform is None else transform(f(view))
-    mean = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(samples))
-    return SemigroupEstimate(mean, stderr, samples, seed)
+    return SemigroupEstimate(*_mean_stderr(vals), samples, seed)
 
 
 def pair_distance(xi: SegmentPath, eta: SegmentPath) -> tuple[float, float]:
@@ -137,16 +147,10 @@ def log_harnack_residual(coeffs: CoefficientSet, xi: SegmentPath, eta: SegmentPa
     """log P_T f(xi) + C * H(xi, eta) - P_T log f(eta); >= -3 stderr closes the bound."""
     if horizon <= xi.delay:
         raise InputError("the log-form inequality requires T > r")
-    steps = _steps(horizon, grid_step)
-    noise = NoisePath.generate(seed, steps, coeffs.noise_dim, grid_step, samples)
-    view_xi = _terminal_view(coeffs, xi, horizon, grid_step, spec, samples, seed, noise)
-    view_eta = _terminal_view(coeffs, eta, horizon, grid_step, spec, samples, seed, noise)
-    f_xi = f(view_xi)
-    logf_eta = np.log(f(view_eta))
-    mean_f = float(np.mean(f_xi))
-    se_f = float(np.std(f_xi, ddof=1) / math.sqrt(samples))
-    mean_log = float(np.mean(logf_eta))
-    se_log = float(np.std(logf_eta, ddof=1) / math.sqrt(samples))
+    f_xi, f_eta = _shared_noise_values(coeffs, xi, eta, f, horizon, grid_step=grid_step,
+                                       spec=spec, samples=samples, seed=seed)
+    mean_f, se_f = _mean_stderr(f_xi)
+    mean_log, se_log = _mean_stderr(np.log(f_eta))
     bound = log_harnack_rhs(xi, eta, horizon, constant)
     residual = math.log(mean_f) + bound - mean_log
     stderr = math.hypot(se_f / mean_f, se_log)
@@ -166,16 +170,10 @@ def power_harnack_residual(coeffs: CoefficientSet, xi: SegmentPath, eta: Segment
     if power <= floor:
         raise InputError(
             f"power {power} is not admissible: the inequality needs p > (1+K)^2 = {floor:.6g}")
-    steps = _steps(horizon, grid_step)
-    noise = NoisePath.generate(seed, steps, coeffs.noise_dim, grid_step, samples)
-    view_xi = _terminal_view(coeffs, xi, horizon, grid_step, spec, samples, seed, noise)
-    view_eta = _terminal_view(coeffs, eta, horizon, grid_step, spec, samples, seed, noise)
-    f_pow = f(view_xi) ** power
-    f_eta = f(view_eta)
-    mean_pow = float(np.mean(f_pow))
-    se_pow = float(np.std(f_pow, ddof=1) / math.sqrt(samples))
-    mean_eta = float(np.mean(f_eta))
-    se_eta = float(np.std(f_eta, ddof=1) / math.sqrt(samples))
+    f_xi, f_eta = _shared_noise_values(coeffs, xi, eta, f, horizon, grid_step=grid_step,
+                                       spec=spec, samples=samples, seed=seed)
+    mean_pow, se_pow = _mean_stderr(f_xi ** power)
+    mean_eta, se_eta = _mean_stderr(f_eta)
     head, sup = pair_distance(xi, eta)
     psi = constant * (1.0 + head**2 / (horizon - xi.delay) + sup**2)
     lhs_val = mean_pow ** (1.0 / power) * math.exp(psi)
@@ -216,26 +214,18 @@ def collect_pair_estimates(coeffs: CoefficientSet, pairs, f: TestFunction,
     seeds = np.random.SeedSequence(seed).generate_state(2 * len(pairs))
     for k, (xi, eta) in enumerate(pairs):
         pair_seed = int(seeds[2 * k])
-        steps = _steps(horizon, grid_step)
-        noise = NoisePath.generate(pair_seed, steps, coeffs.noise_dim, grid_step, samples)
-        view_xi = _terminal_view(coeffs, xi, horizon, grid_step, spec, samples, pair_seed, noise)
-        view_eta = _terminal_view(coeffs, eta, horizon, grid_step, spec, samples, pair_seed, noise)
-        f_xi = f(view_xi)
-        f_eta = f(view_eta)
-        logf_eta = np.log(f_eta)
+        f_xi, f_eta = _shared_noise_values(coeffs, xi, eta, f, horizon, grid_step=grid_step,
+                                           spec=spec, samples=samples, seed=pair_seed)
         pm, ps = {}, {}
         for p in powers:
-            vals = f_xi**p
-            pm[p] = float(np.mean(vals))
-            ps[p] = float(np.std(vals, ddof=1) / math.sqrt(samples))
+            pm[p], ps[p] = _mean_stderr(f_xi**p)
+        mean_f_xi, se_f_xi = _mean_stderr(f_xi)
+        mean_logf_eta, se_logf_eta = _mean_stderr(np.log(f_eta))
+        mean_f_eta, se_f_eta = _mean_stderr(f_eta)
         out.append(PairEstimates(
-            xi=xi, eta=eta,
-            mean_f_xi=float(np.mean(f_xi)),
-            se_f_xi=float(np.std(f_xi, ddof=1) / math.sqrt(samples)),
-            mean_logf_eta=float(np.mean(logf_eta)),
-            se_logf_eta=float(np.std(logf_eta, ddof=1) / math.sqrt(samples)),
-            mean_f_eta=float(np.mean(f_eta)),
-            se_f_eta=float(np.std(f_eta, ddof=1) / math.sqrt(samples)),
+            xi=xi, eta=eta, mean_f_xi=mean_f_xi, se_f_xi=se_f_xi,
+            mean_logf_eta=mean_logf_eta, se_logf_eta=se_logf_eta,
+            mean_f_eta=mean_f_eta, se_f_eta=se_f_eta,
             power_means=pm, power_ses=ps, seed=pair_seed))
     return out
 
@@ -327,6 +317,10 @@ def conjugation_check(coeffs: CoefficientSet, field: RegularizingField, xi: Segm
 
     x_states = np.empty((lags + steps + 1, samples, n))
     x_states[: lags + 1] = xi.values[:, None, :]
+    # norm histories of x and z, written with each row, for the window sups
+    x_norms = np.empty(x_states.shape[:2])
+    x_norms[: lags + 1] = np.linalg.norm(xi.values, axis=-1)[:, None]
+    z_norms = x_norms.copy()
     # transformed start: theta applied slice by slice with the frozen extension
     y_states = np.empty_like(x_states)
     z_states = np.empty_like(x_states)
@@ -342,7 +336,8 @@ def conjugation_check(coeffs: CoefficientSet, field: RegularizingField, xi: Segm
         dw = noise.increments[k]
 
         x = x_states[base]
-        view = SegmentView(x_states[base - lags: base + 1], grid_step, xi.delay)
+        view = SegmentView(x_states[base - lags: base + 1], grid_step, xi.delay,
+                           x_norms[base - lags: base + 1])
         drift = np.asarray(coeffs.drift(t, x), dtype=float) \
             + np.asarray(coeffs.delay_drift(t, view), dtype=float)
         if use_exact:
@@ -353,11 +348,14 @@ def conjugation_check(coeffs: CoefficientSet, field: RegularizingField, xi: Segm
                 qm = np.broadcast_to(qm, x.shape[:-1] + qm.shape)
             gain = decay * np.einsum("pnm,pm->pn", qm, dw)
         x_states[base + 1] = decay * x + drift_fac * drift + gain
+        x_norms[base + 1] = np.linalg.norm(x_states[base + 1], axis=-1)
 
         y = y_states[base]
         z = field.invert_theta(t, y)
         z_states[base] = z
-        zview = SegmentView(z_states[base - lags: base + 1], grid_step, xi.delay)
+        z_norms[base] = np.linalg.norm(z, axis=-1)
+        zview = SegmentView(z_states[base - lags: base + 1], grid_step, xi.delay,
+                            z_norms[base - lags: base + 1])
         jac = field.grad_theta(t, z)
         b_bar = resolvent * field.u_at(t, z)
         inner = np.asarray(coeffs.delay_drift(t, zview), dtype=float)
@@ -373,9 +371,10 @@ def conjugation_check(coeffs: CoefficientSet, field: RegularizingField, xi: Segm
         y_states[base + 1] = decay * y + drift_fac * drift_bar + gain_bar
 
     z_states[lags + steps] = field.invert_theta(horizon, y_states[lags + steps])
+    z_norms[lags + steps] = np.linalg.norm(z_states[lags + steps], axis=-1)
 
-    direct_vals = f(SegmentView(x_states[-lags - 1:], grid_step, xi.delay))
-    pulled_vals = f(SegmentView(z_states[-lags - 1:], grid_step, xi.delay))
+    direct_vals = f(SegmentView(x_states[-lags - 1:], grid_step, xi.delay, x_norms[-lags - 1:]))
+    pulled_vals = f(SegmentView(z_states[-lags - 1:], grid_step, xi.delay, z_norms[-lags - 1:]))
     gaps = direct_vals - pulled_vals
     return ConjugationResult(
         direct_mean=float(np.mean(direct_vals)),

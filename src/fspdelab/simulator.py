@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .analysis import ModulusFunction, Spectrum, WeightFunction, ClassReport, PASS, FAIL
 from .errors import InputError
@@ -28,12 +29,20 @@ EXPLOSION_THRESHOLD = 1e12
 
 
 class SegmentView:
-    """Grid-aligned window [t-r, t] over a batched state history."""
+    """Grid-aligned window [t-r, t] over a batched state history.
 
-    def __init__(self, window: np.ndarray, grid_step: float, delay: float):
+    `norms`, when given, is the matching (lags+1, n_paths) slice of the
+    history's per-step norms, norms[k] = |window[k]| row by row; sup_norm
+    then takes a max over it instead of recomputing every row's norm.
+    Without it the norms are recomputed from the window.
+    """
+
+    def __init__(self, window: np.ndarray, grid_step: float, delay: float,
+                 norms: np.ndarray | None = None):
         self.window = window  # (lags+1, n_paths, n_modes)
         self.grid_step = grid_step
         self.delay = delay
+        self.norms = norms
 
     def value_at(self, s: float) -> np.ndarray:
         k = (s + self.delay) / self.grid_step
@@ -48,7 +57,8 @@ class SegmentView:
         return self.window[-1]
 
     def sup_norm(self) -> np.ndarray:
-        return np.linalg.norm(self.window, axis=-1).max(axis=0)
+        norms = np.linalg.norm(self.window, axis=-1) if self.norms is None else self.norms
+        return norms.max(axis=0)
 
 
 @dataclass
@@ -193,6 +203,7 @@ class EnsembleResult:
     life_times: np.ndarray      # (n_paths,), inf where non-explosive
     convolution: np.ndarray | None = None
     seed: int | None = None
+    norms: np.ndarray | None = None  # (lags + steps + 1, n_paths), |states| per row
 
     @property
     def n_paths(self) -> int:
@@ -204,7 +215,8 @@ class EnsembleResult:
 
     def terminal_view(self) -> SegmentView:
         lags = _steps(self.delay, self.grid_step)
-        return SegmentView(self.states[-lags - 1:], self.grid_step, self.delay)
+        norms = None if self.norms is None else self.norms[-lags - 1:]
+        return SegmentView(self.states[-lags - 1:], self.grid_step, self.delay, norms)
 
     def path(self, p: int) -> Trajectory:
         life = float(self.life_times[p])
@@ -253,6 +265,8 @@ def simulate_ensemble(coeffs: CoefficientSet, xi: SegmentPath, horizon: float,
 
     states = np.empty((lags + steps + 1, paths, n))
     states[: lags + 1] = xi.values[:, None, :]
+    norms = np.empty(states.shape[:2])
+    norms[: lags + 1] = np.linalg.norm(xi.values, axis=-1)[:, None]
     conv = np.zeros_like(states) if record_convolution else None
     alive = np.ones(paths, dtype=bool)
     life = np.full(paths, math.inf)
@@ -262,7 +276,8 @@ def simulate_ensemble(coeffs: CoefficientSet, xi: SegmentPath, horizon: float,
             t = k * grid_step
             base = lags + k
             x = states[base]
-            view = SegmentView(states[base - lags: base + 1], grid_step, xi.delay)
+            view = SegmentView(states[base - lags: base + 1], grid_step, xi.delay,
+                               norms[base - lags: base + 1])
             drift = np.asarray(coeffs.drift(t, x), dtype=float) \
                 + np.asarray(coeffs.delay_drift(t, view), dtype=float)
             dw = noise.increments[k][:, : coeffs.noise_dim]
@@ -282,9 +297,11 @@ def simulate_ensemble(coeffs: CoefficientSet, xi: SegmentPath, horizon: float,
                 life[bad] = (k + 1) * grid_step
                 alive &= ~bad
             states[base + 1] = nxt
+            norms[base + 1] = mags
 
     return EnsembleResult(xi.delay, grid_step, horizon, states, life,
-                          convolution=conv, seed=noise.seed if seed is None else seed)
+                          convolution=conv, seed=noise.seed if seed is None else seed,
+                          norms=norms)
 
 
 def simulate_mild(coeffs: CoefficientSet, xi: SegmentPath, horizon: float,
@@ -308,12 +325,14 @@ def _drift_removal_controls(coeffs: CoefficientSet, states: np.ndarray, delay: f
     """psi(t_k) = Q*(QQ*)^{-1}(b + B) along a batched path history."""
     lags = _steps(delay, grid_step)
     paths = states.shape[1]
+    norms = np.linalg.norm(states, axis=-1)
     psi = np.empty((steps, paths, coeffs.noise_dim))
     for k in range(steps):
         t = k * grid_step
         base = lags + k
         x = states[base]
-        view = SegmentView(states[base - lags: base + 1], grid_step, delay)
+        view = SegmentView(states[base - lags: base + 1], grid_step, delay,
+                           norms[base - lags: base + 1])
         v = np.asarray(coeffs.drift(t, x), dtype=float) \
             + np.asarray(coeffs.delay_drift(t, view), dtype=float)
         if coeffs.diag_noise is not None:
@@ -480,11 +499,7 @@ class BihariBound:
 def _window_sup_norms(states: np.ndarray, lags: int) -> np.ndarray:
     """Segment sup norms |M_s|_inf for every grid time s >= 0."""
     mags = np.linalg.norm(states, axis=-1)  # (k_total+1, ...) path norms
-    steps = mags.shape[0] - lags
-    out = np.empty((steps,) + mags.shape[1:])
-    for k in range(steps):
-        out[k] = mags[k: k + lags + 1].max(axis=0)
-    return out
+    return sliding_window_view(mags, lags + 1, axis=0).max(axis=-1)
 
 
 def bihari_alpha(lyap: LyapunovSpec, xi: SegmentPath, conv_states: np.ndarray,

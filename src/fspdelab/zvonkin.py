@@ -729,6 +729,28 @@ def _battery_segments(rng, n, delay, grid_step, halfwidth, count):
     return base + amp * np.sin(freq * s[None, :, None] + phase)
 
 
+def _unit_rows(rng, count, n):
+    rows = rng.normal(size=(count, n))
+    rows /= np.linalg.norm(rows, axis=-1, keepdims=True)
+    return rows
+
+
+def _log_spaced_pairs(rng, n, halfwidth, count, separations):
+    """2*count point pairs (xs, ys) inside 80 % of the box at log-spaced distances.
+
+    Half the xs are uniform and half sit at log-spaced radii around the
+    origin, where the drift is roughest; each ys is a step of a length drawn
+    from `separations` in a random direction, clipped to the same box.
+    """
+    inner = 0.8 * halfwidth
+    uniform = rng.uniform(-inner, inner, size=(count, n))
+    radii = rng.choice(np.geomspace(1e-3, inner, 24), size=(count, 1))
+    xs = np.concatenate([uniform, radii * _unit_rows(rng, count, n)])
+    eps = rng.choice(separations, size=(2 * count, 1))
+    ys = np.clip(xs + eps * _unit_rows(rng, 2 * count, n), -inner, inner)
+    return xs, ys
+
+
 def transform_coeffs(field: RegularizingField, coeffs: CoefficientSet, *,
                      delay: float = 0.25, grid_step: float = 1.0 / 32.0,
                      battery: int = 256, seed: int = 2024) -> TransformedSystem:
@@ -753,15 +775,7 @@ def transform_coeffs(field: RegularizingField, coeffs: CoefficientSet, *,
     # pairs at log-spaced separations so the fitted maxima sit near the sup,
     # with extra mass near the origin where the drift is roughest
     for t in np.linspace(0.0, field.horizon, 9):
-        uniform = rng.uniform(-0.8 * hw, 0.8 * hw, size=(battery, n))
-        radii = rng.choice(np.geomspace(1e-3, 0.8 * hw, 24), size=(battery, 1))
-        dirs = rng.normal(size=(battery, n))
-        dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
-        xs = np.concatenate([uniform, radii * dirs])
-        eps = rng.choice(np.geomspace(1e-3, 2.0, 24), size=(2 * battery, 1))
-        steps_dir = rng.normal(size=(2 * battery, n))
-        steps_dir /= np.linalg.norm(steps_dir, axis=-1, keepdims=True)
-        ys = np.clip(xs + eps * steps_dir, -0.8 * hw, 0.8 * hw)
+        xs, ys = _log_spaced_pairs(rng, n, hw, battery, np.geomspace(1e-3, 2.0, 24))
         qx = sys.diffusion(t, xs)
         qy = sys.diffusion(t, ys)
         gaps = xs - ys
@@ -811,15 +825,7 @@ def lipschitz_grad_check(field: RegularizingField, *, pairs: int = 1000,
     def max_ratio(count):
         worst = 0.0
         for t in np.linspace(0.0, field.horizon, 9):
-            uniform = rng.uniform(-0.8 * hw, 0.8 * hw, size=(count, n))
-            radii = rng.choice(np.geomspace(1e-3, 0.8 * hw, 24), size=(count, 1))
-            rdirs = rng.normal(size=(count, n))
-            rdirs /= np.linalg.norm(rdirs, axis=-1, keepdims=True)
-            xs = np.concatenate([uniform, radii * rdirs])
-            eps = rng.choice(np.geomspace(1e-3, 1.0, 16), size=(2 * count, 1))
-            dirs = rng.normal(size=(2 * count, n))
-            dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
-            ys = np.clip(xs + eps * dirs, -0.8 * hw, 0.8 * hw)
+            xs, ys = _log_spaced_pairs(rng, n, hw, count, np.geomspace(1e-3, 1.0, 16))
             dg = field.grad_at(t, xs) - field.grad_at(t, ys)
             num = np.linalg.norm(dg.reshape(xs.shape[0], -1), axis=-1)
             den = np.maximum(np.linalg.norm(xs - ys, axis=-1), 1e-12)
@@ -851,12 +857,13 @@ def representation_residual(field: RegularizingField, coeffs: CoefficientSet,
     lam = field.lam
     from .simulator import SegmentView
 
+    norms = np.linalg.norm(states, axis=-1)
     x0 = states[lags]
     acc = np.zeros_like(x0)
     for k in range(steps):
         t = k * dt
         x = states[lags + k]
-        view = SegmentView(states[lags + k - lags: lags + k + 1], dt, delay)
+        view = SegmentView(states[k: lags + k + 1], dt, delay, norms[k: lags + k + 1])
         sem = np.exp(-lamvec * (horizon - t))
         u_k = field.u_at(t, x)
         g_k = field.grad_at(t, x)

@@ -1,13 +1,15 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fspdelab import analysis as an
+from fspdelab import experiments, zvonkin
 from fspdelab import simulator as sim
 from fspdelab.cli import main
 from fspdelab.config import ExperimentConfig
-from fspdelab.errors import ConfigError
+from fspdelab.errors import CertificationError, ConfigError
 from fspdelab.experiments import (RUNNERS, fit_order, run_classcheck, run_galerkin,
                                   run_nonexplosion, run_simulate, run_uniqueness)
 from fspdelab.segment import SegmentPath, _steps
@@ -204,6 +206,62 @@ class TestHarnackExperiment:
         assert result.passed
         assert result.metrics["threshold_lambda"] == 60.0
         assert result.metrics["bounds"]["K2"] == 0.0  # diffusion untouched
+
+
+SMALL_CAMPAIGN = {
+    "zvonkin": {"lambda_grid": [80.0, 40.0, 160.0], "time_steps": 6, "nodes_per_dim": 11,
+                "quad_panels": 2, "quad_order": 4, "hermite_order": 5},
+    "harnack": {"train_pairs": 2, "holdout_pairs": 2, "samples": 200},
+}
+
+
+def _recorded_solves(monkeypatch, spoiled=()):
+    """Record the lam of every `zvonkin.solve_u` call; fields at `spoiled` lams fail hess."""
+    solved = []
+    real = zvonkin.solve_u
+
+    def solve(ref, drift, lam, *args, **kwargs):
+        solved.append(lam)
+        field = real(ref, drift, lam, *args, **kwargs)
+        if lam in spoiled:
+            field = replace(field, norms={**field.norms, "hess": 1.0})
+        return field
+
+    monkeypatch.setattr(zvonkin, "solve_u", solve)
+    return solved
+
+
+class TestHarnackLambdaEarlyStop:
+    def test_lowest_certified_lambda_is_the_only_solve(self, monkeypatch):
+        cfg = ExperimentConfig.defaults("harnack", SMALL_CAMPAIGN)
+        solved = _recorded_solves(monkeypatch)
+        early = experiments.run_harnack_campaign(cfg)
+        assert solved == [40.0]
+        assert early.metrics["threshold_lambda"] == 40.0
+
+        # selection from the full grid: every lam solved, then one threshold pick
+        monkeypatch.setattr(experiments, "_first_certified",
+                            lambda fields, horizon: zvonkin.lambda_threshold(list(fields),
+                                                                             horizon))
+        full = experiments.run_harnack_campaign(cfg)
+        assert solved == [40.0, 40.0, 80.0, 160.0]
+        assert full.report_hash() == early.report_hash()
+
+    def test_lambda_failing_the_caps_moves_to_the_next(self, monkeypatch):
+        cfg = ExperimentConfig.defaults("harnack", SMALL_CAMPAIGN)
+        solved = _recorded_solves(monkeypatch, spoiled={40.0})
+        result = experiments.run_harnack_campaign(cfg)
+        assert solved == [40.0, 80.0]
+        assert result.metrics["threshold_lambda"] == 80.0
+
+    def test_no_certified_lambda_names_every_lambda(self, monkeypatch):
+        cfg = ExperimentConfig.defaults("harnack", SMALL_CAMPAIGN)
+        solved = _recorded_solves(monkeypatch, spoiled={40.0, 80.0, 160.0})
+        with pytest.raises(CertificationError) as err:
+            experiments.run_harnack_campaign(cfg)
+        assert solved == [40.0, 80.0, 160.0]
+        for lam in ("40.0", "80.0", "160.0"):
+            assert f"{lam}: ['hess<=1/8']" in str(err.value)
 
 
 class TestAggregation:
