@@ -19,7 +19,8 @@ import numpy as np
 from .analysis import Spectrum
 from .errors import ExplosionError, InputError
 from .segment import SegmentPath, _steps
-from .simulator import CoefficientSet, NoisePath, simulate_ensemble
+from .simulator import (CoefficientSet, EnsembleResult, NoisePath, SegmentView,
+                        _history_windows, simulate_ensemble)
 from .zvonkin import RegularizingField
 
 
@@ -81,26 +82,22 @@ class SemigroupEstimate:
     seed: int
 
 
+def _require_alive(result: EnsembleResult) -> None:
+    if np.any(result.exploded):
+        bad = int(np.count_nonzero(result.exploded))
+        raise ExplosionError(
+            f"{bad} of {result.n_paths} paths exploded; semigroup estimation requires a "
+            "non-explosive configuration")
+
+
 def _terminal_view(coeffs, xi, horizon, grid_step, spec, samples, seed,
                    noise: NoisePath | None = None):
     steps = _steps(horizon, grid_step)
     if noise is None:
         noise = NoisePath.generate(seed, steps, coeffs.noise_dim, grid_step, samples)
     result = simulate_ensemble(coeffs, xi, horizon, grid_step, spec, noise)
-    if np.any(result.exploded):
-        bad = int(np.count_nonzero(result.exploded))
-        raise ExplosionError(
-            f"{bad} of {result.n_paths} paths exploded; semigroup estimation requires a "
-            "non-explosive configuration")
+    _require_alive(result)
     return result.terminal_view()
-
-
-def _shared_noise_values(coeffs, xi, eta, f, horizon, *, grid_step, spec, samples, seed):
-    """f(X_T^xi) and f(X_T^eta), both endpoints driven by one noise array drawn from `seed`."""
-    steps = _steps(horizon, grid_step)
-    noise = NoisePath.generate(seed, steps, coeffs.noise_dim, grid_step, samples)
-    return tuple(f(_terminal_view(coeffs, start, horizon, grid_step, spec, samples, seed, noise))
-                 for start in (xi, eta))
 
 
 def _mean_stderr(vals) -> tuple[float, float]:
@@ -109,14 +106,12 @@ def _mean_stderr(vals) -> tuple[float, float]:
 
 def estimate_semigroup(coeffs: CoefficientSet, xi: SegmentPath, f: TestFunction,
                        horizon: float, samples: int, seed: int, *,
-                       grid_step: float, spec: Spectrum,
-                       transform=None) -> SemigroupEstimate:
+                       grid_step: float, spec: Spectrum) -> SemigroupEstimate:
     """Monte Carlo mean of f(X_T^xi) with its standard error."""
     if horizon <= xi.delay:
         raise InputError("semigroup estimates require T > r")
     view = _terminal_view(coeffs, xi, horizon, grid_step, spec, samples, seed)
-    vals = f(view) if transform is None else transform(f(view))
-    return SemigroupEstimate(*_mean_stderr(vals), samples, seed)
+    return SemigroupEstimate(*_mean_stderr(f(view)), samples, seed)
 
 
 def pair_distance(xi: SegmentPath, eta: SegmentPath) -> tuple[float, float]:
@@ -130,64 +125,6 @@ def log_harnack_rhs(xi: SegmentPath, eta: SegmentPath, horizon: float, constant:
     head, sup = pair_distance(xi, eta)
     return constant * (head**2 / (horizon - xi.delay) + sup**2)
 
-
-@dataclass
-class HarnackResidual:
-    residual: float
-    stderr: float
-    lhs: float
-    rhs: float
-    detail: dict
-
-
-def log_harnack_residual(coeffs: CoefficientSet, xi: SegmentPath, eta: SegmentPath,
-                         f: TestFunction, horizon: float, constant: float, *,
-                         grid_step: float, spec: Spectrum, samples: int,
-                         seed: int) -> HarnackResidual:
-    """log P_T f(xi) + C * H(xi, eta) - P_T log f(eta); >= -3 stderr closes the bound."""
-    if horizon <= xi.delay:
-        raise InputError("the log-form inequality requires T > r")
-    f_xi, f_eta = _shared_noise_values(coeffs, xi, eta, f, horizon, grid_step=grid_step,
-                                       spec=spec, samples=samples, seed=seed)
-    mean_f, se_f = _mean_stderr(f_xi)
-    mean_log, se_log = _mean_stderr(np.log(f_eta))
-    bound = log_harnack_rhs(xi, eta, horizon, constant)
-    residual = math.log(mean_f) + bound - mean_log
-    stderr = math.hypot(se_f / mean_f, se_log)
-    return HarnackResidual(residual, stderr, lhs=mean_log, rhs=math.log(mean_f) + bound,
-                           detail={"P_f_xi": mean_f, "P_logf_eta": mean_log,
-                                   "bound": bound, "seed": seed})
-
-
-def power_harnack_residual(coeffs: CoefficientSet, xi: SegmentPath, eta: SegmentPath,
-                           f: TestFunction, horizon: float, power: float,
-                           constant: float, gain: float, *, grid_step: float,
-                           spec: Spectrum, samples: int, seed: int) -> HarnackResidual:
-    """(P_T f^p(xi))^{1/p} exp(Psi_p) - P_T f(eta) for p above the admissible floor."""
-    if horizon <= xi.delay:
-        raise InputError("the power-form inequality requires T > r")
-    floor = (1.0 + gain) ** 2
-    if power <= floor:
-        raise InputError(
-            f"power {power} is not admissible: the inequality needs p > (1+K)^2 = {floor:.6g}")
-    f_xi, f_eta = _shared_noise_values(coeffs, xi, eta, f, horizon, grid_step=grid_step,
-                                       spec=spec, samples=samples, seed=seed)
-    mean_pow, se_pow = _mean_stderr(f_xi ** power)
-    mean_eta, se_eta = _mean_stderr(f_eta)
-    head, sup = pair_distance(xi, eta)
-    psi = constant * (1.0 + head**2 / (horizon - xi.delay) + sup**2)
-    lhs_val = mean_pow ** (1.0 / power) * math.exp(psi)
-    residual = lhs_val - mean_eta
-    # delta method for the p-th root factor
-    se_root = lhs_val * se_pow / (power * mean_pow)
-    stderr = math.hypot(se_root, se_eta)
-    return HarnackResidual(residual, stderr, lhs=mean_eta, rhs=lhs_val,
-                           detail={"P_fp_xi": mean_pow, "P_f_eta": mean_eta,
-                                   "psi": psi, "power": power, "seed": seed})
-
-
-# ---------------------------------------------------------------------------
-# Constant fitting on training pairs.
 
 @dataclass
 class PairEstimates:
@@ -206,28 +143,87 @@ class PairEstimates:
     seed: int
 
 
+def _pair_estimates(coeffs: CoefficientSet, xi: SegmentPath, eta: SegmentPath,
+                    f: TestFunction, horizon: float, powers, *, grid_step: float,
+                    spec: Spectrum, samples: int, seed: int) -> PairEstimates:
+    """One simulation per endpoint, both driven by one noise array drawn from `seed`.
+
+    Every derived mean reuses the same paths.
+    """
+    steps = _steps(horizon, grid_step)
+    noise = NoisePath.generate(seed, steps, coeffs.noise_dim, grid_step, samples)
+    f_xi, f_eta = (f(_terminal_view(coeffs, start, horizon, grid_step, spec, samples, seed, noise))
+                   for start in (xi, eta))
+    pm, ps = {}, {}
+    for p in powers:
+        pm[p], ps[p] = _mean_stderr(f_xi**p)
+    mean_f_xi, se_f_xi = _mean_stderr(f_xi)
+    mean_logf_eta, se_logf_eta = _mean_stderr(np.log(f_eta))
+    mean_f_eta, se_f_eta = _mean_stderr(f_eta)
+    return PairEstimates(
+        xi=xi, eta=eta, mean_f_xi=mean_f_xi, se_f_xi=se_f_xi,
+        mean_logf_eta=mean_logf_eta, se_logf_eta=se_logf_eta,
+        mean_f_eta=mean_f_eta, se_f_eta=se_f_eta,
+        power_means=pm, power_ses=ps, seed=seed)
+
+
+@dataclass
+class HarnackResidual:
+    residual: float
+    stderr: float
+    lhs: float
+    rhs: float
+    detail: dict
+
+
+def log_harnack_residual(coeffs: CoefficientSet, xi: SegmentPath, eta: SegmentPath,
+                         f: TestFunction, horizon: float, constant: float, *,
+                         grid_step: float, spec: Spectrum, samples: int,
+                         seed: int) -> HarnackResidual:
+    """log P_T f(xi) + C * H(xi, eta) - P_T log f(eta); >= -3 stderr closes the bound."""
+    if horizon <= xi.delay:
+        raise InputError("the log-form inequality requires T > r")
+    est = _pair_estimates(coeffs, xi, eta, f, horizon, (), grid_step=grid_step, spec=spec,
+                          samples=samples, seed=seed)
+    residual, stderr = log_residual_from_estimates(est, horizon, constant)
+    bound = log_harnack_rhs(xi, eta, horizon, constant)
+    return HarnackResidual(residual, stderr, lhs=est.mean_logf_eta,
+                           rhs=math.log(est.mean_f_xi) + bound,
+                           detail={"P_f_xi": est.mean_f_xi, "P_logf_eta": est.mean_logf_eta,
+                                   "bound": bound, "seed": seed})
+
+
+def power_harnack_residual(coeffs: CoefficientSet, xi: SegmentPath, eta: SegmentPath,
+                           f: TestFunction, horizon: float, power: float,
+                           constant: float, gain: float, *, grid_step: float,
+                           spec: Spectrum, samples: int, seed: int) -> HarnackResidual:
+    """(P_T f^p(xi))^{1/p} exp(Psi_p) - P_T f(eta) for p above the admissible floor."""
+    if horizon <= xi.delay:
+        raise InputError("the power-form inequality requires T > r")
+    floor = (1.0 + gain) ** 2
+    if power <= floor:
+        raise InputError(
+            f"power {power} is not admissible: the inequality needs p > (1+K)^2 = {floor:.6g}")
+    est = _pair_estimates(coeffs, xi, eta, f, horizon, (power,), grid_step=grid_step,
+                          spec=spec, samples=samples, seed=seed)
+    residual, stderr = power_residual_from_estimates(est, horizon, power, constant)
+    psi, lhs_val = _power_rhs(est, horizon, power, constant)
+    return HarnackResidual(residual, stderr, lhs=est.mean_f_eta, rhs=lhs_val,
+                           detail={"P_fp_xi": est.power_means[power], "P_f_eta": est.mean_f_eta,
+                                   "psi": psi, "power": power, "seed": seed})
+
+
+# ---------------------------------------------------------------------------
+# Constant fitting on training pairs.
+
 def collect_pair_estimates(coeffs: CoefficientSet, pairs, f: TestFunction,
                            horizon: float, powers, *, grid_step: float,
                            spec: Spectrum, samples: int, seed: int) -> list[PairEstimates]:
-    """One simulation per endpoint per pair; every derived mean reuses the same paths."""
-    out = []
+    """Shared-noise estimates for every pair, each pair on its own seed drawn from `seed`."""
     seeds = np.random.SeedSequence(seed).generate_state(2 * len(pairs))
-    for k, (xi, eta) in enumerate(pairs):
-        pair_seed = int(seeds[2 * k])
-        f_xi, f_eta = _shared_noise_values(coeffs, xi, eta, f, horizon, grid_step=grid_step,
-                                           spec=spec, samples=samples, seed=pair_seed)
-        pm, ps = {}, {}
-        for p in powers:
-            pm[p], ps[p] = _mean_stderr(f_xi**p)
-        mean_f_xi, se_f_xi = _mean_stderr(f_xi)
-        mean_logf_eta, se_logf_eta = _mean_stderr(np.log(f_eta))
-        mean_f_eta, se_f_eta = _mean_stderr(f_eta)
-        out.append(PairEstimates(
-            xi=xi, eta=eta, mean_f_xi=mean_f_xi, se_f_xi=se_f_xi,
-            mean_logf_eta=mean_logf_eta, se_logf_eta=se_logf_eta,
-            mean_f_eta=mean_f_eta, se_f_eta=se_f_eta,
-            power_means=pm, power_ses=ps, seed=pair_seed))
-    return out
+    return [_pair_estimates(coeffs, xi, eta, f, horizon, powers, grid_step=grid_step,
+                            spec=spec, samples=samples, seed=int(seeds[2 * k]))
+            for k, (xi, eta) in enumerate(pairs)]
 
 
 def fit_log_constant(estimates: list[PairEstimates], horizon: float) -> float:
@@ -261,12 +257,19 @@ def log_residual_from_estimates(est: PairEstimates, horizon: float,
     return residual, stderr
 
 
-def power_residual_from_estimates(est: PairEstimates, horizon: float, power: float,
-                                  constant: float) -> tuple[float, float]:
+def _power_rhs(est: PairEstimates, horizon: float, power: float,
+               constant: float) -> tuple[float, float]:
+    """(Psi_p, (P_T f^p(xi))^{1/p} exp(Psi_p)) for one pair."""
     head, sup = pair_distance(est.xi, est.eta)
     psi = constant * (1.0 + head**2 / (horizon - est.xi.delay) + sup**2)
-    lhs_val = est.power_means[power] ** (1.0 / power) * math.exp(psi)
+    return psi, est.power_means[power] ** (1.0 / power) * math.exp(psi)
+
+
+def power_residual_from_estimates(est: PairEstimates, horizon: float, power: float,
+                                  constant: float) -> tuple[float, float]:
+    _, lhs_val = _power_rhs(est, horizon, power, constant)
     residual = lhs_val - est.mean_f_eta
+    # delta method for the p-th root factor
     se_root = lhs_val * est.power_ses[power] / (power * est.power_means[power])
     return residual, math.hypot(se_root, est.se_f_eta)
 
@@ -290,11 +293,12 @@ def conjugation_check(coeffs: CoefficientSet, field: RegularizingField, xi: Segm
                       grid_step: float, spec: Spectrum, seed: int) -> ConjugationResult:
     """Estimate P_T f(xi) directly and through the conjugated system, same noise.
 
-    Both recursions run in one loop on a shared Brownian array; the
-    transformed path keeps the inverse image of its state alongside it,
-    so the pullback of f needs no extra inversions.  Both sides apply
-    the noise with the same rule, which makes the trivial field an exact
-    identity and leaves only the transform-consistency gap otherwise.
+    The direct side is simulate_ensemble on one Brownian array; the loop
+    here advances only the transformed path Y and, next to it, the
+    inverse image Z = theta^{-1}(Y), so the pullback of f needs no extra
+    inversions.  Both sides apply the noise with the same rule, which
+    makes the trivial field an exact identity and leaves only the
+    transform-consistency gap otherwise.
     """
     if horizon <= xi.delay:
         raise InputError("the conjugation identity is checked for T > r")
@@ -312,68 +316,40 @@ def conjugation_check(coeffs: CoefficientSet, field: RegularizingField, xi: Segm
     if use_exact:
         conv_scale = coeffs.diag_noise[:n] * np.sqrt(
             (1.0 - decay**2) / (2.0 * lam)) / math.sqrt(grid_step)
+    direct = simulate_ensemble(coeffs, xi, horizon, grid_step, spec, noise,
+                               force_general_noise=not use_exact)
+    _require_alive(direct)
 
-    from .simulator import SegmentView
-
-    x_states = np.empty((lags + steps + 1, samples, n))
-    x_states[: lags + 1] = xi.values[:, None, :]
-    # norm histories of x and z, written with each row, for the window sups
-    x_norms = np.empty(x_states.shape[:2])
-    x_norms[: lags + 1] = np.linalg.norm(xi.values, axis=-1)[:, None]
-    z_norms = x_norms.copy()
     # transformed start: theta applied slice by slice with the frozen extension
-    y_states = np.empty_like(x_states)
-    z_states = np.empty_like(x_states)
+    y_states = np.empty_like(direct.states)
+    z_states = np.empty_like(direct.states)
     z_states[: lags + 1] = xi.values[:, None, :]
+    z_norms = direct.norms.copy()  # |xi| up to t = 0; later rows are rewritten from z
     for k in range(lags + 1):
         s = -xi.delay + k * grid_step
         y_states[k] = field.theta(s, z_states[k])
 
     resolvent = field.lam + lam
-    for k in range(steps):
-        t = k * grid_step
-        base = lags + k
-        dw = noise.increments[k]
-
-        x = x_states[base]
-        view = SegmentView(x_states[base - lags: base + 1], grid_step, xi.delay,
-                           x_norms[base - lags: base + 1])
-        drift = np.asarray(coeffs.drift(t, x), dtype=float) \
-            + np.asarray(coeffs.delay_drift(t, view), dtype=float)
-        if use_exact:
-            gain = conv_scale * dw
-        else:
-            qm = coeffs.diffusion_matrix(t, x)
-            if qm.ndim == 2:
-                qm = np.broadcast_to(qm, x.shape[:-1] + qm.shape)
-            gain = decay * np.einsum("pnm,pm->pn", qm, dw)
-        x_states[base + 1] = decay * x + drift_fac * drift + gain
-        x_norms[base + 1] = np.linalg.norm(x_states[base + 1], axis=-1)
-
-        y = y_states[base]
-        z = field.invert_theta(t, y)
-        z_states[base] = z
-        z_norms[base] = np.linalg.norm(z, axis=-1)
-        zview = SegmentView(z_states[base - lags: base + 1], grid_step, xi.delay,
-                            z_norms[base - lags: base + 1])
+    for k, (t, z, zview) in enumerate(_history_windows(z_states, z_norms, xi.delay,
+                                                       grid_step, steps)):
+        y = y_states[lags + k]
+        z[...] = field.invert_theta(t, y)
+        z_norms[lags + k] = np.linalg.norm(z, axis=-1)
         jac = field.grad_theta(t, z)
         b_bar = resolvent * field.u_at(t, z)
         inner = np.asarray(coeffs.delay_drift(t, zview), dtype=float)
         drift_bar = b_bar + np.einsum("pij,pj->pi", jac, inner)
         if use_exact:
-            gain_bar = conv_scale * dw
+            gain_bar = conv_scale * noise.increments[k]
         else:
-            qz = coeffs.diffusion_matrix(t, z)
-            if qz.ndim == 2:
-                qz = np.broadcast_to(qz, z.shape[:-1] + qz.shape)
-            q_bar = np.einsum("pij,pjm->pim", jac, qz)
-            gain_bar = decay * np.einsum("pnm,pm->pn", q_bar, dw)
-        y_states[base + 1] = decay * y + drift_fac * drift_bar + gain_bar
+            q_bar = np.einsum("pij,pjm->pim", jac, coeffs.diffusion_matrix(t, z))
+            gain_bar = decay * np.einsum("pnm,pm->pn", q_bar, noise.increments[k])
+        y_states[lags + k + 1] = decay * y + drift_fac * drift_bar + gain_bar
 
-    z_states[lags + steps] = field.invert_theta(horizon, y_states[lags + steps])
-    z_norms[lags + steps] = np.linalg.norm(z_states[lags + steps], axis=-1)
+    z_states[-1] = field.invert_theta(horizon, y_states[-1])
+    z_norms[-1] = np.linalg.norm(z_states[-1], axis=-1)
 
-    direct_vals = f(SegmentView(x_states[-lags - 1:], grid_step, xi.delay, x_norms[-lags - 1:]))
+    direct_vals = f(direct.terminal_view())
     pulled_vals = f(SegmentView(z_states[-lags - 1:], grid_step, xi.delay, z_norms[-lags - 1:]))
     gaps = direct_vals - pulled_vals
     return ConjugationResult(

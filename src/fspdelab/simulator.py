@@ -84,8 +84,11 @@ class CoefficientSet:
     qq_inverse_bound: float = math.inf
 
     def diffusion_matrix(self, t: float, x: np.ndarray) -> np.ndarray:
-        q = self.diffusion(t, x)
-        return np.asarray(q, dtype=float)
+        """Q(t, x); a constant (n, m) Q is broadcast over the batch axes of x."""
+        q = np.asarray(self.diffusion(t, x), dtype=float)
+        if q.ndim == 2 and np.ndim(x) > 1:
+            q = np.broadcast_to(q, np.shape(x)[:-1] + q.shape)
+        return q
 
     def validate(self, spec: Spectrum, delay: float, grid_step: float,
                  n_states: int = 64, seed: int = 0) -> ClassReport:
@@ -230,6 +233,28 @@ class EnsembleResult:
                           convolution=None if conv is None else conv.copy())
 
 
+def _history_windows(states: np.ndarray, norms: np.ndarray, delay: float,
+                     grid_step: float, steps: int):
+    """Walk a history buffer: (t_k, X(t_k), window [t_k - r, t_k]) for k < steps.
+
+    Row lags + k of `states` holds X(t_k), t_k = k * grid_step, and row k
+    of `norms` is the norm of row k of `states`.  The state and the window
+    are views into both buffers, so a row written after a yield is seen by
+    the next window.
+    """
+    lags = _steps(delay, grid_step)
+    for k in range(steps):
+        yield (k * grid_step, states[lags + k],
+               SegmentView(states[k: k + lags + 1], grid_step, delay, norms[k: k + lags + 1]))
+
+
+def _full_drift(coeffs: CoefficientSet, t: float, x: np.ndarray,
+                view: SegmentView) -> np.ndarray:
+    """b(t, x) + B(t, X_t), the drift the mild equation integrates."""
+    return np.asarray(coeffs.drift(t, x), dtype=float) \
+        + np.asarray(coeffs.delay_drift(t, view), dtype=float)
+
+
 def simulate_ensemble(coeffs: CoefficientSet, xi: SegmentPath, horizon: float,
                       grid_step: float, spec: Spectrum, noise: NoisePath | None = None,
                       *, n_paths: int = 1, seed: int | None = None,
@@ -272,14 +297,10 @@ def simulate_ensemble(coeffs: CoefficientSet, xi: SegmentPath, horizon: float,
     life = np.full(paths, math.inf)
 
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        for k in range(steps):
-            t = k * grid_step
+        for k, (t, x, view) in enumerate(_history_windows(states, norms, xi.delay,
+                                                          grid_step, steps)):
             base = lags + k
-            x = states[base]
-            view = SegmentView(states[base - lags: base + 1], grid_step, xi.delay,
-                               norms[base - lags: base + 1])
-            drift = np.asarray(coeffs.drift(t, x), dtype=float) \
-                + np.asarray(coeffs.delay_drift(t, view), dtype=float)
+            drift = _full_drift(coeffs, t, x, view)
             dw = noise.increments[k][:, : coeffs.noise_dim]
             if use_diag:
                 gain = conv_scale * dw[:, :n]
@@ -323,24 +344,14 @@ def simulate_mild(coeffs: CoefficientSet, xi: SegmentPath, horizon: float,
 def _drift_removal_controls(coeffs: CoefficientSet, states: np.ndarray, delay: float,
                             grid_step: float, steps: int) -> np.ndarray:
     """psi(t_k) = Q*(QQ*)^{-1}(b + B) along a batched path history."""
-    lags = _steps(delay, grid_step)
-    paths = states.shape[1]
     norms = np.linalg.norm(states, axis=-1)
-    psi = np.empty((steps, paths, coeffs.noise_dim))
-    for k in range(steps):
-        t = k * grid_step
-        base = lags + k
-        x = states[base]
-        view = SegmentView(states[base - lags: base + 1], grid_step, delay,
-                           norms[base - lags: base + 1])
-        v = np.asarray(coeffs.drift(t, x), dtype=float) \
-            + np.asarray(coeffs.delay_drift(t, view), dtype=float)
+    psi = np.empty((steps, states.shape[1], coeffs.noise_dim))
+    for k, (t, x, view) in enumerate(_history_windows(states, norms, delay, grid_step, steps)):
+        v = _full_drift(coeffs, t, x, view)
         if coeffs.diag_noise is not None:
             psi[k] = v / coeffs.diag_noise
             continue
         qm = coeffs.diffusion_matrix(t, x)
-        if qm.ndim == 2:
-            qm = np.broadcast_to(qm, (paths,) + qm.shape)
         qq = np.einsum("pnm,pkm->pnk", qm, qm)
         svals = np.linalg.svd(qq, compute_uv=False)
         if np.any(svals[:, -1] <= 1e-12 * svals[:, 0]):

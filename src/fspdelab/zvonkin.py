@@ -33,7 +33,7 @@ from .analysis import ClassReport, PASS, FAIL, Spectrum, WeightFunction, sqrt_we
 from .errors import CertificationError, InputError
 from .quadrature import hermite_tensor, panel_integral
 from .segment import SegmentPath, _steps
-from .simulator import CoefficientSet
+from .simulator import CoefficientSet, _history_windows
 
 GH_DIM_CAP = 3
 
@@ -192,9 +192,11 @@ def _axis_stencil(axis: np.ndarray, coords: np.ndarray):
     """Cell index and offset of coords on a sorted axis, as linear interpolation reads them.
 
     Points beyond the axis fall in the first or last cell with an offset
-    outside [0, 1], i.e. they are extrapolated linearly.
+    outside [0, 1], i.e. they are extrapolated linearly.  Searching only the
+    interior breakpoints yields that cell index without a clip, which is
+    cheap enough for the scalar time lookups of every field evaluation.
     """
-    lo = np.clip(np.searchsorted(axis, coords, side="right") - 1, 0, axis.size - 2)
+    lo = np.searchsorted(axis[1:-1], coords, side="right")
     return lo, (coords - axis[lo]) / (axis[lo + 1] - axis[lo])
 
 
@@ -310,10 +312,7 @@ class RegularizingField:
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         xb = np.clip(x[None] if single else x, -self.halfwidth, self.halfwidth)
-        t = min(max(t, 0.0), self.horizon)
-        lo = int(np.searchsorted(self.times, t, side="right")) - 1
-        lo = min(max(lo, 0), self.times.size - 2)
-        frac = (t - self.times[lo]) / (self.times[lo + 1] - self.times[lo])
+        lo, frac = _axis_stencil(self.times, min(max(t, 0.0), self.horizon))
         out = (1.0 - frac) * self._interp(kind, lo)(xb)
         if frac > 0.0:
             out += frac * self._interp(kind, lo + 1)(xb)
@@ -531,8 +530,7 @@ def solve_u(ref: ReferenceSemigroup, drift: Callable, lam: float, horizon: float
         wq += list(wts)
         t_q += [times[j] + off for off in offsets]
     t_q = np.array(t_q)
-    t_lo = np.clip(np.searchsorted(times, t_q, side="right") - 1, 0, n_t - 1)
-    t_frac = (t_q - times[t_lo]) / (times[t_lo + 1] - times[t_lo])
+    t_lo, t_frac = _axis_stencil(times, t_q)
     decay, sigma = map(np.array, zip(*(ref.transition(times[j], t) for j, t in zip(slot, t_q))))
     # coordinate d of the query point of (grid node, Hermite node) depends on
     # the node's axis-d index and the Hermite index in d only; its stencil is
@@ -692,10 +690,7 @@ class TransformedSystem:
         x = np.asarray(x, dtype=float)
         z = self.field.invert_theta(t, x)
         jac = self.field.grad_theta(t, z)
-        q = self.base.diffusion_matrix(t, z)
-        if q.ndim == 2 and x.ndim > 1:
-            q = np.broadcast_to(q, x.shape[:-1] + q.shape)
-        return np.einsum("...ij,...jm->...im", jac, q)
+        return np.einsum("...ij,...jm->...im", jac, self.base.diffusion_matrix(t, z))
 
     def delay_drift(self, t, view):
         head = np.asarray(view.value_at(0.0), dtype=float)
@@ -855,25 +850,18 @@ def representation_residual(field: RegularizingField, coeffs: CoefficientSet,
     lags = _steps(delay, dt)
     lamvec = field.spec.eigenvalues
     lam = field.lam
-    from .simulator import SegmentView
-
     norms = np.linalg.norm(states, axis=-1)
     x0 = states[lags]
     acc = np.zeros_like(x0)
-    for k in range(steps):
-        t = k * dt
-        x = states[lags + k]
-        view = SegmentView(states[k: lags + k + 1], dt, delay, norms[k: lags + k + 1])
+    for k, (t, x, view) in enumerate(_history_windows(states, norms, delay, dt, steps)):
         sem = np.exp(-lamvec * (horizon - t))
         u_k = field.u_at(t, x)
         g_k = field.grad_at(t, x)
         b_del = np.asarray(coeffs.delay_drift(t, view), dtype=float)
         jac_b = b_del + np.einsum("...ij,...j->...i", g_k, b_del)
         acc += sem * ((lam + lamvec) * u_k + jac_b) * dt
-        qm = coeffs.diffusion_matrix(t, x)
-        if qm.ndim == 2:
-            qm = np.broadcast_to(qm, x.shape[:-1] + qm.shape)
-        spread = np.einsum("...ij,...jm->...im", np.eye(lamvec.size) + g_k, qm)
+        spread = np.einsum("...ij,...jm->...im", np.eye(lamvec.size) + g_k,
+                           coeffs.diffusion_matrix(t, x))
         acc += sem * np.einsum("...im,...m->...i", spread,
                                noise.increments[k][:, : coeffs.noise_dim])
     x_T = states[lags + steps]

@@ -206,6 +206,12 @@ class TestConjugation:
         assert res.direct_mean == 1.0
         assert res.transformed_mean == 1.0
 
+    def test_explosive_direct_side_rejected(self, field, spec2):
+        coeffs = sim.make_coefficients(2, drift=sim.cubic_drift(1.0), diag_noise=np.ones(2))
+        with pytest.raises(ExplosionError, match="paths exploded"):
+            ha.conjugation_check(coeffs, field, segment([2.0, 2.0]), constant_function(),
+                                 HORIZON, 50, grid_step=DT, spec=spec2, seed=7)
+
     def test_segment_grid_must_match(self, field, dini_coeffs, spec2):
         xi = SegmentPath.from_function(
             lambda s: np.array([0.3 * math.cos(s), -0.2]), DELAY, DT)

@@ -93,6 +93,41 @@ class TestStoredNorms:
                                   _old_window_sup_norms(states, lags), equal_nan=True)
 
 
+class TestHistoryWindows:
+    @given(lags=st.integers(0, 5), steps=st.integers(1, 8), paths=st.integers(1, 4),
+           modes=st.integers(1, 3), data=st.data())
+    def test_windows_are_history_slices(self, lags, steps, paths, modes, data):
+        dt = 0.125
+        states = data.draw(hnp.arrays(np.float64, (lags + steps + 1, paths, modes),
+                                      elements=ANY_FLOAT))
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(states, axis=-1)
+        walked = list(sim._history_windows(states, norms, lags * dt, dt, steps))
+        assert len(walked) == steps
+        for k, (t, x, view) in enumerate(walked):
+            assert t == k * dt
+            assert x.shape == (paths, modes)
+            assert np.array_equal(x, states[lags + k], equal_nan=True)
+            assert view.window.shape == (lags + 1, paths, modes)
+            for j in range(lags + 1):
+                assert np.array_equal(view.window[j], states[k + j], equal_nan=True)
+            assert np.array_equal(view.value_at(0.0), x, equal_nan=True)
+            with np.errstate(over="ignore"):
+                recomputed = np.linalg.norm(states[k: k + lags + 1], axis=-1).max(axis=0)
+            assert np.array_equal(view.sup_norm(), recomputed, equal_nan=True)
+
+    @given(lags=st.integers(0, 5), steps=st.integers(1, 8))
+    def test_rows_written_after_a_yield_show_in_the_next_window(self, lags, steps):
+        dt = 0.125
+        states = np.zeros((lags + steps + 1, 2, 1))
+        norms = np.zeros(states.shape[:2])
+        for k, (t, x, view) in enumerate(sim._history_windows(states, norms, lags * dt, dt,
+                                                              steps)):
+            assert np.all(view.terminal() == k) and np.all(view.sup_norm() == k)
+            states[lags + k + 1] = x + 1.0
+            norms[lags + k + 1] = k + 1.0
+
+
 class TestGridBookkeeping:
     @given(seed=st.integers(0, 2**32 - 1), coarse=st.integers(1, 6),
            factor=st.integers(1, 5), paths=st.integers(1, 4), dim=st.integers(1, 3))
