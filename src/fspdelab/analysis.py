@@ -35,6 +35,8 @@ EMPIRICAL = "empirical"
 # Concavity / monotonicity are probed on this geometric grid.
 _SAMPLE_GRID = np.geomspace(1e-8, 1.0, 200)
 _CONCAVITY_TOL = 1e-10
+# log(_LOG_SHIFT + .) in the built-in moduli and weights; around e^2 it keeps phi^2 concave.
+_LOG_SHIFT = math.e**2
 
 
 @dataclass(frozen=True)
@@ -147,7 +149,20 @@ def _safe_eval(fn, x, what: str) -> np.ndarray:
     return out
 
 
-def dini_check(phi: ModulusFunction, tol: float = 1e-10) -> ClassReport:
+def _windowed_verdict(status: str, value: float, ok: bool) -> tuple[str, float]:
+    """(verdict, integral) of a class check whose integral was summed on windows.
+
+    A divergent integral fails with an infinite value; a convergent one
+    passes when the shape checks `ok` hold as well.
+    """
+    if status == DIVERGENT:
+        return FAIL, float("inf")
+    if status == CONVERGED:
+        return (PASS if ok else FAIL), value
+    return INDETERMINATE, value
+
+
+def dini_check(phi: ModulusFunction) -> ClassReport:
     """Certify membership of phi in the Dini modulus class.
 
     The integral of phi(s)/s over (0, 1] is computed after the
@@ -167,16 +182,8 @@ def dini_check(phi: ModulusFunction, tol: float = 1e-10) -> ClassReport:
         with np.errstate(over="ignore", under="ignore"):
             return _safe_eval(phi.evaluator, np.exp(-u), f"modulus {phi.name}")
 
-    value, status, windows = halfline_windowed(integrand, rel_tol=tol)
-    if status == DIVERGENT:
-        verdict = FAIL
-        integral = float("inf")
-    elif status == CONVERGED:
-        verdict = PASS if (monotone and concave) else FAIL
-        integral = value
-    else:
-        verdict = INDETERMINATE
-        integral = value
+    value, status, windows = halfline_windowed(integrand)
+    verdict, integral = _windowed_verdict(status, value, monotone and concave)
     return ClassReport(
         check="dini",
         verdict=verdict,
@@ -192,11 +199,11 @@ def dini_check(phi: ModulusFunction, tol: float = 1e-10) -> ClassReport:
     )
 
 
-def _candidate_eigenvalues(spec: Spectrum, lam_max: float, max_candidates: int = 256):
+def _candidate_eigenvalues(spec: Spectrum, lam_max: float):
     """Eigenvalue candidates up to lam_max plus one beyond.
 
     Stored modes are used as far as they reach; the declared growth law
-    supplies log-spaced virtual modes for the tail.  Returns None when
+    supplies 256 log-spaced virtual modes for the tail.  Returns None when
     the spectrum is too short and no growth law is available.
     """
     stored = spec.eigenvalues[spec.eigenvalues <= lam_max]
@@ -211,19 +218,19 @@ def _candidate_eigenvalues(spec: Spectrum, lam_max: float, max_candidates: int =
     with np.errstate(over="ignore"):
         i_max = (lam_max / spec.growth_coeff) ** (1.0 / spec.growth_power)
     i_hi = float(np.clip(i_max, spec.n_modes + 1, 1e120)) * 2.0
-    idx = np.geomspace(spec.n_modes + 1, i_hi, max_candidates)
+    idx = np.geomspace(spec.n_modes + 1, i_hi, 256)
     cands.append(spec.growth_eigenvalue(idx))
     return np.concatenate(cands)
 
 
-def spectral_envelope(spec: Spectrum, numerator, s: float, scan_factor: float = 10.0):
+def spectral_envelope(spec: Spectrum, numerator, s: float):
     """sup over modes of numerator(lambda_i) * exp(-lambda_i * s).
 
     The envelope peaks near lambda ~ 1/s, so the scan covers modes up to
-    lambda_i > scan_factor / s plus one beyond.  Returns None when the
+    lambda_i > 10 / s plus one beyond.  Returns None when the
     scan cannot be completed (short spectrum, no growth law).
     """
-    lam = _candidate_eigenvalues(spec, scan_factor / s)
+    lam = _candidate_eigenvalues(spec, 10.0 / s)
     if lam is None:
         return None
     with np.errstate(over="ignore", under="ignore"):
@@ -231,7 +238,7 @@ def spectral_envelope(spec: Spectrum, numerator, s: float, scan_factor: float = 
     return float(np.max(vals))
 
 
-def weight_class_check(a: WeightFunction, spec: Spectrum, tol: float = 1e-10,
+def weight_class_check(a: WeightFunction, spec: Spectrum,
                        as_class: str | None = None) -> ClassReport:
     """Certify a smoothing weight against its declared class.
 
@@ -242,15 +249,15 @@ def weight_class_check(a: WeightFunction, spec: Spectrum, tol: float = 1e-10,
     """
     declared = as_class or a.declared_class
     if declared == CLASS_DOMINATED:
-        return _dominated_check(a, spec, tol)
+        return _dominated_check(a, spec)
     if declared == CLASS_A_PRIME:
-        return _a_prime_check(a, tol)
+        return _a_prime_check(a)
     if declared == CLASS_A:
-        return _a_check(a, spec, tol)
+        return _a_check(a, spec)
     raise InputError(f"unknown weight class {declared!r}")
 
 
-def _a_prime_check(a: WeightFunction, tol: float) -> ClassReport:
+def _a_prime_check(a: WeightFunction) -> ClassReport:
     grid = np.geomspace(1.0, 1e8, 200)
     av = _safe_eval(a.evaluator, grid, f"weight {a.name}")
     if np.any(av <= 0.0):
@@ -264,14 +271,8 @@ def _a_prime_check(a: WeightFunction, tol: float) -> ClassReport:
         with np.errstate(over="ignore"):
             return 1.0 / _safe_eval(a.evaluator, np.exp(u), f"weight {a.name}")
 
-    value, status, windows = halfline_windowed(integrand, rel_tol=tol)
-    if status == DIVERGENT:
-        verdict, integral = FAIL, float("inf")
-    elif status == CONVERGED:
-        verdict = PASS if (a_monotone and ratio_monotone) else FAIL
-        integral = value
-    else:
-        verdict, integral = INDETERMINATE, value
+    value, status, windows = halfline_windowed(integrand)
+    verdict, integral = _windowed_verdict(status, value, a_monotone and ratio_monotone)
     return ClassReport(
         check="weight_Aprime",
         verdict=verdict,
@@ -286,7 +287,7 @@ def _a_prime_check(a: WeightFunction, tol: float) -> ClassReport:
     )
 
 
-def _a_check(a: WeightFunction, spec: Spectrum, tol: float) -> ClassReport:
+def _a_check(a: WeightFunction, spec: Spectrum) -> ClassReport:
     short_spectrum = False
 
     def numerator(lam):
@@ -306,15 +307,9 @@ def _a_check(a: WeightFunction, spec: Spectrum, tol: float) -> ClassReport:
             out[k] = env * s
         return out
 
-    value, status, windows = halfline_windowed(integrand, rel_tol=tol, domain_limit=700.0)
-    if short_spectrum:
-        verdict, integral = INDETERMINATE, value
-    elif status == DIVERGENT:
-        verdict, integral = FAIL, float("inf")
-    elif status == CONVERGED:
-        verdict, integral = PASS, value
-    else:
-        verdict, integral = INDETERMINATE, value
+    value, status, windows = halfline_windowed(integrand, domain_limit=700.0)
+    verdict, integral = ((INDETERMINATE, value) if short_spectrum
+                         else _windowed_verdict(status, value, True))
     return ClassReport(
         check="weight_A",
         verdict=verdict,
@@ -329,7 +324,7 @@ def _a_check(a: WeightFunction, spec: Spectrum, tol: float) -> ClassReport:
     )
 
 
-def _dominated_check(a: WeightFunction, spec: Spectrum, tol: float) -> ClassReport:
+def _dominated_check(a: WeightFunction, spec: Spectrum) -> ClassReport:
     if a.dominating is None:
         raise InputError(f"weight {a.name} declared dominated but names no dominating weight")
     grid = np.geomspace(1.0, 1e8, 200)
@@ -344,7 +339,7 @@ def _dominated_check(a: WeightFunction, spec: Spectrum, tol: float) -> ClassRepo
         # domination must hold on a genuine tail, not just the last grid points
         dominated = last_bad < grid.size - 50
         threshold = float(grid[last_bad + 1]) if last_bad + 1 < grid.size else float("inf")
-    base = weight_class_check(a.dominating, spec, tol)
+    base = weight_class_check(a.dominating, spec)
     verdict = PASS if (dominated and base.passed) else FAIL
     if verdict == FAIL and base.verdict == INDETERMINATE:
         verdict = INDETERMINATE
@@ -361,12 +356,24 @@ def _dominated_check(a: WeightFunction, spec: Spectrum, tol: float) -> ClassRepo
     )
 
 
-def trace_class_check(spec: Spectrum, s_horizon: float = 1.0) -> ClassReport:
+def hs_kernel_integral(spec: Spectrum, horizon: float, alpha: float) -> float:
+    """int_0^T t^(-2 alpha) sum_i exp(-2 lambda_i t) dt, substituting t = v^(1/(1-2 alpha))."""
+    p = 1.0 / (1.0 - 2.0 * alpha)
+    lam = spec.eigenvalues
+
+    def integrand(v):
+        t = v**p
+        return p * np.sum(np.exp(-2.0 * np.outer(lam, t)), axis=0)
+
+    return panel_integral(integrand, 0.0, horizon ** (1.0 / p), order=128)
+
+
+def trace_class_check(spec: Spectrum) -> ClassReport:
     """Check summability of lambda_i**(eps-1) and the singular HS integral.
 
     With a power law lambda_i = c i^gamma the analytic criterion is
     gamma * (1 - eps) > 1.  The report also carries the partial sum over
-    stored modes, the integral over (0, s_horizon] of
+    stored modes, the integral over (0, 1] of
     t^(-2 alpha) * sum_i exp(-2 lambda_i t) for alpha = eps/2, and its
     closed-form bound sum_i lambda_i^(2 alpha - 1) * Gamma(1-2 alpha) * 2^(2 alpha - 1).
     """
@@ -374,15 +381,7 @@ def trace_class_check(spec: Spectrum, s_horizon: float = 1.0) -> ClassReport:
     alpha = 0.5 * eps
     lam = spec.eigenvalues
     partial = float(np.sum(lam ** (eps - 1.0)))
-
-    # integral of t^(-2a) sum_i exp(-2 lambda_i t): substitute t = v^(1/(1-2a))
-    p = 1.0 / (1.0 - 2.0 * alpha)
-
-    def integrand(v):
-        t = v**p
-        return p * np.sum(np.exp(-2.0 * np.outer(lam, t)), axis=0)
-
-    hs_integral = panel_integral(integrand, 0.0, s_horizon ** (1.0 / p), order=128)
+    hs_integral = hs_kernel_integral(spec, 1.0, alpha)
     hs_bound = float(np.sum(lam ** (2.0 * alpha - 1.0)) * math.gamma(1.0 - 2.0 * alpha)
                      * 2.0 ** (2.0 * alpha - 1.0))
 
@@ -441,14 +440,14 @@ def sqrt_modulus() -> ModulusFunction:
     return ModulusFunction(lambda s: np.sqrt(np.maximum(s, 0.0)), DINI, "sqrt")
 
 
-def log_dini_modulus(scale: float = 1.0, delta: float = 1.0, shift: float = math.e**2) -> ModulusFunction:
-    """phi(s) = scale / log(shift + 1/s)**(1+delta); shift around e^2 keeps phi^2 concave."""
+def log_dini_modulus(scale: float = 1.0, delta: float = 1.0) -> ModulusFunction:
+    """phi(s) = scale / log(e^2 + 1/s)**(1+delta)."""
 
     def phi(s):
         s = np.asarray(s, dtype=float)
         with np.errstate(divide="ignore", over="ignore"):
             inv = np.where(s > 0.0, 1.0 / np.maximum(s, 1e-300), np.inf)
-            out = scale / np.log(shift + inv) ** (1.0 + delta)
+            out = scale / np.log(_LOG_SHIFT + inv) ** (1.0 + delta)
         return np.where(s > 0.0, out, 0.0)
 
     return ModulusFunction(phi, DINI, f"log_dini(K={scale},delta={delta})")
@@ -471,14 +470,14 @@ def power_weight(delta: float = 1.0) -> WeightFunction:
     return WeightFunction(lambda x: x**delta, CLASS_A_PRIME, f"x^{delta}")
 
 
-def log_weight(delta: float = 1.0, shift: float = math.e**2) -> WeightFunction:
-    return WeightFunction(lambda x: np.log(shift + x) ** (1.0 + delta),
-                          CLASS_A_PRIME, f"log^{1 + delta}({shift:.3g}+x)")
+def log_weight(delta: float = 1.0) -> WeightFunction:
+    return WeightFunction(lambda x: np.log(_LOG_SHIFT + x) ** (1.0 + delta),
+                          CLASS_A_PRIME, f"log^{1 + delta}({_LOG_SHIFT:.3g}+x)")
 
 
-def x_over_log_weight(shift: float = math.e**2) -> WeightFunction:
-    return WeightFunction(lambda x: x / np.log(shift + x), CLASS_A_PRIME,
-                          f"x/log({shift:.3g}+x)")
+def x_over_log_weight() -> WeightFunction:
+    return WeightFunction(lambda x: x / np.log(_LOG_SHIFT + x), CLASS_A_PRIME,
+                          f"x/log({_LOG_SHIFT:.3g}+x)")
 
 
 def oscillating_power_weight(delta: float = 0.5) -> WeightFunction:

@@ -162,11 +162,10 @@ def build_coefficients(cfg: ExperimentConfig, spec: Spectrum, delay: float) -> C
     raise ConfigError(f"coefficients.diffusion.kind {qkind!r} is not a built-in")
 
 
-def default_initial_segment(spec: Spectrum, delay: float, grid_step: float,
-                            amplitude: float = 0.8) -> SegmentPath:
-    """Smooth seeded history with energy spread over every mode."""
+def default_initial_segment(spec: Spectrum, delay: float, grid_step: float) -> SegmentPath:
+    """Smooth seeded history with energy spread over every mode, amplitude 0.8 / i."""
     n = spec.n_modes
-    amps = amplitude / np.arange(1.0, n + 1.0)
+    amps = 0.8 / np.arange(1.0, n + 1.0)
 
     def fn(s):
         return amps * np.cos(2.0 * s + np.arange(n))
@@ -390,6 +389,9 @@ def run_uniqueness(cfg: ExperimentConfig) -> ExperimentResult:
     level = float(u.get("level", 5.0))
     exponents = [int(e) for e in u.get("dt_exponents", [6, 7, 8, 9, 10])]
     ref_exp = int(u.get("reference_exponent", max(exponents) + 1))
+    if any(e >= ref_exp for e in exponents):
+        raise ConfigError("uniqueness.dt_exponents must all be below "
+                          "uniqueness.reference_exponent")
     paths = int(u.get("paths", 64))
     coeffs = build_coefficients(cfg, spec, delay)
     low = truncate_coeffs(coeffs, TruncationScheme(level))

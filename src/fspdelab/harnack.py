@@ -36,15 +36,15 @@ class TestFunction:
         return np.asarray(self.fn(view), dtype=float)
 
 
-def exp_head_function(direction: np.ndarray, cap: float = 2.0) -> TestFunction:
-    """f(xi) = exp(min(<v, xi(0)>, cap)); the capped exponent keeps f bounded."""
+def exp_head_function(direction: np.ndarray) -> TestFunction:
+    """f(xi) = exp(min(<v, xi(0)>, 2)); the capped exponent keeps f bounded."""
     v = np.asarray(direction, dtype=float)
 
     def fn(view):
         head = np.asarray(view.value_at(0.0), dtype=float)
-        return np.exp(np.minimum(head @ v, cap))
+        return np.exp(np.minimum(head @ v, 2.0))
 
-    return TestFunction(fn, f"exp_head(cap={cap})", math.exp(cap))
+    return TestFunction(fn, "exp_head(cap=2.0)", math.exp(2.0))
 
 
 def tanh_norm_function() -> TestFunction:
@@ -56,16 +56,16 @@ def tanh_norm_function() -> TestFunction:
     return TestFunction(fn, "one_plus_tanh_norm", 2.0)
 
 
-def bump_function(center: np.ndarray, width: float = 1.0, floor: float = 0.05) -> TestFunction:
-    """Smoothed indicator of a ball around `center`, lifted by a positive floor."""
+def bump_function(center: np.ndarray) -> TestFunction:
+    """Smoothed indicator of the unit ball around `center`, lifted by a floor of 0.05."""
     c = np.asarray(center, dtype=float)
 
     def fn(view):
         head = np.asarray(view.value_at(0.0), dtype=float)
         d2 = np.sum((head - c) ** 2, axis=-1)
-        return floor + np.exp(-0.5 * d2 / width**2)
+        return 0.05 + np.exp(-0.5 * d2)
 
-    return TestFunction(fn, f"bump(width={width})", floor + 1.0)
+    return TestFunction(fn, "bump(width=1.0)", 1.05)
 
 
 def builtin_test_functions(n_modes: int) -> list[TestFunction]:
@@ -92,6 +92,8 @@ def _require_alive(result: EnsembleResult) -> None:
 
 def _terminal_view(coeffs, xi, horizon, grid_step, spec, samples, seed,
                    noise: NoisePath | None = None):
+    if horizon <= xi.delay:
+        raise InputError("semigroup estimates and the Harnack inequalities require T > r")
     steps = _steps(horizon, grid_step)
     if noise is None:
         noise = NoisePath.generate(seed, steps, coeffs.noise_dim, grid_step, samples)
@@ -108,8 +110,6 @@ def estimate_semigroup(coeffs: CoefficientSet, xi: SegmentPath, f: TestFunction,
                        horizon: float, samples: int, seed: int, *,
                        grid_step: float, spec: Spectrum) -> SemigroupEstimate:
     """Monte Carlo mean of f(X_T^xi) with its standard error."""
-    if horizon <= xi.delay:
-        raise InputError("semigroup estimates require T > r")
     view = _terminal_view(coeffs, xi, horizon, grid_step, spec, samples, seed)
     return SemigroupEstimate(*_mean_stderr(f(view)), samples, seed)
 
@@ -181,8 +181,6 @@ def log_harnack_residual(coeffs: CoefficientSet, xi: SegmentPath, eta: SegmentPa
                          grid_step: float, spec: Spectrum, samples: int,
                          seed: int) -> HarnackResidual:
     """log P_T f(xi) + C * H(xi, eta) - P_T log f(eta); >= -3 stderr closes the bound."""
-    if horizon <= xi.delay:
-        raise InputError("the log-form inequality requires T > r")
     est = _pair_estimates(coeffs, xi, eta, f, horizon, (), grid_step=grid_step, spec=spec,
                           samples=samples, seed=seed)
     residual, stderr = log_residual_from_estimates(est, horizon, constant)
@@ -198,8 +196,6 @@ def power_harnack_residual(coeffs: CoefficientSet, xi: SegmentPath, eta: Segment
                            constant: float, gain: float, *, grid_step: float,
                            spec: Spectrum, samples: int, seed: int) -> HarnackResidual:
     """(P_T f^p(xi))^{1/p} exp(Psi_p) - P_T f(eta) for p above the admissible floor."""
-    if horizon <= xi.delay:
-        raise InputError("the power-form inequality requires T > r")
     floor = (1.0 + gain) ** 2
     if power <= floor:
         raise InputError(

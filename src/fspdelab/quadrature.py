@@ -21,6 +21,12 @@ CONVERGED = "converged"
 DIVERGENT = "divergent"
 INDETERMINATE = "indeterminate"
 
+# halfline_windowed: a window below _REL_TOL of the running total ends the sum
+# as converged; the divergence rule above is _DECAY_WINDOWS windows >= _DECAY_FACTOR.
+_REL_TOL = 1e-10
+_DECAY_FACTOR = 0.9
+_DECAY_WINDOWS = 5
+
 
 def _frozen(*arrays):
     """Mark cached arrays read-only: every caller shares the same objects."""
@@ -41,15 +47,7 @@ def panel_integral(f, a: float, b: float, order: int = 32) -> float:
     return 0.5 * (b - a) * float(np.dot(weights, np.asarray(f(x), dtype=float)))
 
 
-def halfline_windowed(
-    f,
-    rel_tol: float = 1e-10,
-    decay_factor: float = 0.9,
-    decay_windows: int = 5,
-    max_windows: int = 64,
-    order: int = 32,
-    domain_limit: float = math.inf,
-):
+def halfline_windowed(f, max_windows: int = 64, domain_limit: float = math.inf):
     """Integrate f over [0, inf) on doubling windows.
 
     Returns (value, status, window_contributions).  value is the partial
@@ -58,7 +56,7 @@ def halfline_windowed(
 
     domain_limit bounds the region where f is representable (e.g. 700
     for integrands of exp(-u)).  If the limit is reached while the last
-    windows were still decaying below decay_factor, the series is
+    windows were still decaying below _DECAY_FACTOR, the series is
     classified convergent and a geometric tail estimate is added.
     """
     total = 0.0
@@ -72,18 +70,18 @@ def halfline_windowed(
     for _ in range(max_windows):
         if b > domain_limit:
             recent = ratios[-3:]
-            if len(recent) >= 3 and max(recent) <= decay_factor:
+            if len(recent) >= 3 and max(recent) <= _DECAY_FACTOR:
                 r = max(recent)
                 total += windows[-1] * r / (1.0 - r)
                 status = CONVERGED
             break
-        w = panel_integral(f, a, b, order)
+        w = panel_integral(f, a, b)
         if not np.isfinite(w):
             status = DIVERGENT
             break
         windows.append(w)
         total += w
-        if w < -rel_tol * max(abs(total), 1e-300):
+        if w < -_REL_TOL * max(abs(total), 1e-300):
             # sign-changing contributions: the partial sums oscillate, which
             # is neither convergence nor the monotone divergence pattern
             oscillations += 1
@@ -91,14 +89,14 @@ def halfline_windowed(
                 break
         if prev is not None and prev > 0.0 and w > 0.0:
             ratios.append(w / prev)
-            if w >= decay_factor * prev:
+            if w >= _DECAY_FACTOR * prev:
                 bad_streak += 1
-                if bad_streak >= decay_windows:
+                if bad_streak >= _DECAY_WINDOWS:
                     status = DIVERGENT
                     break
             else:
                 bad_streak = 0
-        if abs(w) <= rel_tol * max(abs(total), 1e-300):
+        if abs(w) <= _REL_TOL * max(abs(total), 1e-300):
             status = CONVERGED
             break
         prev = w

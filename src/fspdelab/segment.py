@@ -141,12 +141,10 @@ class Trajectory:
     def state(self, t: float) -> np.ndarray:
         return self.states[self._index(t)]
 
-    def to_csv(self, path, header_fields: dict | None = None) -> None:
+    def to_csv(self, path) -> None:
         """Write (t, mode_1, ..., mode_n) rows with 17 significant digits."""
         fields = {"seed": self.seed, "grid_step": self.grid_step, "delay": self.delay,
                   "life_time": self.life_time, "exploded": self.exploded}
-        if header_fields:
-            fields.update(header_fields)
         with open(path, "w", encoding="utf-8") as fh:
             for key, val in fields.items():
                 fh.write(f"# {key}={val}\n")

@@ -20,9 +20,9 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .analysis import ModulusFunction, Spectrum, WeightFunction, ClassReport, PASS, FAIL
+from .analysis import ModulusFunction, Spectrum, ClassReport, PASS, FAIL, hs_kernel_integral
 from .errors import InputError
-from .quadrature import DIVERGENT, halfline_windowed, panel_integral
+from .quadrature import DIVERGENT, halfline_windowed
 from .segment import SegmentPath, Trajectory, _steps
 
 EXPLOSION_THRESHOLD = 1e12
@@ -76,7 +76,6 @@ class CoefficientSet:
     noise_dim: int
     diag_noise: np.ndarray | None = None
     modulus: ModulusFunction | None = None
-    weight: WeightFunction | None = None
     drift_sup: float = 0.0
     delay_sup: float = math.inf
     delay_grad_bound: float = 0.0
@@ -90,10 +89,10 @@ class CoefficientSet:
             q = np.broadcast_to(q, np.shape(x)[:-1] + q.shape)
         return q
 
-    def validate(self, spec: Spectrum, delay: float, grid_step: float,
-                 n_states: int = 64, seed: int = 0) -> ClassReport:
-        """Spot check declared bounds and invertibility on sampled states."""
-        rng = np.random.default_rng(seed)
+    def validate(self, spec: Spectrum, delay: float, grid_step: float) -> ClassReport:
+        """Spot check declared bounds and invertibility on 64 seeded states."""
+        rng = np.random.default_rng(0)
+        n_states = 64
         n = spec.n_modes
         xs = rng.normal(size=(n_states, n))
         ys = rng.normal(size=(n_states, n))
@@ -258,7 +257,6 @@ def _full_drift(coeffs: CoefficientSet, t: float, x: np.ndarray,
 def simulate_ensemble(coeffs: CoefficientSet, xi: SegmentPath, horizon: float,
                       grid_step: float, spec: Spectrum, noise: NoisePath | None = None,
                       *, n_paths: int = 1, seed: int | None = None,
-                      explosion_threshold: float = EXPLOSION_THRESHOLD,
                       record_convolution: bool = False,
                       force_general_noise: bool = False) -> EnsembleResult:
     """Integrate the mild equation for a batch of paths sharing one noise array."""
@@ -313,7 +311,7 @@ def simulate_ensemble(coeffs: CoefficientSet, xi: SegmentPath, horizon: float,
                 conv[base + 1] = decay * conv[base] + gain
                 conv[base + 1][~alive] = conv[base][~alive]
             mags = np.linalg.norm(nxt, axis=-1)
-            bad = alive & (~np.isfinite(mags) | (mags > explosion_threshold))
+            bad = alive & (~np.isfinite(mags) | (mags > EXPLOSION_THRESHOLD))
             if np.any(bad):
                 life[bad] = (k + 1) * grid_step
                 alive &= ~bad
@@ -328,13 +326,10 @@ def simulate_ensemble(coeffs: CoefficientSet, xi: SegmentPath, horizon: float,
 def simulate_mild(coeffs: CoefficientSet, xi: SegmentPath, horizon: float,
                   grid_step: float, spec: Spectrum, noise: NoisePath | None = None,
                   *, seed: int | None = None,
-                  explosion_threshold: float = EXPLOSION_THRESHOLD,
                   record_convolution: bool = False) -> Trajectory:
     """Single-path integration returning a trajectory with life-time bookkeeping."""
     result = simulate_ensemble(coeffs, xi, horizon, grid_step, spec, noise,
-                               n_paths=1, seed=seed,
-                               explosion_threshold=explosion_threshold,
-                               record_convolution=record_convolution)
+                               n_paths=1, seed=seed, record_convolution=record_convolution)
     return result.path(0)
 
 
@@ -463,10 +458,10 @@ class LyapunovSpec:
 class PsiTransform:
     """Cumulative transform Psi(s) = int_1^s dr / (2 Phi(r)) with a numeric inverse."""
 
-    def __init__(self, phi_fn: Callable, s_lo: float, s_hi: float, points: int = 8192):
+    def __init__(self, phi_fn: Callable, s_lo: float, s_hi: float):
         s_lo = max(min(s_lo, 1.0) * 0.5, 1e-12)
         s_hi = max(s_hi, 2.0) * 2.0
-        grid = np.geomspace(s_lo, s_hi, points)
+        grid = np.geomspace(s_lo, s_hi, 8192)
         grid = np.unique(np.concatenate([grid, [1.0]]))
         vals = 1.0 / (2.0 * np.asarray(phi_fn(grid), dtype=float))
         cumulative = np.concatenate([[0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(grid))])
@@ -483,7 +478,7 @@ class PsiTransform:
             raise InputError("argument above the tabulated comparison range")
         return np.interp(np.maximum(s, self.grid[0]), self.grid, self.cumulative)
 
-    def inverse(self, v: float, tol: float = 1e-10) -> float:
+    def inverse(self, v: float) -> float:
         if v < self.cumulative[0] or v > self.cumulative[-1]:
             raise InputError("target outside the tabulated comparison range")
         idx = int(np.searchsorted(self.cumulative, v))
@@ -495,7 +490,7 @@ class PsiTransform:
                 lo = mid
             else:
                 hi = mid
-            if hi - lo <= tol * max(1.0, abs(hi)):
+            if hi - lo <= 1e-10 * max(1.0, abs(hi)):
                 break
         return 0.5 * (lo + hi)
 
@@ -575,18 +570,6 @@ def bihari_margin(lyap: LyapunovSpec, xi: SegmentPath, result: EnsembleResult) -
 # ---------------------------------------------------------------------------
 # Moment inequality for stochastic convolutions.
 
-def hs_kernel_integral(spec: Spectrum, horizon: float, alpha: float) -> float:
-    """int_0^T t^(-2 alpha) sum_i exp(-2 lambda_i t) dt via a regularising substitution."""
-    p = 1.0 / (1.0 - 2.0 * alpha)
-    lam = spec.eigenvalues
-
-    def integrand(v):
-        t = v**p
-        return p * np.sum(np.exp(-2.0 * np.outer(lam, t)), axis=0)
-
-    return panel_integral(integrand, 0.0, horizon ** (1.0 / p), order=128)
-
-
 def maximal_inequality_check(spec: Spectrum, phi_proc: Callable, q: float,
                              horizon: float, samples: int, *, grid_step: float = 1.0 / 64.0,
                              seed: int = 0) -> ClassReport:
@@ -641,18 +624,17 @@ def zero_delay_drift(n_modes: int):
     return fn
 
 
-def dini_drift(phi: ModulusFunction, direction: np.ndarray, center: np.ndarray | None = None):
-    """b(t, x) = v * phi(min(|x - x0|, 1)) for a unit vector v.
+def dini_drift(phi: ModulusFunction, direction: np.ndarray):
+    """b(t, x) = v * phi(min(|x|, 1)) for a unit vector v.
 
     Concavity and monotonicity of phi make phi itself the modulus of
     this drift, and the min(. , 1) clamp keeps it bounded by phi(1).
     """
     v = np.asarray(direction, dtype=float)
     v = v / np.linalg.norm(v)
-    x0 = np.zeros_like(v) if center is None else np.asarray(center, dtype=float)
 
     def fn(t, x):
-        dist = np.linalg.norm(np.asarray(x, dtype=float) - x0, axis=-1)
+        dist = np.linalg.norm(np.asarray(x, dtype=float), axis=-1)
         return phi(np.minimum(dist, 1.0))[..., None] * v
 
     return fn
@@ -718,7 +700,6 @@ def state_diagonal_diffusion(q: np.ndarray, amplitude: float = 0.5, frequency: f
 def make_coefficients(n_modes: int, *, drift=None, delay_drift=None, diffusion=None,
                       diag_noise=None, noise_dim: int | None = None,
                       modulus: ModulusFunction | None = None,
-                      weight: WeightFunction | None = None,
                       drift_sup: float = 0.0, delay_sup: float = math.inf,
                       delay_grad_bound: float = 0.0,
                       diffusion_bounds: tuple = (0.0, 0.0, 0.0),
@@ -746,7 +727,6 @@ def make_coefficients(n_modes: int, *, drift=None, delay_drift=None, diffusion=N
         noise_dim=noise_dim,
         diag_noise=diag_noise,
         modulus=modulus,
-        weight=weight,
         drift_sup=drift_sup,
         delay_sup=delay_sup,
         delay_grad_bound=delay_grad_bound,

@@ -55,6 +55,13 @@ class TestEstimates:
             ha.estimate_semigroup(dini_coeffs, segment([0.0, 0.0]), constant_function(),
                                   0.25, 500, 1, grid_step=DT, spec=spec2)
 
+    @pytest.mark.parametrize("horizon", [DELAY, 0.5 * DELAY])
+    def test_pair_estimates_need_horizon_beyond_delay(self, dini_coeffs, spec2, horizon):
+        xi = segment([0.1, 0.0])
+        with pytest.raises(InputError, match="T > r"):
+            ha.collect_pair_estimates(dini_coeffs, [(xi, xi)], constant_function(), horizon,
+                                      [], grid_step=DT, spec=spec2, samples=200, seed=1)
+
     def test_explosive_configuration_rejected(self):
         spec1 = an.Spectrum.power_law(1)
         coeffs = sim.make_coefficients(1, drift=sim.cubic_drift(1.0),

@@ -305,6 +305,14 @@ class TestCli:
         assert code == 2
         assert "config_error" in capsys.readouterr().out
 
+    def test_uniqueness_dt_not_below_reference_exit_two(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"uniqueness": {"dt_exponents": [6, 9],
+                                                  "reference_exponent": 8}}))
+        code = main(["uniqueness", "--config", str(bad), "--out", str(tmp_path)])
+        assert code == 2
+        assert "config_error" in capsys.readouterr().out
+
     def test_seed_override_changes_hash(self, tmp_path):
         main(["simulate", "--out", str(tmp_path / "a"), "--seed", "1"])
         main(["simulate", "--out", str(tmp_path / "b"), "--seed", "2"])
