@@ -8,22 +8,16 @@ are verified empirically at experiment scale.
 """
 
 from .analysis import (ClassReport, ModulusFunction, Spectrum, WeightFunction,
-                       dini_check, galerkin_project, semigroup_apply,
-                       trace_class_check, weight_class_check)
+                       dini_check, semigroup_apply, trace_class_check, weight_class_check)
 from .config import ExperimentConfig
 from .errors import (CertificationError, ConfigError, ExplosionError, InputError)
-from .segment import (SegmentPath, Trajectory, continuity_modulus, extract_segment,
-                      segment_norm, stopping_time)
+from .segment import SegmentPath, Trajectory, segment_norm, stopping_time
 from .simulator import (CoefficientSet, LyapunovSpec, NoisePath, TruncationScheme,
-                        bihari_bound, girsanov_weight, make_coefficients,
-                        maximal_inequality_check, simulate_ensemble, simulate_mild,
-                        truncate_coeffs)
+                        make_coefficients, maximal_inequality_check, simulate_ensemble,
+                        simulate_mild, truncate_coeffs)
 from .zvonkin import (ReferenceSemigroup, RegularizingField, TransformedSystem,
-                      ZvonkinGrid, lambda_threshold, lipschitz_grad_check, ou_apply,
-                      ou_gradient, solve_u, theta_invert, transform_coeffs)
-from .harnack import (ConjugationResult, TestFunction, conjugation_check,
-                      estimate_semigroup, log_harnack_residual,
-                      power_harnack_residual)
+                      ZvonkinGrid, lambda_threshold, solve_u, transform_coeffs)
+from .harnack import ConjugationResult, TestFunction, conjugation_check
 
 __version__ = "0.1.0"
 

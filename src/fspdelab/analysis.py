@@ -423,16 +423,6 @@ def semigroup_apply(spec: Spectrum, t: float, x: np.ndarray) -> np.ndarray:
     return np.exp(-spec.eigenvalues[: x.shape[-1]] * t) * x
 
 
-def galerkin_project(x: np.ndarray, n: int) -> np.ndarray:
-    """Zero every mode with index > n (1-based count of retained modes)."""
-    if n < 0:
-        raise InputError("projection level must be non-negative")
-    out = np.array(x, dtype=float, copy=True)
-    if n < out.shape[-1]:
-        out[..., n:] = 0.0
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Built-in library of moduli and weights used throughout the experiments.
 

@@ -180,6 +180,16 @@ class ExperimentConfig:
         if self.experiment == "harnack":
             if horizon <= delay:
                 raise ConfigError("time.horizon must exceed time.delay for harnack runs")
-            hsamples = self.section("harnack").get("samples", samples)
+            harnack = self.section("harnack")
+            hsamples = harnack.get("samples", samples)
             if hsamples < 100:
                 raise ConfigError("harnack.samples must be at least 100")
+            # power = (1 + K2 K3)^2 * factor, so factors above 1 keep every
+            # power above the admissible floor the power inequality needs
+            factors = harnack.get("power_factors", [])
+            if not factors or any(float(fac) <= 1.0 for fac in factors):
+                raise ConfigError("harnack.power_factors must be a non-empty list of "
+                                  "factors above 1 (powers above the floor (1+K)^2)")
+            for key in ("train_pairs", "holdout_pairs"):
+                if int(harnack.get(key, 0)) < 1:
+                    raise ConfigError(f"harnack.{key} must be at least 1")

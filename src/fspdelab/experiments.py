@@ -18,7 +18,7 @@ import numpy as np
 from . import analysis, harnack, simulator, zvonkin
 from .analysis import Spectrum
 from .config import ExperimentConfig, canonical_json, to_jsonable
-from .errors import CertificationError, ConfigError, InputError
+from .errors import CertificationError, ConfigError
 from .segment import SegmentPath, _steps
 from .simulator import (CoefficientSet, LyapunovSpec, NoisePath, TruncationScheme,
                         simulate_ensemble, simulate_mild, truncate_coeffs)
@@ -291,7 +291,7 @@ def run_simulate(cfg: ExperimentConfig) -> ExperimentResult:
     seed = int(cfg.section("montecarlo")["seed"])
     coeffs = build_coefficients(cfg, spec, delay)
     xi = default_initial_segment(spec, delay, dt)
-    tr = simulate_mild(coeffs, xi, horizon, dt, spec, seed=seed, record_convolution=True)
+    tr = simulate_mild(coeffs, xi, horizon, dt, spec, seed=seed)
     from .segment import stopping_time
 
     taus = {n: stopping_time(tr, float(n)) for n in (1, 2, 4, 8)}
@@ -388,6 +388,8 @@ def run_uniqueness(cfg: ExperimentConfig) -> ExperimentResult:
     u = cfg.section("uniqueness")
     level = float(u.get("level", 5.0))
     exponents = [int(e) for e in u.get("dt_exponents", [6, 7, 8, 9, 10])]
+    if not exponents:
+        raise ConfigError("uniqueness.dt_exponents must list at least one exponent")
     ref_exp = int(u.get("reference_exponent", max(exponents) + 1))
     if any(e >= ref_exp for e in exponents):
         raise ConfigError("uniqueness.dt_exponents must all be below "
@@ -462,6 +464,8 @@ def run_galerkin(cfg: ExperimentConfig) -> ExperimentResult:
     paths = int(g.get("paths", 256))
     if n_ref != spec.n_modes:
         raise ConfigError("galerkin.reference_modes must equal spectrum.n_modes")
+    if not counts:
+        raise ConfigError("galerkin.mode_counts must list at least one mode count")
     if any(c > n_ref for c in counts):
         raise ConfigError("galerkin.mode_counts must not exceed the reference")
 
@@ -686,24 +690,3 @@ RUNNERS = {
     "harnack": run_harnack_campaign,
 }
 
-
-def aggregate_reports(paths) -> dict:
-    """Combine result files; reruns of one experiment must share a config hash.
-
-    Guards against mixing outputs produced under different configurations:
-    any two reports for the same experiment whose hashes differ abort the
-    aggregation.
-    """
-    import json
-
-    combined: dict = {}
-    for path in paths:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        name = data["experiment"]
-        known = combined.get(name)
-        if known is not None and known["config_hash"] != data["config_hash"]:
-            raise InputError(
-                f"report {path} carries config hash {data['config_hash'][:12]} but "
-                f"{name} was already aggregated under {known['config_hash'][:12]}")
-        combined[name] = data
-    return combined

@@ -68,20 +68,6 @@ def bump_function(center: np.ndarray) -> TestFunction:
     return TestFunction(fn, "bump(width=1.0)", 1.05)
 
 
-def builtin_test_functions(n_modes: int) -> list[TestFunction]:
-    v = np.zeros(n_modes)
-    v[0] = 1.0
-    return [exp_head_function(v), tanh_norm_function(), bump_function(np.zeros(n_modes))]
-
-
-@dataclass
-class SemigroupEstimate:
-    mean: float
-    stderr: float
-    samples: int
-    seed: int
-
-
 def _require_alive(result: EnsembleResult) -> None:
     if np.any(result.exploded):
         bad = int(np.count_nonzero(result.exploded))
@@ -90,13 +76,9 @@ def _require_alive(result: EnsembleResult) -> None:
             "non-explosive configuration")
 
 
-def _terminal_view(coeffs, xi, horizon, grid_step, spec, samples, seed,
-                   noise: NoisePath | None = None):
+def _terminal_view(coeffs, xi, horizon, grid_step, spec, noise: NoisePath):
     if horizon <= xi.delay:
         raise InputError("semigroup estimates and the Harnack inequalities require T > r")
-    steps = _steps(horizon, grid_step)
-    if noise is None:
-        noise = NoisePath.generate(seed, steps, coeffs.noise_dim, grid_step, samples)
     result = simulate_ensemble(coeffs, xi, horizon, grid_step, spec, noise)
     _require_alive(result)
     return result.terminal_view()
@@ -104,14 +86,6 @@ def _terminal_view(coeffs, xi, horizon, grid_step, spec, samples, seed,
 
 def _mean_stderr(vals) -> tuple[float, float]:
     return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
-
-
-def estimate_semigroup(coeffs: CoefficientSet, xi: SegmentPath, f: TestFunction,
-                       horizon: float, samples: int, seed: int, *,
-                       grid_step: float, spec: Spectrum) -> SemigroupEstimate:
-    """Monte Carlo mean of f(X_T^xi) with its standard error."""
-    view = _terminal_view(coeffs, xi, horizon, grid_step, spec, samples, seed)
-    return SemigroupEstimate(*_mean_stderr(f(view)), samples, seed)
 
 
 def pair_distance(xi: SegmentPath, eta: SegmentPath) -> tuple[float, float]:
@@ -152,7 +126,7 @@ def _pair_estimates(coeffs: CoefficientSet, xi: SegmentPath, eta: SegmentPath,
     """
     steps = _steps(horizon, grid_step)
     noise = NoisePath.generate(seed, steps, coeffs.noise_dim, grid_step, samples)
-    f_xi, f_eta = (f(_terminal_view(coeffs, start, horizon, grid_step, spec, samples, seed, noise))
+    f_xi, f_eta = (f(_terminal_view(coeffs, start, horizon, grid_step, spec, noise))
                    for start in (xi, eta))
     pm, ps = {}, {}
     for p in powers:
@@ -165,48 +139,6 @@ def _pair_estimates(coeffs: CoefficientSet, xi: SegmentPath, eta: SegmentPath,
         mean_logf_eta=mean_logf_eta, se_logf_eta=se_logf_eta,
         mean_f_eta=mean_f_eta, se_f_eta=se_f_eta,
         power_means=pm, power_ses=ps, seed=seed)
-
-
-@dataclass
-class HarnackResidual:
-    residual: float
-    stderr: float
-    lhs: float
-    rhs: float
-    detail: dict
-
-
-def log_harnack_residual(coeffs: CoefficientSet, xi: SegmentPath, eta: SegmentPath,
-                         f: TestFunction, horizon: float, constant: float, *,
-                         grid_step: float, spec: Spectrum, samples: int,
-                         seed: int) -> HarnackResidual:
-    """log P_T f(xi) + C * H(xi, eta) - P_T log f(eta); >= -3 stderr closes the bound."""
-    est = _pair_estimates(coeffs, xi, eta, f, horizon, (), grid_step=grid_step, spec=spec,
-                          samples=samples, seed=seed)
-    residual, stderr = log_residual_from_estimates(est, horizon, constant)
-    bound = log_harnack_rhs(xi, eta, horizon, constant)
-    return HarnackResidual(residual, stderr, lhs=est.mean_logf_eta,
-                           rhs=math.log(est.mean_f_xi) + bound,
-                           detail={"P_f_xi": est.mean_f_xi, "P_logf_eta": est.mean_logf_eta,
-                                   "bound": bound, "seed": seed})
-
-
-def power_harnack_residual(coeffs: CoefficientSet, xi: SegmentPath, eta: SegmentPath,
-                           f: TestFunction, horizon: float, power: float,
-                           constant: float, gain: float, *, grid_step: float,
-                           spec: Spectrum, samples: int, seed: int) -> HarnackResidual:
-    """(P_T f^p(xi))^{1/p} exp(Psi_p) - P_T f(eta) for p above the admissible floor."""
-    floor = (1.0 + gain) ** 2
-    if power <= floor:
-        raise InputError(
-            f"power {power} is not admissible: the inequality needs p > (1+K)^2 = {floor:.6g}")
-    est = _pair_estimates(coeffs, xi, eta, f, horizon, (power,), grid_step=grid_step,
-                          spec=spec, samples=samples, seed=seed)
-    residual, stderr = power_residual_from_estimates(est, horizon, power, constant)
-    psi, lhs_val = _power_rhs(est, horizon, power, constant)
-    return HarnackResidual(residual, stderr, lhs=est.mean_f_eta, rhs=lhs_val,
-                           detail={"P_fp_xi": est.power_means[power], "P_f_eta": est.mean_f_eta,
-                                   "psi": psi, "power": power, "seed": seed})
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ExplosionError, InputError
+from .errors import InputError
 
 _GRID_TOL = 1e-9
 
@@ -92,13 +92,6 @@ def segment_norm(xi: SegmentPath) -> float:
     return float(np.max(mags))
 
 
-def continuity_modulus(xi: SegmentPath) -> float:
-    """Largest one-step increment; reported as a diagnostic, no verdict attached."""
-    if xi.values.shape[0] < 2:
-        return 0.0
-    return float(np.max(np.linalg.norm(np.diff(xi.values, axis=0), axis=1)))
-
-
 @dataclass
 class Trajectory:
     """One path on [-r, min(T, zeta)] with its life-time bookkeeping."""
@@ -109,8 +102,6 @@ class Trajectory:
     horizon: float
     life_time: float = math.inf
     exploded: bool = False
-    seed: int | None = None
-    convolution: np.ndarray | None = None
     stopping_levels: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -121,10 +112,6 @@ class Trajectory:
     @property
     def n_modes(self) -> int:
         return self.states.shape[1]
-
-    @property
-    def final_time(self) -> float:
-        return -self.delay + self.grid_step * (self.states.shape[0] - 1)
 
     def times(self) -> np.ndarray:
         return -self.delay + self.grid_step * np.arange(self.states.shape[0])
@@ -140,32 +127,6 @@ class Trajectory:
 
     def state(self, t: float) -> np.ndarray:
         return self.states[self._index(t)]
-
-    def to_csv(self, path) -> None:
-        """Write (t, mode_1, ..., mode_n) rows with 17 significant digits."""
-        fields = {"seed": self.seed, "grid_step": self.grid_step, "delay": self.delay,
-                  "life_time": self.life_time, "exploded": self.exploded}
-        with open(path, "w", encoding="utf-8") as fh:
-            for key, val in fields.items():
-                fh.write(f"# {key}={val}\n")
-            cols = ",".join(f"mode_{i + 1}" for i in range(self.n_modes))
-            fh.write(f"t,{cols}\n")
-            for t, row in zip(self.times(), self.states):
-                vals = ",".join(f"{v:.17g}" for v in row)
-                fh.write(f"{t:.17g},{vals}\n")
-
-
-def extract_segment(tr: Trajectory, t: float, weighted: bool = False) -> SegmentPath:
-    """Slice the window [t-r, t] out of a trajectory."""
-    if t < -_GRID_TOL:
-        raise InputError("segments are extracted at times t >= 0")
-    if t > tr.life_time + _GRID_TOL:
-        raise ExplosionError(f"time {t} is beyond the recorded life time {tr.life_time}")
-    hi = tr._index(t)
-    lo = hi - _steps(tr.delay, tr.grid_step)
-    if lo < 0:
-        raise InputError(f"trajectory history does not cover [{t - tr.delay}, {t}]")
-    return SegmentPath(tr.delay, tr.grid_step, tr.states[lo:hi + 1].copy(), weighted)
 
 
 def stopping_time(tr: Trajectory, n: float) -> float:

@@ -5,10 +5,9 @@ exactly, the frozen drift is integrated exactly against the semigroup
 (factor (1 - exp(-lambda dt)) / lambda), and the stochastic convolution
 increment uses the exact per-mode variance when the noise operator is a
 constant diagonal, falling back to exp(A dt) Q dW otherwise.  The same
-module houses the Girsanov weight of the drift removal, the smooth
-truncation of coefficients, the nonlinear comparison bound used for the
-non-explosion check, and the moment inequality for stochastic
-convolutions.
+module houses the smooth truncation of coefficients, the nonlinear
+comparison bound used for the non-explosion check, and the moment
+inequality for stochastic convolutions.
 """
 
 from __future__ import annotations
@@ -204,7 +203,6 @@ class EnsembleResult:
     states: np.ndarray          # (lags + steps + 1, n_paths, n_modes)
     life_times: np.ndarray      # (n_paths,), inf where non-explosive
     convolution: np.ndarray | None = None
-    seed: int | None = None
     norms: np.ndarray | None = None  # (lags + steps + 1, n_paths), |states| per row
 
     @property
@@ -226,10 +224,8 @@ class EnsembleResult:
         if math.isfinite(life):
             lags = _steps(self.delay, self.grid_step)
             states = states[: lags + round(life / self.grid_step) + 1]
-        conv = None if self.convolution is None else self.convolution[: states.shape[0], p]
         return Trajectory(self.delay, self.grid_step, states.copy(), self.horizon,
-                          life_time=life, exploded=math.isfinite(life), seed=self.seed,
-                          convolution=None if conv is None else conv.copy())
+                          life_time=life, exploded=math.isfinite(life))
 
 
 def _history_windows(states: np.ndarray, norms: np.ndarray, delay: float,
@@ -319,63 +315,16 @@ def simulate_ensemble(coeffs: CoefficientSet, xi: SegmentPath, horizon: float,
             norms[base + 1] = mags
 
     return EnsembleResult(xi.delay, grid_step, horizon, states, life,
-                          convolution=conv, seed=noise.seed if seed is None else seed,
-                          norms=norms)
+                          convolution=conv, norms=norms)
 
 
 def simulate_mild(coeffs: CoefficientSet, xi: SegmentPath, horizon: float,
                   grid_step: float, spec: Spectrum, noise: NoisePath | None = None,
-                  *, seed: int | None = None,
-                  record_convolution: bool = False) -> Trajectory:
+                  *, seed: int | None = None) -> Trajectory:
     """Single-path integration returning a trajectory with life-time bookkeeping."""
     result = simulate_ensemble(coeffs, xi, horizon, grid_step, spec, noise,
-                               n_paths=1, seed=seed, record_convolution=record_convolution)
+                               n_paths=1, seed=seed)
     return result.path(0)
-
-
-# ---------------------------------------------------------------------------
-# Girsanov weight of the drift removal.
-
-def _drift_removal_controls(coeffs: CoefficientSet, states: np.ndarray, delay: float,
-                            grid_step: float, steps: int) -> np.ndarray:
-    """psi(t_k) = Q*(QQ*)^{-1}(b + B) along a batched path history."""
-    norms = np.linalg.norm(states, axis=-1)
-    psi = np.empty((steps, states.shape[1], coeffs.noise_dim))
-    for k, (t, x, view) in enumerate(_history_windows(states, norms, delay, grid_step, steps)):
-        v = _full_drift(coeffs, t, x, view)
-        if coeffs.diag_noise is not None:
-            psi[k] = v / coeffs.diag_noise
-            continue
-        qm = coeffs.diffusion_matrix(t, x)
-        qq = np.einsum("pnm,pkm->pnk", qm, qm)
-        svals = np.linalg.svd(qq, compute_uv=False)
-        if np.any(svals[:, -1] <= 1e-12 * svals[:, 0]):
-            raise InputError(
-                f"diffusion covariance QQ* is numerically singular at t={t:.6g}; "
-                "the drift-removal weight requires an invertible covariance")
-        y = np.linalg.solve(qq, v[..., None])[..., 0]
-        psi[k] = np.einsum("pnm,pn->pm", qm, y)
-    return psi
-
-
-def girsanov_log_weights(coeffs: CoefficientSet, states: np.ndarray, delay: float,
-                         noise: NoisePath, horizon: float) -> np.ndarray:
-    """log R for each path: sum <psi, dW> - 1/2 int |psi|^2 dt on the grid."""
-    dt = noise.grid_step
-    steps = _steps(horizon, dt)
-    psi = _drift_removal_controls(coeffs, states, delay, dt, steps)
-    dw = noise.increments[:steps, :, : coeffs.noise_dim]
-    ito = np.einsum("kpm,kpm->p", psi, dw)
-    comp = 0.5 * dt * np.einsum("kpm,kpm->p", psi, psi)
-    return ito - comp
-
-
-def girsanov_weight(coeffs: CoefficientSet, tr: Trajectory, noise: NoisePath,
-                    horizon: float) -> float:
-    """Change-of-measure weight R for one simulated trajectory."""
-    states = tr.states[:, None, :]
-    logw = girsanov_log_weights(coeffs, states, tr.delay, noise, horizon)
-    return float(np.exp(logw[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +405,7 @@ class LyapunovSpec:
 
 
 class PsiTransform:
-    """Cumulative transform Psi(s) = int_1^s dr / (2 Phi(r)) with a numeric inverse."""
+    """Cumulative transform Psi(s) = int_1^s dr / (2 Phi(r)), tabulated on a geometric grid."""
 
     def __init__(self, phi_fn: Callable, s_lo: float, s_hi: float):
         s_lo = max(min(s_lo, 1.0) * 0.5, 1e-12)
@@ -468,7 +417,6 @@ class PsiTransform:
         anchor = float(np.interp(1.0, grid, cumulative))
         self.grid = grid
         self.cumulative = cumulative - anchor
-        self.phi_fn = phi_fn
 
     def value(self, s) -> np.ndarray:
         # below the tabulated floor the transform is only smaller, so
@@ -477,29 +425,6 @@ class PsiTransform:
         if np.any(s > self.grid[-1]):
             raise InputError("argument above the tabulated comparison range")
         return np.interp(np.maximum(s, self.grid[0]), self.grid, self.cumulative)
-
-    def inverse(self, v: float) -> float:
-        if v < self.cumulative[0] or v > self.cumulative[-1]:
-            raise InputError("target outside the tabulated comparison range")
-        idx = int(np.searchsorted(self.cumulative, v))
-        lo = self.grid[max(idx - 1, 0)]
-        hi = self.grid[min(idx, self.grid.size - 1)]
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if float(self.value(mid)) < v:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-10 * max(1.0, abs(hi)):
-                break
-        return 0.5 * (lo + hi)
-
-
-@dataclass
-class BihariBound:
-    times: np.ndarray
-    values: np.ndarray
-    alpha: float
 
 
 def _window_sup_norms(states: np.ndarray, lags: int) -> np.ndarray:
@@ -518,29 +443,6 @@ def bihari_alpha(lyap: LyapunovSpec, xi: SegmentPath, conv_states: np.ndarray,
     h_vals = np.asarray(lyap.forcing(horizon, sup_m), dtype=float)
     integral = np.trapezoid(h_vals, dx=grid_step, axis=0)
     return 2.0 * segment_norm(xi) ** 2 + 2.0 * integral
-
-
-def bihari_bound(lyap: LyapunovSpec, xi: SegmentPath, conv: Trajectory,
-                 horizon: float) -> BihariBound:
-    """Comparison curve t -> Psi^{-1}(Psi(alpha_T) + t) on the simulation grid."""
-    if lyap.divergence_status(horizon) != DIVERGENT:
-        raise InputError("comparison function fails the divergent-reciprocal requirement")
-    alpha = float(bihari_alpha(lyap, xi, conv.states[:, None, :], horizon, conv.grid_step)[0])
-    if not np.isfinite(alpha):
-        raise InputError("non-finite comparison seed: the convolution part explodes")
-    phi_T = lambda s: lyap.comparison(horizon, s)
-    steps = _steps(horizon, conv.grid_step)
-    times = conv.grid_step * np.arange(steps + 1)
-
-    transform = PsiTransform(phi_T, alpha, alpha)
-    target_hi = float(transform.value(alpha)) + float(times[-1])
-    s_hi = alpha
-    while float(transform.cumulative[-1]) < target_hi:
-        s_hi *= 8.0
-        transform = PsiTransform(phi_T, alpha, s_hi)
-    base = float(transform.value(alpha))
-    values = np.array([transform.inverse(base + t) for t in times])
-    return BihariBound(times, values, alpha)
 
 
 def bihari_margin(lyap: LyapunovSpec, xi: SegmentPath, result: EnsembleResult) -> np.ndarray:

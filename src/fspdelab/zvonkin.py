@@ -23,17 +23,17 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
-from .analysis import ClassReport, PASS, FAIL, Spectrum, WeightFunction, sqrt_weight
+from .analysis import Spectrum, WeightFunction, sqrt_weight
 from .errors import CertificationError, InputError
 from .quadrature import hermite_tensor, panel_integral
-from .segment import SegmentPath, _steps
-from .simulator import CoefficientSet, SegmentView, _history_windows
+from .segment import _steps
+from .simulator import CoefficientSet, SegmentView
 
 GH_DIM_CAP = 3
 
@@ -61,69 +61,6 @@ class ReferenceSemigroup:
         decay = np.exp(-lam * gap)
         var = self.q_diag**2 * (1.0 - decay**2) / (2.0 * lam)
         return decay, np.sqrt(var)
-
-
-def _quad_cloud(ref: ReferenceSemigroup, method: str, mc_samples: int, seed: int):
-    n = ref.spec.n_modes
-    if method == "auto":
-        method = "gh" if n <= GH_DIM_CAP else "mc"
-    if method == "gh":
-        if n > GH_DIM_CAP:
-            raise InputError(f"tensor quadrature supports at most {GH_DIM_CAP} modes; use method='mc'")
-        return hermite_tensor(ref.quad_order, n)
-    if method == "mc":
-        rng = np.random.default_rng(seed)
-        z = rng.normal(size=(mc_samples, n))
-        return z, np.full(mc_samples, 1.0 / mc_samples)
-    raise InputError(f"unknown quadrature method {method!r}")
-
-
-def ou_apply(ref: ReferenceSemigroup, f: Callable, s: float, t: float, x: np.ndarray,
-             *, method: str = "auto", mc_samples: int = 4096, seed: int = 0) -> np.ndarray:
-    """P0_{s,t} f(x) = E f(decay * x + sigma * Z); exact for polynomial f up to the rule degree."""
-    decay, sigma = ref.transition(s, t)
-    z, w = _quad_cloud(ref, method, mc_samples, seed)
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    xb = x[None] if single else x
-    pts = decay * xb[:, None, :] + sigma * z[None, :, :]
-    fv = np.asarray(f(pts.reshape(-1, xb.shape[-1])), dtype=float)
-    fv = fv.reshape(pts.shape[0], pts.shape[1], -1) if fv.ndim > 1 else fv.reshape(pts.shape[:2])
-    out = np.einsum("g,bg...->b...", w, fv)
-    return out[0] if single else out
-
-
-def ou_gradient(ref: ReferenceSemigroup, f: Callable, s: float, t: float, x: np.ndarray,
-                order: int = 1, *, method: str = "auto", mc_samples: int = 4096,
-                seed: int = 0) -> np.ndarray:
-    """Spatial derivatives of P0_{s,t} f via kernel differentiation.
-
-    order 1 returns f-shape x (n,); order 2 appends another (n,).  The
-    weight commutation a(-A) grad P0 f = grad P0 (a(-A) f) holds exactly
-    at the level of these quadrature sums.
-    """
-    if order not in (1, 2):
-        raise InputError("derivative order must be 1 or 2")
-    decay, sigma = ref.transition(s, t)
-    z, w = _quad_cloud(ref, method, mc_samples, seed)
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    xb = x[None] if single else x
-    n = xb.shape[-1]
-    pts = decay * xb[:, None, :] + sigma * z[None, :, :]
-    fv = np.asarray(f(pts.reshape(-1, n)), dtype=float)
-    scalar = fv.ndim == 1
-    fv = fv.reshape(pts.shape[0], pts.shape[1], -1)
-    if order == 1:
-        stein = z * (decay / sigma)[None, :]
-        out = np.einsum("g,bgk,gj->bkj", w, fv, stein)
-    else:
-        pair = z[:, :, None] * z[:, None, :] - np.eye(n)[None]
-        scale = (decay / sigma)[:, None] * (decay / sigma)[None, :]
-        out = np.einsum("g,bgk,gij->bkij", w, fv, pair) * scale[None, None]
-    if scalar:
-        out = out[:, 0]
-    return out[0] if single else out
 
 
 @dataclass(frozen=True)
@@ -349,14 +286,6 @@ class RegularizingField:
         raise CertificationError(
             "theta inversion did not converge in 200 iterations; field not certified")
 
-    def theta_segment(self, t: float, xi: SegmentPath) -> SegmentPath:
-        vals = np.stack([self.theta(t + s, v) for s, v in zip(xi.times(), xi.values)])
-        return SegmentPath(xi.delay, xi.grid_step, vals, xi.weighted)
-
-    def theta_segment_inverse(self, t: float, xi: SegmentPath) -> SegmentPath:
-        vals = np.stack([self.invert_theta(t + s, v) for s, v in zip(xi.times(), xi.values)])
-        return SegmentPath(xi.delay, xi.grid_step, vals, xi.weighted)
-
     def spectrum_hash(self) -> str:
         h = hashlib.sha256()
         h.update(self.spec.eigenvalues.tobytes())
@@ -492,7 +421,7 @@ def solve_u(ref: ReferenceSemigroup, drift: Callable, lam: float, horizon: float
     if n > GH_DIM_CAP:
         raise InputError(
             f"tabulated fields resolve at most {GH_DIM_CAP} active modes; project the "
-            "system first (ou_apply offers a Monte Carlo route for pointwise values)")
+            "system first")
     lamvec = spec.eigenvalues
     aw = np.asarray(weight(lamvec), dtype=float)
 
@@ -627,14 +556,6 @@ def lambda_threshold(fields: list[RegularizingField], horizon: float,
     raise CertificationError(f"no lam on the grid certifies the field; failures: {failures}")
 
 
-def theta_invert(system, t: float, y: np.ndarray) -> np.ndarray:
-    """Invert theta(t, .) at y; accepts a field or a transformed system."""
-    field = getattr(system, "field", system)
-    if not field.certified:
-        raise CertificationError("theta inversion requires a certified field")
-    return field.invert_theta(t, y)
-
-
 class _InvertedSegmentView:
     """Lazy theta^{-1} image of a segment window."""
 
@@ -667,7 +588,6 @@ class TransformedSystem:
     field: RegularizingField
     base: CoefficientSet
     bounds: dict
-    trivial: bool
 
     @property
     def lam(self) -> float:
@@ -691,13 +611,6 @@ class TransformedSystem:
         inner = np.asarray(self.base.delay_drift(t, _InvertedSegmentView(view, self.field, t)),
                            dtype=float)
         return np.einsum("...ij,...j->...i", jac, inner)
-
-    def coefficient_set(self) -> CoefficientSet:
-        if self.trivial:
-            return self.base
-        return replace(self.base, drift=self.drift, delay_drift=self.delay_drift,
-                       diffusion=self.diffusion, diag_noise=None)
-
 
 def _control_gain(sys_q: np.ndarray) -> np.ndarray:
     """Q*(QQ*)^{-1} for a batch of (n, m) matrices."""
@@ -751,7 +664,7 @@ def transform_coeffs(field: RegularizingField, coeffs: CoefficientSet, *,
     """
     if not field.certified:
         raise CertificationError("coefficient transform requires a certified field")
-    sys = TransformedSystem(field, coeffs, bounds={}, trivial=field.trivial)
+    sys = TransformedSystem(field, coeffs, bounds={})
     rng = np.random.default_rng(seed)
     n = field.n_modes
     hw = field.halfwidth
@@ -798,69 +711,3 @@ def transform_coeffs(field: RegularizingField, coeffs: CoefficientSet, *,
     sys.bounds = {"K1": k1, "K2": k2, "K3": k3, "K4": k4,
                   "battery": battery, "seed": seed}
     return sys
-
-
-def lipschitz_grad_check(field: RegularizingField, *, pairs: int = 1000,
-                         seed: int = 7) -> ClassReport:
-    """Fit the HS Lipschitz constant of grad u and validate it on held-out pairs.
-
-    Pairs are drawn at log-spaced separations so the max ratio sees every
-    scale, including the fine structure near the drift's rough point.  The
-    held-out max ratio may exceed the fitted one by 10 % at most.
-    """
-    rng = np.random.default_rng(seed)
-    n = field.n_modes
-    hw = field.halfwidth
-
-    def max_ratio(count):
-        worst = 0.0
-        for t in np.linspace(0.0, field.horizon, 9):
-            xs, ys = _log_spaced_pairs(rng, n, hw, count, np.geomspace(1e-3, 1.0, 16))
-            dg = field.grad_at(t, xs) - field.grad_at(t, ys)
-            num = np.linalg.norm(dg.reshape(xs.shape[0], -1), axis=-1)
-            den = np.maximum(np.linalg.norm(xs - ys, axis=-1), 1e-12)
-            worst = max(worst, float(np.max(num / den)))
-        return worst
-
-    fitted = max_ratio(pairs)
-    held = max_ratio(pairs)
-    holdout_margin = 1.1
-    ok = held <= holdout_margin * max(fitted, 1e-300) or (fitted == 0.0 and held == 0.0)
-    return ClassReport(check="grad_lipschitz", verdict=PASS if ok else FAIL,
-                       integral_value=fitted, tail_bound=held,
-                       diagnostics={"pairs": pairs, "seed": seed,
-                                    "holdout_margin": holdout_margin})
-
-
-def representation_residual(field: RegularizingField, coeffs: CoefficientSet,
-                            states: np.ndarray, noise, delay: float,
-                            horizon: float) -> float:
-    """RMS gap at time T between the transformed representation and the raw path.
-
-    The representation rewrites X(T) through u: semigroup image of the
-    shifted start, minus u(T, X(T)), plus resolvent, delay and noise
-    integrals accumulated with the discrete semigroup factors.
-    """
-    dt = noise.grid_step
-    steps = _steps(horizon, dt)
-    lags = _steps(delay, dt)
-    lamvec = field.spec.eigenvalues
-    lam = field.lam
-    norms = np.linalg.norm(states, axis=-1)
-    x0 = states[lags]
-    acc = np.zeros_like(x0)
-    for k, (t, x, view) in enumerate(_history_windows(states, norms, delay, dt, steps)):
-        sem = np.exp(-lamvec * (horizon - t))
-        u_k = field.u_at(t, x)
-        g_k = field.grad_at(t, x)
-        b_del = np.asarray(coeffs.delay_drift(t, view), dtype=float)
-        jac_b = b_del + np.einsum("...ij,...j->...i", g_k, b_del)
-        acc += sem * ((lam + lamvec) * u_k + jac_b) * dt
-        spread = np.einsum("...ij,...jm->...im", np.eye(lamvec.size) + g_k,
-                           coeffs.diffusion_matrix(t, x))
-        acc += sem * np.einsum("...im,...m->...i", spread,
-                               noise.increments[k][:, : coeffs.noise_dim])
-    x_T = states[lags + steps]
-    rhs = np.exp(-lamvec * horizon) * (x0 + field.u_at(0.0, x0)) - field.u_at(horizon, x_T) + acc
-    gaps = np.linalg.norm(rhs - x_T, axis=-1)
-    return float(np.sqrt(np.mean(gaps**2)))

@@ -198,25 +198,6 @@ class TestSemigroup:
             an.semigroup_apply(spec2, -0.1, np.zeros(2))
 
 
-class TestProjection:
-    def test_full_projection_unchanged(self):
-        x = np.array([1.0, 2.0, 3.0])
-        assert np.array_equal(an.galerkin_project(x, 5), x)
-
-    def test_zero_level_gives_zero(self):
-        assert np.array_equal(an.galerkin_project(np.ones(4), 0), np.zeros(4))
-
-    def test_idempotent(self):
-        x = np.random.default_rng(0).normal(size=6)
-        once = an.galerkin_project(x, 3)
-        assert np.array_equal(an.galerkin_project(once, 3), once)
-
-    def test_tail_norm_non_increasing_in_level(self):
-        x = np.random.default_rng(1).normal(size=8)
-        tails = [np.linalg.norm(an.galerkin_project(x, n) - x) for n in range(9)]
-        assert all(a >= b - 1e-15 for a, b in zip(tails[:-1], tails[1:]))
-
-
 class TestInvariants:
     def test_spectrum_rejects_non_monotone(self):
         with pytest.raises(InputError):

@@ -6,7 +6,8 @@ import pytest
 from fspdelab import analysis as an
 from fspdelab import harnack as ha
 from fspdelab import simulator as sim
-from fspdelab.errors import ExplosionError, InputError
+from fspdelab.config import ExperimentConfig
+from fspdelab.errors import ConfigError, ExplosionError, InputError
 from fspdelab.segment import SegmentPath
 
 DT = 1.0 / 128.0
@@ -23,12 +24,20 @@ def segment(vec):
     return SegmentPath.constant(np.asarray(vec, dtype=float), DELAY, DT)
 
 
+def estimates(coeffs, xi, eta, f, powers=(), *, samples, seed, horizon=HORIZON, spec=None):
+    """Shared-noise estimates of one (xi, eta) pair."""
+    spec = spec or an.Spectrum.power_law(xi.n_modes)
+    return ha.collect_pair_estimates(coeffs, [(xi, eta)], f, horizon, list(powers),
+                                     grid_step=DT, spec=spec, samples=samples,
+                                     seed=seed)[0]
+
+
 class TestEstimates:
-    def test_constant_function_exact(self, dini_coeffs, spec2):
-        est = ha.estimate_semigroup(dini_coeffs, segment([0.2, 0.0]), constant_function(),
-                                    HORIZON, 500, 3, grid_step=DT, spec=spec2)
-        assert est.mean == 1.0
-        assert est.stderr == 0.0
+    def test_constant_function_exact(self, dini_coeffs):
+        xi = segment([0.2, 0.0])
+        est = estimates(dini_coeffs, xi, xi, constant_function(), samples=500, seed=3)
+        assert est.mean_f_xi == 1.0
+        assert est.se_f_xi == 0.0
 
     def test_linear_functional_matches_gaussian_mean(self, spec2):
         # free dynamics with diagonal noise: E <v, X(T)> has closed form
@@ -36,24 +45,23 @@ class TestEstimates:
         xi = segment([0.8, -0.4])
         v = np.array([1.0, 0.5])
         f = ha.TestFunction(lambda view: view.value_at(0.0) @ v + 3.0, "affine", 10.0)
-        est = ha.estimate_semigroup(coeffs, xi, f, HORIZON, 20000, 11,
-                                    grid_step=DT, spec=spec2)
+        est = estimates(coeffs, xi, xi, f, samples=20000, seed=11)
         exact = float(an.semigroup_apply(spec2, HORIZON, xi.value_at(0.0)) @ v) + 3.0
-        assert abs(est.mean - exact) <= 3.0 * est.stderr
+        assert abs(est.mean_f_xi - exact) <= 3.0 * est.se_f_xi
 
-    def test_disjoint_seeds_agree(self, dini_coeffs, spec2):
+    def test_disjoint_seeds_agree(self, dini_coeffs):
         f = ha.tanh_norm_function()
         xi = segment([0.3, 0.1])
-        a = ha.estimate_semigroup(dini_coeffs, xi, f, HORIZON, 4000, 101,
-                                  grid_step=DT, spec=spec2)
-        b = ha.estimate_semigroup(dini_coeffs, xi, f, HORIZON, 4000, 202,
-                                  grid_step=DT, spec=spec2)
-        assert abs(a.mean - b.mean) <= 3.0 * math.hypot(a.stderr, b.stderr)
+        a = estimates(dini_coeffs, xi, xi, f, samples=4000, seed=101)
+        b = estimates(dini_coeffs, xi, xi, f, samples=4000, seed=202)
+        assert a.seed != b.seed
+        assert abs(a.mean_f_xi - b.mean_f_xi) <= 3.0 * math.hypot(a.se_f_xi, b.se_f_xi)
 
-    def test_horizon_must_exceed_delay(self, dini_coeffs, spec2):
-        with pytest.raises(InputError):
-            ha.estimate_semigroup(dini_coeffs, segment([0.0, 0.0]), constant_function(),
-                                  0.25, 500, 1, grid_step=DT, spec=spec2)
+    def test_horizon_must_exceed_delay(self, field, dini_coeffs, spec2):
+        # the conjugation check estimates P_T f(xi) too, on both of its sides
+        with pytest.raises(InputError, match="T > r"):
+            ha.conjugation_check(dini_coeffs, field, segment([0.0, 0.0]), constant_function(),
+                                 DELAY, 300, grid_step=DT, spec=spec2, seed=1)
 
     @pytest.mark.parametrize("horizon", [DELAY, 0.5 * DELAY])
     def test_pair_estimates_need_horizon_beyond_delay(self, dini_coeffs, spec2, horizon):
@@ -63,45 +71,43 @@ class TestEstimates:
                                       [], grid_step=DT, spec=spec2, samples=200, seed=1)
 
     def test_explosive_configuration_rejected(self):
-        spec1 = an.Spectrum.power_law(1)
         coeffs = sim.make_coefficients(1, drift=sim.cubic_drift(1.0),
                                        diag_noise=np.array([0.1]))
         xi = SegmentPath.constant(np.array([2.0]), DELAY, DT)
         with pytest.raises(ExplosionError):
-            ha.estimate_semigroup(coeffs, xi, constant_function(), 3.0, 200, 1,
-                                  grid_step=DT, spec=spec1)
+            estimates(coeffs, xi, xi, constant_function(), samples=200, seed=1, horizon=3.0)
 
     def test_builtin_functions_positive_and_capped(self, spec2):
         rng = np.random.default_rng(0)
         window = rng.normal(size=(33, 50, 2))
         view = sim.SegmentView(window, DT, DELAY)
-        for f in ha.builtin_test_functions(2):
+        for f in (ha.exp_head_function(np.array([1.0, 0.0])), ha.tanh_norm_function(),
+                  ha.bump_function(np.zeros(2))):
             vals = f(view)
             assert np.all(vals > 0.0)
             assert np.all(vals <= f.cap + 1e-12)
 
 
 class TestLogResidual:
-    def test_coincident_pair_reduces_to_jensen(self, dini_coeffs, spec2):
+    def test_coincident_pair_reduces_to_jensen(self, dini_coeffs):
         xi = segment([0.4, -0.1])
         f = ha.exp_head_function(np.array([1.0, 0.0]))
-        res = ha.log_harnack_residual(dini_coeffs, xi, xi, f, HORIZON, 0.0,
-                                      grid_step=DT, spec=spec2, samples=4000, seed=7)
-        assert res.residual >= -3.0 * res.stderr
+        est = estimates(dini_coeffs, xi, xi, f, samples=4000, seed=7)
+        res, se = ha.log_residual_from_estimates(est, HORIZON, 0.0)
+        assert res >= -3.0 * se
 
-    def test_constant_function_gives_exact_bound_term(self, dini_coeffs, spec2):
+    def test_constant_function_gives_exact_bound_term(self, dini_coeffs):
         xi, eta = segment([0.4, 0.0]), segment([-0.2, 0.3])
-        res = ha.log_harnack_residual(dini_coeffs, xi, eta, constant_function(),
-                                      HORIZON, 2.0, grid_step=DT, spec=spec2,
-                                      samples=500, seed=3)
-        assert res.residual == pytest.approx(ha.log_harnack_rhs(xi, eta, HORIZON, 2.0))
-        assert res.residual >= 0.0
+        est = estimates(dini_coeffs, xi, eta, constant_function(), samples=500, seed=3)
+        res, _ = ha.log_residual_from_estimates(est, HORIZON, 2.0)
+        assert res == pytest.approx(ha.log_harnack_rhs(xi, eta, HORIZON, 2.0))
+        assert res >= 0.0
 
-    def test_horizon_below_delay_rejected(self, dini_coeffs, spec2):
+    def test_horizon_below_delay_rejected(self, dini_coeffs):
         xi = segment([0.0, 0.0])
-        with pytest.raises(InputError):
-            ha.log_harnack_residual(dini_coeffs, xi, xi, constant_function(), 0.2,
-                                    0.0, grid_step=DT, spec=spec2, samples=500, seed=1)
+        with pytest.raises(InputError, match="T > r"):
+            estimates(dini_coeffs, xi, xi, constant_function(), samples=500, seed=1,
+                      horizon=0.1875)
 
     def test_jensen_sanity_across_pairs(self, dini_coeffs, spec2):
         # P log f <= log P f at the same start, up to Monte Carlo error
@@ -117,31 +123,28 @@ class TestLogResidual:
 
 
 class TestPowerResidual:
-    def test_coincident_pair_power_mean_dominates(self, dini_coeffs, spec2):
+    def test_coincident_pair_power_mean_dominates(self, dini_coeffs):
         xi = segment([0.3, 0.2])
         f = ha.exp_head_function(np.array([1.0, 0.0]))
-        res = ha.power_harnack_residual(dini_coeffs, xi, xi, f, HORIZON, 2.0, 0.0,
-                                        gain=0.1, grid_step=DT, spec=spec2,
-                                        samples=4000, seed=9)
-        assert res.residual >= -3.0 * res.stderr
+        est = estimates(dini_coeffs, xi, xi, f, [2.0], samples=4000, seed=9)
+        res, se = ha.power_residual_from_estimates(est, HORIZON, 2.0, 0.0)
+        assert res >= -3.0 * se
 
-    def test_constant_function_exact_exponential_gap(self, dini_coeffs, spec2):
+    def test_constant_function_exact_exponential_gap(self, dini_coeffs):
         xi, eta = segment([0.4, 0.0]), segment([0.0, 0.4])
         c_p = 0.7
-        res = ha.power_harnack_residual(dini_coeffs, xi, eta, constant_function(),
-                                        HORIZON, 2.0, c_p, gain=0.1, grid_step=DT,
-                                        spec=spec2, samples=500, seed=2)
+        est = estimates(dini_coeffs, xi, eta, constant_function(), [2.0], samples=500, seed=2)
+        res, _ = ha.power_residual_from_estimates(est, HORIZON, 2.0, c_p)
         head, sup = ha.pair_distance(xi, eta)
         psi = c_p * (1.0 + head**2 / (HORIZON - DELAY) + sup**2)
-        assert res.residual == pytest.approx(math.exp(psi) - 1.0)
-        assert res.residual >= 0.0
+        assert res == pytest.approx(math.exp(psi) - 1.0)
+        assert res >= 0.0
 
-    def test_power_floor_enforced(self, dini_coeffs, spec2):
-        xi = segment([0.0, 0.0])
-        with pytest.raises(InputError, match="admissible"):
-            ha.power_harnack_residual(dini_coeffs, xi, xi, constant_function(),
-                                      HORIZON, 1.2, 0.5, gain=0.2, grid_step=DT,
-                                      spec=spec2, samples=500, seed=1)
+    def test_power_floor_enforced(self):
+        # the campaign compares the powers floor * factor, floor = (1 + K2 K3)^2
+        for factors in ([0.5, 1.0], [1.5, 1.0], []):
+            with pytest.raises(ConfigError, match="power_factors"):
+                ExperimentConfig.defaults("harnack", {"harnack": {"power_factors": factors}})
 
 
 class TestFormulaProperties:

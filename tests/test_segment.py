@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from fspdelab import analysis as an
-from fspdelab.errors import ExplosionError, InputError
-from fspdelab.segment import (SegmentPath, Trajectory, continuity_modulus,
-                              extract_segment, segment_norm, stopping_time)
+from fspdelab.errors import InputError
+from fspdelab.experiments import ExperimentResult
+from fspdelab.segment import SegmentPath, Trajectory, segment_norm, stopping_time
 
 
 def make_trajectory(states, delay=0.5, dt=0.25, **kw):
@@ -44,7 +43,9 @@ class TestSegmentNorm:
         rng = np.random.default_rng(6)
         xi = SegmentPath(1.0, 0.25, rng.normal(size=(5, 6)))
         for n in range(7):
-            proj = SegmentPath(1.0, 0.25, an.galerkin_project(xi.values, n))
+            kept = xi.values.copy()
+            kept[:, n:] = 0.0  # Galerkin projection onto the first n modes
+            proj = SegmentPath(1.0, 0.25, kept)
             assert segment_norm(proj) <= segment_norm(xi) + 1e-12
 
     def test_shape_invariants(self):
@@ -52,45 +53,6 @@ class TestSegmentNorm:
             SegmentPath(1.0, 0.25, np.zeros((4, 2)))  # needs 5 rows
         with pytest.raises(InputError):
             SegmentPath(1.0, 0.3, np.zeros((4, 2)))  # 0.3 does not divide 1.0
-
-
-class TestExtraction:
-    def test_initial_segment_recovered(self):
-        states = np.arange(10, dtype=float)[:, None]
-        tr = make_trajectory(states, delay=0.5, dt=0.25)
-        seg = extract_segment(tr, 0.0)
-        assert np.array_equal(seg.values, states[:3])
-
-    def test_constant_trajectory_gives_constant_segments(self):
-        tr = make_trajectory(np.ones((9, 2)), delay=0.5, dt=0.25)
-        for t in (0.0, 0.5, 1.0):
-            assert segment_norm(extract_segment(tr, t)) == pytest.approx(math.sqrt(2.0))
-
-    def test_segment_head_matches_state_exactly(self):
-        rng = np.random.default_rng(7)
-        tr = make_trajectory(rng.normal(size=(9, 2)), delay=0.5, dt=0.25)
-        for t in (0.0, 0.25, 0.75, 1.5):
-            assert np.array_equal(extract_segment(tr, t).value_at(0.0), tr.state(t))
-
-    def test_sup_over_segments_is_path_max(self):
-        rng = np.random.default_rng(8)
-        tr = make_trajectory(rng.normal(size=(9, 2)), delay=0.5, dt=0.25)
-        times = np.arange(0.0, 1.5 + 1e-12, 0.25)
-        sup = max(segment_norm(extract_segment(tr, t)) for t in times)
-        direct = float(np.max(np.linalg.norm(tr.states, axis=1)))
-        assert sup == pytest.approx(direct)
-
-    def test_beyond_life_time_raises(self):
-        tr = make_trajectory(np.ones((7, 1)), delay=0.5, dt=0.25,
-                             life_time=0.5, exploded=True)
-        extract_segment(tr, 0.5)
-        with pytest.raises(ExplosionError):
-            extract_segment(tr, 0.75)
-
-    def test_off_grid_time_rejected(self):
-        tr = make_trajectory(np.ones((9, 1)), delay=0.5, dt=0.25)
-        with pytest.raises(InputError):
-            extract_segment(tr, 0.3)
 
 
 class TestStoppingTime:
@@ -120,11 +82,15 @@ class TestStoppingTime:
 
 class TestCsvExport:
     def test_roundtrip_is_bit_exact(self, tmp_path):
+        # report tables write floats with 17 significant digits
         rng = np.random.default_rng(12)
-        tr = make_trajectory(rng.normal(size=(9, 3)), delay=0.5, dt=0.25, seed=77)
-        path = tmp_path / "traj.csv"
-        tr.to_csv(path)
-        lines = path.read_text().splitlines()
+        tr = make_trajectory(rng.normal(size=(9, 3)), delay=0.5, dt=0.25)
+        rows = [(t, *row) for t, row in zip(tr.times().tolist(), tr.states.tolist())]
+        result = ExperimentResult("simulate", "0" * 64, 77, {}, {},
+                                  tables={"trajectory": (("t", "mode_1", "mode_2", "mode_3"),
+                                                         rows)})
+        result.write(tmp_path)
+        lines = (tmp_path / "simulate_trajectory.csv").read_text().splitlines()
         header = [ln for ln in lines if ln.startswith("#")]
         assert any("seed=77" in ln for ln in header)
         body = [ln for ln in lines if not ln.startswith("#")]
@@ -132,10 +98,3 @@ class TestCsvExport:
         parsed = np.array([[float(v) for v in ln.split(",")] for ln in body[1:]])
         assert np.array_equal(parsed[:, 1:], tr.states)
         assert np.array_equal(parsed[:, 0], tr.times())
-
-
-def test_continuity_modulus_diagnostic():
-    xi = SegmentPath.from_function(lambda s: np.array([s]), 1.0, 0.25)
-    assert continuity_modulus(xi) == pytest.approx(0.25)
-    flat = SegmentPath.constant(np.array([1.0]), 1.0, 0.5)
-    assert continuity_modulus(flat) == 0.0

@@ -6,7 +6,7 @@ import pytest
 from fspdelab import analysis as an
 from fspdelab import simulator as sim
 from fspdelab.errors import InputError
-from fspdelab.segment import SegmentPath, extract_segment
+from fspdelab.segment import SegmentPath
 
 
 SPEC1 = an.Spectrum.power_law(1)
@@ -90,12 +90,15 @@ class TestMildIntegrator:
         coeffs = sim.make_coefficients(1, drift=sim.cubic_drift(1.0),
                                        diag_noise=np.array([0.1]))
         xi = SegmentPath.constant(np.array([2.0]), DELAY, DT)
-        tr = sim.simulate_mild(coeffs, xi, 3.0, DT, SPEC1, seed=5)
+        res = sim.simulate_ensemble(coeffs, xi, 3.0, DT, SPEC1, n_paths=1, seed=5)
+        tr = res.path(0)
         assert tr.exploded
-        assert tr.life_time < 3.0
-        assert tr.final_time == pytest.approx(tr.life_time)
-        seg = extract_segment(tr, tr.life_time - DELAY)
-        assert seg.values.shape[0] == round(DELAY / DT) + 1
+        assert tr.life_time == res.life_times[0] < 3.0
+        # the trajectory stops at the life time, with the history still in front
+        assert tr.times()[-1] == pytest.approx(tr.life_time)
+        assert np.array_equal(tr.states, res.states[: tr.states.shape[0], 0])
+        assert np.isfinite(tr.states[-2]).all()
+        assert np.array_equal(tr.states[: round(DELAY / DT) + 1], xi.values)
 
     def test_noise_grid_mismatch_rejected(self, spec2):
         xi = SegmentPath.constant(np.zeros(2), DELAY, DT)
@@ -130,73 +133,6 @@ class TestNoisePath:
                            noise.increments[:4].sum(axis=0))
         with pytest.raises(InputError):
             noise.coarsen(3)
-
-
-class TestGirsanov:
-    def test_zero_drift_weight_is_one(self, spec2):
-        coeffs = sim.make_coefficients(2, diag_noise=np.ones(2))
-        xi = SegmentPath.constant(np.zeros(2), DELAY, DT)
-        noise = sim.NoisePath.generate(2, round(0.5 / DT), 2, DT)
-        tr = sim.simulate_mild(coeffs, xi, 0.5, DT, spec2, noise)
-        assert sim.girsanov_weight(coeffs, tr, noise, 0.5) == pytest.approx(1.0)
-
-    def test_weight_mean_is_one(self):
-        coeffs = sim.make_coefficients(
-            1, drift=lambda t, x: 0.3 * np.ones_like(np.asarray(x, dtype=float)),
-            diag_noise=np.array([1.0]))
-        xi = SegmentPath.constant(np.zeros(1), DELAY, DT)
-        steps = round(0.5 / DT)
-        noise = sim.NoisePath.generate(11, steps, 1, DT, n_paths=10000)
-        res = sim.simulate_ensemble(coeffs, xi, 0.5, DT, SPEC1, noise)
-        weights = np.exp(sim.girsanov_log_weights(coeffs, res.states, DELAY, noise, 0.5))
-        stderr = np.std(weights, ddof=1) / math.sqrt(weights.size)
-        assert abs(np.mean(weights) - 1.0) <= 3.0 * stderr
-
-    def test_constant_control_log_weight_is_gaussian(self):
-        # one mode, psi = b/q constant: log R ~ N(-|psi|^2 T / 2, |psi|^2 T)
-        b0, q0, horizon = 0.4, 0.8, 1.0
-        coeffs = sim.make_coefficients(
-            1, drift=lambda t, x: b0 * np.ones_like(np.asarray(x, dtype=float)),
-            diag_noise=np.array([q0]))
-        xi = SegmentPath.constant(np.zeros(1), DELAY, DT)
-        steps = round(horizon / DT)
-        noise = sim.NoisePath.generate(13, steps, 1, DT, n_paths=8000)
-        res = sim.simulate_ensemble(coeffs, xi, horizon, DT, SPEC1, noise)
-        logw = sim.girsanov_log_weights(coeffs, res.states, DELAY, noise, horizon)
-        psi_sq = (b0 / q0) ** 2 * horizon
-        assert abs(np.mean(logw) + 0.5 * psi_sq) <= 4.0 * np.std(logw) / math.sqrt(logw.size)
-        assert np.var(logw) == pytest.approx(psi_sq, rel=0.1)
-
-    def test_weight_mean_is_one_under_state_dependent_noise(self, spec2):
-        # exercises the full Q*(QQ*)^{-1} control computation
-        coeffs = sim.make_coefficients(
-            2, drift=sim.linear_drift(0.5),
-            delay_drift=sim.delay_shift_drift(0.3, DELAY),
-            diffusion=sim.state_diagonal_diffusion(np.array([0.8, 0.8]), 0.5, 2.0),
-            noise_dim=2)
-        xi = SegmentPath.constant(np.array([0.3, -0.2]), DELAY, DT)
-        steps = round(0.5 / DT)
-        noise = sim.NoisePath.generate(29, steps, 2, DT, n_paths=8000)
-        res = sim.simulate_ensemble(coeffs, xi, 0.5, DT, spec2, noise)
-        weights = np.exp(sim.girsanov_log_weights(coeffs, res.states, DELAY, noise, 0.5))
-        stderr = np.std(weights, ddof=1) / math.sqrt(weights.size)
-        assert abs(np.mean(weights) - 1.0) <= 3.0 * stderr
-
-    def test_singular_covariance_rejected(self):
-        def degenerate(t, x):
-            x = np.asarray(x, dtype=float)
-            out = np.zeros(x.shape + (2,))
-            out[..., 0, 0] = 1.0  # second row identically zero
-            return out
-
-        coeffs = sim.make_coefficients(2, drift=sim.linear_drift(1.0),
-                                       diffusion=degenerate, noise_dim=2)
-        xi = SegmentPath.constant(np.zeros(2), DELAY, DT)
-        spec = an.Spectrum.power_law(2)
-        noise = sim.NoisePath.generate(3, round(0.5 / DT), 2, DT)
-        tr = sim.simulate_mild(coeffs, xi, 0.5, DT, spec, noise)
-        with pytest.raises(InputError, match="singular"):
-            sim.girsanov_weight(coeffs, tr, noise, 0.5)
 
 
 class TestTruncation:
@@ -244,54 +180,37 @@ class TestTruncation:
 class TestBihari:
     def test_linear_comparison_matches_gronwall(self):
         # Phi(s) = K s gives Psi(s) = log(s) / (2K), so the comparison curve
-        # is alpha * exp(2 K t)
+        # Psi^{-1}(Psi(alpha) + t) is alpha * exp(2 K t)
         K = 2.0
-        lyap = sim.LyapunovSpec(
-            comparison=lambda t, s: K * np.asarray(s, dtype=float),
-            forcing=lambda t, s: np.zeros_like(np.asarray(s, dtype=float)))
-        xi = SegmentPath.constant(np.array([1.0, 2.0]), DELAY, DT)
-        conv = sim.simulate_mild(near_zero_noise(2), xi, 1.0, DT,
-                                 an.Spectrum.power_law(2), seed=2,
-                                 record_convolution=True)
-        conv.convolution[:] = 0.0
-        bound = sim.bihari_bound(lyap, xi, conv, 1.0)
-        alpha = 2.0 * (1.0**2 + 2.0**2)
-        assert bound.alpha == pytest.approx(alpha)
-        exact = alpha * np.exp(2.0 * K * bound.times)
-        assert np.max(np.abs(bound.values - exact) / exact) < 1e-5
+        transform = sim.PsiTransform(lambda s: K * np.asarray(s, dtype=float), 1.0, 200.0)
+        s = np.geomspace(0.6, 200.0, 301)
+        assert np.max(np.abs(transform.value(s) - np.log(s) / (2.0 * K))) < 1e-6
 
     def test_zero_forcing_constant_segment_alpha(self):
         lyap = sim.LyapunovSpec(
             comparison=lambda t, s: 1.0 + np.asarray(s, dtype=float),
             forcing=lambda t, s: np.zeros_like(np.asarray(s, dtype=float)))
         xi = SegmentPath.constant(np.array([0.5, 0.5]), DELAY, DT)
-        conv = sim.simulate_mild(near_zero_noise(2), xi, 1.0, DT,
-                                 an.Spectrum.power_law(2), seed=2,
-                                 record_convolution=True)
-        conv.convolution[:] = 0.0
-        bound = sim.bihari_bound(lyap, xi, conv, 1.0)
-        assert bound.alpha == pytest.approx(2.0 * 0.5)
+        conv = np.zeros((round(DELAY / DT) + round(1.0 / DT) + 1, 3, 2))
+        alpha = sim.bihari_alpha(lyap, xi, conv, 1.0, DT)
+        assert np.allclose(alpha, 2.0 * 0.5)
 
     def test_bound_curve_is_non_decreasing(self):
-        lyap = sim.LyapunovSpec(
-            comparison=lambda t, s: 1.0 + np.asarray(s, dtype=float),
-            forcing=lambda t, s: 1.0 + np.asarray(s, dtype=float) ** 2)
-        xi = SegmentPath.constant(np.array([1.0, 0.0]), DELAY, DT)
-        conv = sim.simulate_mild(sim.make_coefficients(2, diag_noise=np.full(2, 0.3)),
-                                 xi, 1.0, DT, an.Spectrum.power_law(2), seed=3,
-                                 record_convolution=True)
-        bound = sim.bihari_bound(lyap, xi, conv, 1.0)
-        assert np.all(np.diff(bound.values) >= -1e-9)
+        # Psi is non-decreasing, so the comparison curve Psi^{-1}(Psi(alpha) + t)
+        # that bihari_margin checks against grows with t
+        phi = lambda s: 1.0 + np.asarray(s, dtype=float)
+        transform = sim.PsiTransform(phi, 0.1, 50.0)
+        assert np.all(np.diff(transform.value(np.geomspace(0.01, 50.0, 500))) >= 0.0)
 
-    def test_convergent_reciprocal_rejected(self):
+    def test_convergent_reciprocal_rejected(self, spec2):
         lyap = sim.LyapunovSpec(
             comparison=lambda t, s: np.asarray(s, dtype=float) ** 2 + 1.0,
             forcing=lambda t, s: np.zeros_like(np.asarray(s, dtype=float)))
-        xi = SegmentPath.constant(np.array([1.0]), DELAY, DT)
-        conv = sim.simulate_mild(near_zero_noise(1), xi, 1.0, DT, SPEC1, seed=2,
-                                 record_convolution=True)
-        with pytest.raises(InputError):
-            sim.bihari_bound(lyap, xi, conv, 1.0)
+        xi = SegmentPath.constant(np.array([1.0, 0.0]), DELAY, DT)
+        res = sim.simulate_ensemble(near_zero_noise(2), xi, 1.0, DT, spec2, n_paths=4,
+                                    seed=2, record_convolution=True)
+        with pytest.raises(InputError, match="divergent-reciprocal"):
+            sim.bihari_margin(lyap, xi, res)
 
 
 class TestMaximalInequality:
