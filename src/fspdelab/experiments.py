@@ -388,8 +388,9 @@ def run_uniqueness(cfg: ExperimentConfig) -> ExperimentResult:
     u = cfg.section("uniqueness")
     level = float(u.get("level", 5.0))
     exponents = [int(e) for e in u.get("dt_exponents", [6, 7, 8, 9, 10])]
-    if not exponents:
-        raise ConfigError("uniqueness.dt_exponents must list at least one exponent")
+    if len(exponents) < 2:
+        raise ConfigError("uniqueness.dt_exponents must list at least two exponents: "
+                          "an order is fitted across step sizes")
     ref_exp = int(u.get("reference_exponent", max(exponents) + 1))
     if any(e >= ref_exp for e in exponents):
         raise ConfigError("uniqueness.dt_exponents must all be below "
@@ -464,8 +465,9 @@ def run_galerkin(cfg: ExperimentConfig) -> ExperimentResult:
     paths = int(g.get("paths", 256))
     if n_ref != spec.n_modes:
         raise ConfigError("galerkin.reference_modes must equal spectrum.n_modes")
-    if not counts:
-        raise ConfigError("galerkin.mode_counts must list at least one mode count")
+    if len(counts) < 2:
+        raise ConfigError("galerkin.mode_counts must list at least two mode counts: "
+                          "the errors are compared between them")
     if any(c > n_ref for c in counts):
         raise ConfigError("galerkin.mode_counts must not exceed the reference")
 

@@ -36,6 +36,9 @@ from .segment import _steps
 from .simulator import CoefficientSet, SegmentView
 
 GH_DIM_CAP = 3
+# solve_u's sweep reads a time slice's quadrature points in chunks of whole
+# slots holding at most this many points (one slot if it alone holds more)
+CHUNK_POINTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -132,27 +135,33 @@ def _axis_stencil(axis: np.ndarray, coords: np.ndarray):
 
 
 def _multilinear(table: np.ndarray, lo, frac) -> np.ndarray:
-    """Multilinear interpolation of a (*grid, C) table at stencil-described points.
+    """Multilinear interpolation of B component-major (C, B, *grid) tables.
 
     lo[d] and frac[d] are the cell index and offset along grid dimension d
-    (from _axis_stencil); they broadcast against each other to the layout
-    of the points, and the result has that layout plus the trailing C.
-    Corners are visited and their weights multiplied in the order of
-    scipy's RegularGridInterpolator(method="linear"), so the values agree
-    with it bit for bit.
+    (from _axis_stencil), with a leading axis of length B; they broadcast
+    against each other to (B, *layout), and table b is read only at the
+    points of row b.  The result is (C, B, *layout).  Corners are visited
+    and their weights multiplied in the order of scipy's
+    RegularGridInterpolator(method="linear"), so the values agree with it
+    bit for bit.
     """
-    grid_shape = table.shape[:len(lo)]
-    flat = table.reshape(-1, table.shape[-1])
+    grid_shape = table.shape[2:]
+    flat = table.reshape(table.shape[0], -1)
     strides = [math.prod(grid_shape[d + 1:]) for d in range(len(lo))]
-    base = sum(l * st for l, st in zip(lo, strides))
+    rows = np.arange(table.shape[1]).reshape((-1,) + (1,) * (lo[0].ndim - 1))
+    base = rows * math.prod(grid_shape) + sum(l * st for l, st in zip(lo, strides))
     sides = [(1.0 - y, y) for y in frac]
-    value = 0.0
+    value = np.zeros((flat.shape[0],) + base.shape)
+    term = np.empty_like(value)
     for corner in itertools.product((0, 1), repeat=len(lo)):
         weight = sides[0][corner[0]]
         for d in range(1, len(lo)):
             weight = weight * sides[d][corner[d]]
         offset = sum(c * st for c, st in zip(corner, strides))
-        value = value + np.take(flat, base + offset, axis=0) * weight[..., None]
+        # every index is inside the table, so "clip" only skips the bounds check
+        np.take(flat, base + offset, axis=1, out=term, mode="clip")
+        term *= weight
+        value += term
     return value
 
 
@@ -405,8 +414,15 @@ def solve_u(ref: ReferenceSemigroup, drift: Callable, lam: float, horizon: float
     P0 is applied with the tensor Gauss-Hermite rule, so the query point
     of a grid node in dimension d depends only on that node's coordinate
     and one 1-D Hermite node.  The linear-interpolation stencils of these
-    points, and the time-interpolation weights of the quadrature times,
-    are built once per call and reused by every sweep.
+    points, the time-interpolation weights of the quadrature times and the
+    Stein factors are built once per call and reused by every sweep.
+
+    A sweep integrates grad u . b + b, so it interpolates only the grad u
+    table.  It works one time slice at a time: the quadrature slots of a
+    slice are interpolated, drift-sampled and reduced together on
+    component-major arrays, in chunks of whole slots holding at most
+    CHUNK_POINTS query points (one slot when it alone holds more), which
+    caps its memory.  Drift samples are not kept between sweeps.
 
     The iteration stops once a difference in the norm |u|_a + |grad u|_a
     falls below 1e-8, or after 100 sweeps.  The contraction factor is
@@ -427,11 +443,8 @@ def solve_u(ref: ReferenceSemigroup, drift: Callable, lam: float, horizon: float
 
     axes = grid.axes(n)
     axis = axes[0]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    shape = mesh[0].shape
-    nodes = np.stack([m.ravel() for m in mesh], axis=-1)  # (M, n)
-    m_nodes = nodes.shape[0]
-    width = n + n * n
+    shape = tuple(a.size for a in axes)
+    m_nodes = math.prod(shape)
 
     z, w = hermite_tensor(ref.quad_order, n)
     z1 = z[: ref.quad_order, -1]  # 1-D Hermite nodes; the last coordinate varies fastest
@@ -455,47 +468,80 @@ def solve_u(ref: ReferenceSemigroup, drift: Callable, lam: float, horizon: float
         slot += [j] * offsets.size
         wq += list(wts)
         t_q += [times[j] + off for off in offsets]
-    t_q = np.array(t_q)
+    wq, t_q = np.array(wq), np.array(t_q)
     t_lo, t_frac = _axis_stencil(times, t_q)
     decay, sigma = map(np.array, zip(*(ref.transition(times[j], t) for j, t in zip(slot, t_q))))
+    stein = decay / sigma
+    scale = stein[:, :, None] * stein[:, None, :]
     # coordinate d of the query point of (grid node, Hermite node) depends on
-    # the node's axis-d index and the Hermite index in d only; its stencil is
-    # laid out on axes d and n + d of the (nodes..., Hermite nodes...) layout
-    stencils = []
+    # the node's axis-d index and the Hermite index in d only; it is laid out
+    # on axes d and n + d of the (nodes..., Hermite nodes...) layout, clipped
+    # to the box, and the sweep samples the drift there
+    coords, stencils = [], []
     for d in range(n):
         layout = tuple(axis.size if a == d else ref.quad_order if a == n + d else 1
                        for a in range(2 * n))
         coord = np.clip(decay[:, d, None, None] * axis[None, :, None]
                         + sigma[:, d, None, None] * z1[None, None, :],
-                        -grid.halfwidth, grid.halfwidth)
-        stencils.append(_axis_stencil(axis, coord.reshape((-1,) + layout)))
+                        -grid.halfwidth, grid.halfwidth).reshape((-1,) + layout)
+        coords.append(coord)
+        stencils.append(_axis_stencil(axis, coord))
+    # the slots of slice j are contiguous; each chunk is a run of them
+    per_chunk = max(1, CHUNK_POINTS // (m_nodes * w.size))
+    bounds = np.searchsorted(slot, np.arange(n_t + 1))
+    chunks = [(j, slice(e, min(e + per_chunk, bounds[j + 1])))
+              for j in range(n_t) for e in range(bounds[j], bounds[j + 1], per_chunk)]
 
-    def sweep(u_in, g_in, with_hess=False):
-        tab = np.concatenate([u_in, g_in.reshape(n_t + 1, m_nodes, n * n)], axis=-1)
-        u_out = np.zeros_like(u_in)
+    def sweep(g_in, with_hess=False):
+        # the map integrates grad u . b + b, so only grad u is interpolated,
+        # component-major: (n*n, slice, node)
+        tab = g_in.reshape(n_t + 1, m_nodes, n * n).transpose(2, 0, 1)
+        u_out = np.zeros((n_t + 1, m_nodes, n))
         g_out = np.zeros_like(g_in)
         h_out = np.zeros((n_t + 1, m_nodes, n, n, n)) if with_hess else None
-        for e, j in enumerate(slot):
-            lo, frac = t_lo[e], t_frac[e]
-            table = ((1.0 - frac) * tab[lo] + frac * tab[lo + 1]).reshape(*shape, width)
-            # linear between nodes inside the sweep: the tables carry
-            # kernel-differentiated values, cubic is reserved for the
-            # public field evaluators
-            vals = _multilinear(table, [c[e] for c, _ in stencils],
-                                [y[e] for _, y in stencils]).reshape(-1, width)
-            pts = decay[e] * nodes[:, None, :] + sigma[e] * z[None, :, :]
-            flat = np.clip(pts.reshape(-1, n), -grid.halfwidth, grid.halfwidth)
-            u_y = vals[:, :n].reshape(m_nodes, -1, n)
-            g_y = vals[:, n:].reshape(m_nodes, -1, n, n)
-            b_y = np.asarray(drift(t_q[e], flat), dtype=float).reshape(m_nodes, -1, n)
-            gvec = np.einsum("mgij,mgj->mgi", g_y, b_y) + b_y
-            u_out[j] += wq[e] * np.einsum("g,mgi->mi", w, gvec)
-            stein = decay[e] / sigma[e]
-            g_out[j] += wq[e] * np.einsum("g,mgi,gj->mij", w, gvec, z) * stein[None, None, :]
+        for j, sl in chunks:
+            k_slots = sl.stop - sl.start
+            lo, frac = t_lo[sl], t_frac[sl, None]
+            table = (1.0 - frac) * tab[:, lo] + frac * tab[:, lo + 1]
+            # linear between nodes: grad u is already differentiated through
+            # the kernel, and nonnegative weights add no ringing between the
+            # coarse outer nodes
+            g_y = _multilinear(table.reshape(n * n, -1, *shape), [c[sl] for c, _ in stencils],
+                               [y[sl] for _, y in stencils]).reshape(n, n, -1)
+            pts = np.stack(np.broadcast_arrays(*(c[sl] for c in coords)), axis=-1)
+            b_y = np.concatenate([np.asarray(drift(t, p.reshape(-1, n)), dtype=float)
+                                  .reshape(-1, n) for t, p in zip(t_q[sl], pts)]).T.copy()
+            # sum_j g_ij b_j in the order einsum("mgij,mgj->mgi") adds it in
+            # two SIMD lanes: even j, odd j, then the two lanes (left to right
+            # for n <= 2), which keeps the recorded field hashes at n = 3
+            gvec = np.empty_like(b_y)
+            for i in range(n):
+                terms = [g_y[i, jj] * b_y[jj] for jj in range(n)]
+                dot = sum(terms[2::2], terms[0])
+                if n > 1:
+                    dot = dot + sum(terms[3::2], terms[1])
+                gvec[i] = dot + b_y[i]
+            # the Hermite reductions run over (Hermite, i, slot * node) rows,
+            # where einsum adds the terms of each point in Hermite order, as it
+            # does in the per-point layout (node, Hermite, i); at n = 1 that
+            # layout holds a point's terms contiguously and einsum adds them in
+            # SIMD lanes instead, so u is reduced in it there
+            by_g = np.ascontiguousarray(gvec.reshape(n, -1, w.size).transpose(2, 0, 1))
+            if n == 1:
+                u_sum = np.einsum("g,smgi->ism", w, gvec.reshape(k_slots, m_nodes, -1, 1))
+            else:
+                u_sum = np.einsum("g,gis->is", w, by_g).reshape(n, k_slots, m_nodes)
+            u_part = wq[sl, None] * u_sum
+            g_part = wq[sl, None] * np.einsum("g,gis,gj->ijs", w, by_g, z).reshape(
+                n, n, k_slots, m_nodes) * stein[sl].T[:, :, None]
             if with_hess:
-                scale = stein[:, None] * stein[None, :]
-                h_out[j] += wq[e] * np.einsum("g,mgi,gjk->mijk", w, gvec, pair) \
-                    * scale[None, None]
+                h_part = wq[sl, None] * np.einsum("g,gis,gjk->ijks", w, by_g, pair).reshape(
+                    n, n, n, k_slots, m_nodes) * scale[sl].transpose(1, 2, 0)[..., None]
+            for k in range(k_slots):
+                u_out[j] += u_part[:, k].T
+                g_out[j] += g_part[:, :, k].transpose(2, 0, 1)
+                if with_hess:
+                    h_out[j] += h_part[:, :, :, k].transpose(3, 0, 1, 2)
         return u_out, g_out, h_out
 
     def joint_norm(du, dg):
@@ -507,7 +553,7 @@ def solve_u(ref: ReferenceSemigroup, drift: Callable, lam: float, horizon: float
     converged = False
     iterations = 0
     for it in range(100):
-        u_new, g_new, _ = sweep(u_tab, g_tab)
+        u_new, g_new, _ = sweep(g_tab)
         delta = joint_norm(u_new - u_tab, g_new - g_tab)
         u_tab, g_tab = u_new, g_new
         iterations = it + 1
@@ -528,8 +574,8 @@ def solve_u(ref: ReferenceSemigroup, drift: Callable, lam: float, horizon: float
     else:
         contraction = 0.0
 
-    u_fin, g_fin, h_fin = sweep(u_tab, g_tab, with_hess=True)
-    del stencils
+    u_fin, g_fin, h_fin = sweep(g_tab, with_hess=True)
+    del stencils, coords
     u_grid = u_fin.reshape((n_t + 1,) + shape + (n,))
     g_grid = g_fin.reshape((n_t + 1,) + shape + (n, n))
     h_grid = h_fin.reshape((n_t + 1,) + shape + (n, n, n))

@@ -303,9 +303,15 @@ class TestCli:
         ("harnack", {"harnack": {"train_pairs": 0}}),             # nothing to fit on
         ("harnack", {"harnack": {"holdout_pairs": 0}}),           # no holdout evidence
         ("uniqueness", {"uniqueness": {"dt_exponents": []}}),
+        ("uniqueness", {"uniqueness": {"dt_exponents": [7], "reference_exponent": 8,
+                                       "paths": 16}}),            # no slope to fit
         ("galerkin", {"galerkin": {"mode_counts": []}}),
+        ("galerkin", {"spectrum": {"n_modes": 8},
+                      "galerkin": {"mode_counts": [2], "reference_modes": 8,
+                                   "paths": 32}}),                # nothing to compare
     ], ids=["harnack-low-powers", "harnack-no-powers", "harnack-no-train",
-            "harnack-no-holdout", "uniqueness-no-dt", "galerkin-no-modes"])
+            "harnack-no-holdout", "uniqueness-no-dt", "uniqueness-one-dt",
+            "galerkin-no-modes", "galerkin-one-count"])
     def test_config_without_evidence_exit_two(self, tmp_path, capsys, experiment, config):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(config))

@@ -103,14 +103,20 @@ class TestSweepKernels:
         n = len(axes)
         lo, frac = [], []
         for d, (axis, c) in enumerate(zip(axes, coords)):
-            layout = tuple(c.size if a == d else 1 for a in range(n))
+            layout = (1,) + tuple(c.size if a == d else 1 for a in range(n))
             cell, offset = zv._axis_stencil(axis, c)
             lo.append(cell.reshape(layout))
             frac.append(offset.reshape(layout))
-        got = zv._multilinear(table, lo, frac)
+        # two component-major tables, (width, 2, *grid), read at the same
+        # points: row b of the result interpolates table b
+        tables = np.stack([table, table[..., ::-1]])
+        got = zv._multilinear(np.moveaxis(tables, -1, 0),
+                              [np.concatenate([c, c]) for c in lo],
+                              [np.concatenate([y, y]) for y in frac])
         pts = np.stack(np.meshgrid(*coords, indexing="ij"), axis=-1)
-        want = RegularGridInterpolator(tuple(axes), table, method="linear")(pts)
-        assert np.array_equal(got, want)
+        for b, tab in enumerate(tables):
+            want = RegularGridInterpolator(tuple(axes), tab, method="linear")(pts)
+            assert np.array_equal(np.moveaxis(got[:, b], 0, -1), want)
 
     @given(st.integers(2, 3).flatmap(lambda n: st.lists(
         st.floats(-1e3, 1e3, allow_nan=False), min_size=n**3, max_size=4 * n**3
@@ -159,6 +165,50 @@ class TestResolventSolve:
         with pytest.raises(InputError, match="active modes"):
             zv.solve_u(ref4, lambda t, y: np.zeros_like(np.asarray(y, dtype=float)),
                        50.0, 1.0, SMALL_GRID)
+
+
+class TestRecordedFields:
+    """Fields pinned by content hash and contraction factor.
+
+    The values come from a sweep that handled one quadrature slot at a
+    time; the chunked sweep keeps every float operation and summation
+    order, so a reordering shows here as a changed hash.
+    """
+
+    CASES = {  # n, lam, Hermite order, grid, content hash, contraction factor
+        "n1": (1, 60.0, 7, zv.ZvonkinGrid(time_steps=6, nodes_per_dim=11, quad_panels=4,
+                                          quad_order=4),
+               "3040d95eb73d3685e47d317a3d6cb3e2bf6ddb8c85f8564198f143d1929b0d83",
+               "0.003606712151788585"),
+        "n2": (2, 60.0, 5, zv.ZvonkinGrid(time_steps=4, nodes_per_dim=9, quad_panels=3,
+                                          quad_order=4),
+               "382f48fc1cb135db1b55e7da0d29843919432d5d078e7de3e17edf1a04b57a3c",
+               "0.002497047588847499"),
+        "n3": (3, 80.0, 3, zv.ZvonkinGrid(time_steps=2, nodes_per_dim=5, quad_panels=2,
+                                          quad_order=3),
+               "39810631b4f1dea888ee53c9d5696ffaf751c30ff5ecc9da4b1bf6c46e62551e",
+               "0.0011740655538867296"),
+        # 20 slots of 81 nodes x 49 Hermite points per slice: chunks of 8, 8 and 4
+        "n2-chunked": (2, 60.0, 7, zv.ZvonkinGrid(time_steps=2, nodes_per_dim=9,
+                                                  quad_panels=4, quad_order=5),
+                       "eca8e7946ad0354c2c82a0e63a903afaaec72a2f729281df4934725365fb9706",
+                       "0.002554627818923533"),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_field_matches_recorded_hash(self, name):
+        n, lam, order, grid, content, factor = self.CASES[name]
+        if name == "n2-chunked":
+            slots = zv._warped_time_rule(lam, 1.0, grid)[0].size
+            assert slots * grid.nodes_per_dim**n * order**n > zv.CHUNK_POINTS
+        ref = zv.ReferenceSemigroup(an.Spectrum.power_law(n), np.ones(n), quad_order=order)
+        # along the diagonal, so every component of b and every term of
+        # grad u . b is nonzero
+        drift = sim.dini_drift(an.log_dini_modulus(scale=0.4), np.ones(n))
+        fld = zv.solve_u(ref, drift, lam, 1.0, grid)
+        assert fld.content_hash() == content
+        assert repr(fld.contraction_factor) == factor
+        assert fld.converged and fld.certified
 
 
 class TestThreshold:
