@@ -248,14 +248,14 @@ def conjugation_check(coeffs: CoefficientSet, field: RegularizingField, xi: Segm
                                force_general_noise=not use_exact)
     _require_alive(direct)
 
-    # transformed start: theta applied slice by slice with the frozen extension
+    # transformed start: theta with the frozen extension, one time per row;
+    # every path starts at xi, so each row maps one point and broadcasts it
     y_states = np.empty_like(direct.states)
     z_states = np.empty_like(direct.states)
     z_states[: lags + 1] = xi.values[:, None, :]
     z_norms = direct.norms.copy()  # |xi| up to t = 0; later rows are rewritten from z
-    for k in range(lags + 1):
-        s = -xi.delay + k * grid_step
-        y_states[k] = field.theta(s, z_states[k])
+    y_states[: lags + 1] = field.theta(-xi.delay + np.arange(lags + 1) * grid_step,
+                                       xi.values[:, None, :])
 
     resolvent = field.lam + lam
     for k, (t, z, zview) in enumerate(_history_windows(z_states, z_norms, xi.delay,

@@ -252,46 +252,90 @@ class RegularizingField:
                 self.axes, vals, method="cubic", bounds_error=False, fill_value=None)
         return self._interp_cache[key]
 
-    def _eval(self, kind: str, t: float, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        xb = np.clip(x[None] if single else x, -self.halfwidth, self.halfwidth)
-        lo, frac = _axis_stencil(self.times, min(max(t, 0.0), self.horizon))
+    def _blend(self, kind: str, lo: int, frac, up: bool, xb: np.ndarray) -> np.ndarray:
+        """(1 - frac) * A_lo(xb) + frac * A_{lo+1}(xb), the second term only when up."""
         out = (1.0 - frac) * self._interp(kind, lo)(xb)
-        if frac > 0.0:
+        if up:
             out += frac * self._interp(kind, lo + 1)(xb)
+        return out
+
+    def _eval(self, kind: str, t, x: np.ndarray) -> np.ndarray:
+        """A table at states x, time-interpolated linearly between slices.
+
+        t is a scalar, which holds for all of x, or an array of per-row
+        times, one for each entry along the leading axis of x.  Each time is
+        clamped to [0, T]; a row at slice lo and offset frac reads
+        (1 - frac) * A_lo(x) + frac * A_{lo+1}(x), the second term only when
+        frac > 0.  Each run of consecutive rows that share the slice and the
+        frac > 0 test is blended as one batch, as a scalar t blends all of
+        x, and the cubic spatial interpolation treats every point on its
+        own, so a row's values are bitwise those of a scalar call at its time.
+        """
+        x = np.asarray(x, dtype=float)
         n = self.n_modes
         trailing = {"u": (n,), "grad": (n, n), "hess": (n, n, n)}[kind]
-        out = out.reshape(xb.shape[:-1] + trailing)
-        return out[0] if single else out
+        xb = np.clip(x, -self.halfwidth, self.halfwidth)
+        if np.ndim(t) == 0:
+            lo, frac = _axis_stencil(self.times, min(max(t, 0.0), self.horizon))
+            out = self._blend(kind, lo, frac, frac > 0.0, xb)
+        else:
+            lo, frac = _axis_stencil(self.times, np.clip(np.asarray(t, dtype=float), 0.0,
+                                                         self.horizon))
+            rows, weights = xb.reshape(frac.size, -1, n), frac.reshape(-1, 1, 1)
+            parts, a = [], 0
+            for (j, up), run in itertools.groupby(zip(lo.tolist(), (frac > 0.0).tolist())):
+                b = a + len(list(run))
+                parts.append(self._blend(kind, j, weights[a:b], up, rows[a:b]))
+                a = b
+            out = np.concatenate(parts)
+        return out.reshape(x.shape[:-1] + trailing)
 
-    def u_at(self, t: float, x: np.ndarray) -> np.ndarray:
-        """u(t, x); t is clamped to [0, T] (frozen extension on [-r, 0])."""
+    def u_at(self, t, x: np.ndarray) -> np.ndarray:
+        """u(t, x); t is clamped to [0, T] (frozen extension on [-r, 0]).
+
+        t is a scalar or an array of per-row times over the leading axis of
+        x (see _eval)."""
         return self._eval("u", t, x)
 
-    def grad_at(self, t: float, x: np.ndarray) -> np.ndarray:
+    def grad_at(self, t, x: np.ndarray) -> np.ndarray:
         return self._eval("grad", t, x)
 
-    def hess_at(self, t: float, x: np.ndarray) -> np.ndarray:
+    def hess_at(self, t, x: np.ndarray) -> np.ndarray:
         return self._eval("hess", t, x)
 
-    def theta(self, t: float, x: np.ndarray) -> np.ndarray:
+    def theta(self, t, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=float) + self.u_at(t, x)
 
-    def grad_theta(self, t: float, x: np.ndarray) -> np.ndarray:
+    def grad_theta(self, t, x: np.ndarray) -> np.ndarray:
         g = self.grad_at(t, x)
         return g + np.eye(self.n_modes)
 
-    def invert_theta(self, t: float, y: np.ndarray) -> np.ndarray:
-        """Solve x + u(t, x) = y by the contraction x <- y - u(t, x), to 1e-10 in max norm."""
+    def invert_theta(self, t, y: np.ndarray) -> np.ndarray:
+        """Solve x + u(t, x) = y by the contraction x <- y - u(t, x), to 1e-10 in max norm.
+
+        t is a scalar, which makes all of y one row, or an array of per-row
+        times over the leading axis of y (as in u_at).  Each row stops on its
+        own once the max-norm gap of its last step is <= 1e-10, and a row that
+        has stopped is not iterated again, so a row's result is bitwise that
+        of a scalar call on that row alone.
+        """
         y = np.asarray(y, dtype=float)
-        x = np.array(y, copy=True)
+        rows_y = y.reshape(np.size(t), -1, y.shape[-1])
+        x = np.empty_like(rows_y)
+        # the rows still iterating: their indices, times, targets and iterates
+        # (a scalar t has one row, which stops all at once)
+        live, live_t, live_y, live_x = np.arange(len(rows_y)), t, rows_y, rows_y
         for _ in range(200):
-            nxt = y - self.u_at(t, x)
-            gap = float(np.max(np.abs(nxt - x)))
-            x = nxt
-            if gap <= 1e-10:
-                return x
+            nxt = live_y - self.u_at(live_t, live_x)
+            going = ~(np.max(np.abs(nxt - live_x), axis=(1, 2)) <= 1e-10)
+            if going.all():
+                live_x = nxt
+                continue
+            x[live[~going]] = nxt[~going]
+            if not going.any():
+                return x.reshape(y.shape)
+            live, live_y, live_x = live[going], live_y[going], nxt[going]
+            live_t = np.asarray(live_t, dtype=float)[going]
         raise CertificationError(
             "theta inversion did not converge in 200 iterations; field not certified")
 
@@ -614,17 +658,12 @@ class _InvertedSegmentView:
         return self._field.invert_theta(self._t + s, self._view.value_at(s))
 
     def sup_norm(self):
+        """Row-wise max over the window of |theta^{-1}(t + s_k, window[k])|, one inversion."""
         window = self._view.window
-        step = self._view.grid_step
-        delay = self._view.delay
-        lags = window.shape[0] - 1
-        best = None
-        for k in range(lags + 1):
-            s = -delay + k * step
-            inv = self._field.invert_theta(self._t + s, window[k])
-            mag = np.linalg.norm(inv, axis=-1)
-            best = mag if best is None else np.maximum(best, mag)
-        return best
+        lags = np.arange(window.shape[0])
+        times = self._t + (-self._view.delay + lags * self._view.grid_step)
+        inv = self._field.invert_theta(times, window)
+        return np.max(np.linalg.norm(inv, axis=-1), axis=0)
 
 
 @dataclass
@@ -640,13 +679,17 @@ class TransformedSystem:
         return self.field.lam
 
     def drift(self, t, x):
-        x = np.asarray(x, dtype=float)
-        z = self.field.invert_theta(t, x)
-        return (self.lam + self.field.spec.eigenvalues) * self.field.u_at(t, z)
+        return self._drift_from(t, self.field.invert_theta(t, x))
 
     def diffusion(self, t, x):
-        x = np.asarray(x, dtype=float)
-        z = self.field.invert_theta(t, x)
+        return self._diffusion_from(t, self.field.invert_theta(t, x))
+
+    def _drift_from(self, t, z):
+        """The conjugated drift at theta(t, z), given the preimage z."""
+        return (self.lam + self.field.spec.eigenvalues) * self.field.u_at(t, z)
+
+    def _diffusion_from(self, t, z):
+        """The conjugated diffusion at theta(t, z), given the preimage z."""
         jac = self.field.grad_theta(t, z)
         return np.einsum("...ij,...jm->...im", jac, self.base.diffusion_matrix(t, z))
 
@@ -724,8 +767,10 @@ def transform_coeffs(field: RegularizingField, coeffs: CoefficientSet, *,
     # with extra mass near the origin where the drift is roughest
     for t in np.linspace(0.0, field.horizon, 9):
         xs, ys = _log_spaced_pairs(rng, n, hw, battery, np.geomspace(1e-3, 2.0, 24))
-        qx = sys.diffusion(t, xs)
-        qy = sys.diffusion(t, ys)
+        # both batteries inverted once, as two rows that stop on their own
+        zx, zy = field.invert_theta(np.full(2, t), np.stack([xs, ys]))
+        qx = sys._diffusion_from(t, zx)
+        qy = sys._diffusion_from(t, zy)
         gaps = xs - ys
         dists = np.linalg.norm(gaps, axis=-1)
         keep = dists > 1e-12
@@ -733,7 +778,7 @@ def transform_coeffs(field: RegularizingField, coeffs: CoefficientSet, *,
         k2 = max(k2, float(np.max(dq_op[keep] / np.minimum(1.0, dists[keep]))))
         gain_norms = np.linalg.svd(_control_gain(qx), compute_uv=False)[..., 0]
         k3 = max(k3, float(np.max(gain_norms)))
-        db = sys.drift(t, xs) - sys.drift(t, ys)
+        db = sys._drift_from(t, zx) - sys._drift_from(t, zy)
         quad = 2.0 * np.einsum("pi,pi->p", gaps, -lamvec * gaps + db) \
             + np.sum((qx - qy) ** 2, axis=(-2, -1))
         k4 = max(k4, float(np.max(quad[keep] / dists[keep] ** 2)))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -269,6 +270,68 @@ class TestDiffeomorphism:
         assert back.sup_norm()[0] == pytest.approx(segment_norm(xi), abs=1e-9)
 
 
+@st.composite
+def _timed_rows(draw):
+    """Rows of states for the conftest field, each with its own time.
+
+    A time is a float in [-0.3, 0.8], which the horizon T = 0.5 clamps at
+    both ends, or an integer naming a slice node of the field (frac = 0).
+    Coordinates reach past the box [-3, 3].
+    """
+    n_rows, n_pts = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    times = draw(st.lists(st.one_of(st.floats(-0.3, 0.8), st.integers(0, 15)),
+                          min_size=n_rows, max_size=n_rows))
+    coords = draw(st.lists(st.floats(-4.5, 4.5), min_size=2 * n_rows * n_pts,
+                           max_size=2 * n_rows * n_pts))
+    return times, np.array(coords).reshape(n_rows, n_pts, 2)
+
+
+class TestPerRowTimes:
+    # u(T) = 0, so the row at t = 0.7 stops after one step while the others run on
+    @given(_timed_rows())
+    @example(([-0.2, 3, 0.123, 0.7, 0.46],
+              np.array([[[0.3, -0.1], [4.2, -3.6]], [[1.0, 0.0], [-0.01, 0.02]],
+                        [[-2.9, 2.9], [0.0, 0.0]], [[0.3, -0.1], [0.5, 0.5]],
+                        [[-4.4, 0.1], [2.0, -1.5]]])))
+    def test_rows_equal_scalar_calls(self, field, case):
+        times, states = case
+        ts = np.array([field.times[t % field.times.size] if isinstance(t, int) else t
+                       for t in times])
+        for f in (field.u_at, field.grad_at, field.invert_theta):
+            want = np.stack([f(t, x) for t, x in zip(ts, states)])
+            assert np.array_equal(f(ts, states), want)
+
+    def test_converged_rows_leave_the_iteration(self, field, monkeypatch):
+        real = zv.RegularizingField.u_at
+        rows = []
+
+        def counted(self, t, x):
+            rows.append(np.size(t))
+            return real(self, t, x)
+
+        monkeypatch.setattr(zv.RegularizingField, "u_at", counted)
+        field.invert_theta(np.array([0.2, 0.7]), np.full((2, 1, 2), 0.3))
+        assert rows[0] == 2 and rows[-1] == 1 and len(rows) > 2
+
+    def test_window_sup_norm_equals_row_loop(self, field):
+        # t = 0.3 with delay 0.25 reads times 0.05 ... 0.3, across five slices
+        delay, step = 0.25, 1.0 / 32.0
+        window = np.random.default_rng(5).uniform(-2.5, 2.5, size=(9, 4, 2))
+        view = zv._InvertedSegmentView(sim.SegmentView(window, step, delay), field, 0.3)
+        want = np.max([np.linalg.norm(field.invert_theta(0.3 + (-delay + k * step), row),
+                                      axis=-1) for k, row in enumerate(window)], axis=0)
+        assert np.array_equal(view.sup_norm(), want)
+
+    def test_window_row_without_convergence_raises(self, field):
+        # scaled up 1000-fold, x <- y - u(t, x) no longer contracts at y = (0, -2.5)
+        steep = replace(field, u=1000.0 * field.u, _interp_cache={})
+        window = np.zeros((9, 2, 2))
+        window[:, 1] = [0.0, -2.5]
+        view = zv._InvertedSegmentView(sim.SegmentView(window, 1.0 / 32.0, 0.25), steep, 0.3)
+        with pytest.raises(CertificationError, match="200 iterations"):
+            view.sup_norm()
+
+
 class TestTransformedSystem:
     def test_trivial_transform_returns_base(self, ref, dini_coeffs):
         fld = zv.solve_u(ref, lambda t, y: np.zeros_like(np.asarray(y, dtype=float)),
@@ -305,6 +368,13 @@ class TestTransformedSystem:
                 + np.sum(qd**2, axis=(-2, -1))
             d2 = np.sum(gaps**2, axis=-1)
             assert np.all(quad <= k4 * d2 + 0.1 * abs(k4) * d2 + 1e-9)
+
+    def test_bounds_pinned(self, transformed):
+        # K1..K4 of the conftest battery, bit for bit: a change to field
+        # evaluation or theta inversion must not move them
+        assert {k: repr(transformed.bounds[k]) for k in ("K1", "K2", "K3", "K4")} == {
+            "K1": "0.18661670625805435", "K2": "0.03125545029646565",
+            "K3": "1.008792059449004", "K4": "-1.5477460182369709"}
 
     def test_control_gain_bounded(self, transformed):
         assert transformed.bounds["K3"] >= 1.0
