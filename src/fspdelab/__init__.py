@@ -14,7 +14,7 @@ from .errors import (CertificationError, ConfigError, ExplosionError, InputError
 from .segment import SegmentPath, Trajectory, segment_norm, stopping_time
 from .simulator import (CoefficientSet, LyapunovSpec, NoisePath, TruncationScheme,
                         make_coefficients, maximal_inequality_check, simulate_ensemble,
-                        simulate_mild, truncate_coeffs)
+                        truncate_coeffs)
 from .zvonkin import (ReferenceSemigroup, RegularizingField, TransformedSystem,
                       ZvonkinGrid, lambda_threshold, solve_u, transform_coeffs)
 from .harnack import ConjugationResult, TestFunction, conjugation_check

@@ -2,12 +2,12 @@
 
 The linear part of every system here is A = -diag(lambda_i) on a
 truncated eigenbasis, with eigenvalues 0 < lambda_1 <= lambda_2 <= ...
-declared through a closed-form power law so that trace and tail
-criteria have analytic form.  Drift moduli phi (increasing, phi^2
-concave, integral of phi(s)/s over (0,1] finite) and smoothing weights
-a (either the integral-envelope class or the easier monotone subclass)
-are certified on sampled grids plus the declared tail law; the verdict
-is an honest surrogate for the analytic property, never a proof.
+given by a closed-form power law so that trace and tail criteria have
+analytic form.  Drift moduli phi (increasing, phi^2 concave, integral
+of phi(s)/s over (0,1] finite) and smoothing weights a (either the
+integral-envelope class or the easier monotone subclass) are certified
+on sampled grids plus the tail law; the verdict is an honest surrogate
+for the analytic property, never a proof.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ import numpy as np
 from .errors import InputError
 from .quadrature import CONVERGED, DIVERGENT, halfline_windowed, panel_integral
 
-DINI = "dini"
-GENERIC = "generic"
 CLASS_A = "A"
 CLASS_A_PRIME = "Aprime"
 CLASS_DOMINATED = "dominated"
@@ -30,7 +28,6 @@ CLASS_DOMINATED = "dominated"
 PASS = "pass"
 FAIL = "fail"
 INDETERMINATE = "indeterminate"
-EMPIRICAL = "empirical"
 
 # Concavity / monotonicity are probed on this geometric grid.
 _SAMPLE_GRID = np.geomspace(1e-8, 1.0, 200)
@@ -41,62 +38,37 @@ _LOG_SHIFT = math.e**2
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues of -A plus the growth law used for tail estimates.
+    """Eigenvalues lambda_i = growth_coeff * i**growth_power of -A, i = 1..n_modes.
 
-    The stored eigenvalues are the simulated modes; growth_coeff and
-    growth_power declare lambda_i = growth_coeff * i**growth_power for
-    every i, which lets the class checks reason about the unstored tail.
+    The stored eigenvalues are the simulated modes; the growth law holds
+    for every i, which lets the class checks reason about the unstored
+    tail.  The defaults coeff=1, power=2 give the 1-d Dirichlet Laplacian.
     """
 
-    eigenvalues: np.ndarray
-    trace_exponent: float
-    growth_coeff: float | None = None
-    growth_power: float | None = None
+    n_modes: int
+    growth_coeff: float = 1.0
+    growth_power: float = 2.0
+    trace_exponent: float = 0.4
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        lam = np.asarray(self.eigenvalues, dtype=float)
-        object.__setattr__(self, "eigenvalues", lam)
-        if lam.ndim != 1 or lam.size == 0:
-            raise InputError("spectrum requires a non-empty 1-d eigenvalue array")
-        if not np.all(lam > 0.0):
-            raise InputError("eigenvalues must be strictly positive")
-        if np.any(np.diff(lam) < 0.0):
-            raise InputError("eigenvalues must be non-decreasing")
+        if self.n_modes < 1:
+            raise InputError("spectrum requires at least one mode")
+        if not self.growth_coeff > 0.0:
+            raise InputError("growth_coeff must be strictly positive")
+        if not self.growth_power >= 0.0:
+            raise InputError("growth_power must be non-negative")
         if not 0.0 < self.trace_exponent < 1.0:
             raise InputError("trace_exponent must lie in (0, 1)")
-        if self.has_growth_law:
-            declared = self.growth_coeff * np.arange(1.0, lam.size + 1.0) ** self.growth_power
-            if not np.allclose(declared, lam, rtol=1e-9, atol=0.0):
-                raise InputError("stored eigenvalues disagree with the declared growth law")
-
-    @property
-    def n_modes(self) -> int:
-        return int(self.eigenvalues.size)
-
-    @property
-    def has_growth_law(self) -> bool:
-        return self.growth_coeff is not None and self.growth_power is not None
-
-    def growth_eigenvalue(self, index):
-        """lambda_i from the growth law for (possibly unstored) index >= 1."""
-        if not self.has_growth_law:
-            raise InputError("spectrum has no growth law")
-        return self.growth_coeff * np.asarray(index, dtype=float) ** self.growth_power
-
-    @classmethod
-    def power_law(cls, n_modes: int, coeff: float = 1.0, power: float = 2.0,
-                  trace_exponent: float = 0.4) -> "Spectrum":
-        """Power-law spectrum; the default coeff=1, power=2 is the 1-d Dirichlet Laplacian."""
-        lam = coeff * np.arange(1.0, n_modes + 1.0) ** power
-        return cls(lam, trace_exponent, coeff, power)
+        object.__setattr__(self, "eigenvalues", self.growth_coeff
+                           * np.arange(1.0, self.n_modes + 1.0) ** self.growth_power)
 
 
 @dataclass(frozen=True)
 class ModulusFunction:
-    """Continuity modulus phi with its declared class."""
+    """Continuity modulus phi."""
 
     evaluator: Callable[[np.ndarray], np.ndarray]
-    declared_class: str = DINI
     name: str = "phi"
 
     def __call__(self, s):
@@ -202,37 +174,28 @@ def dini_check(phi: ModulusFunction) -> ClassReport:
 def _candidate_eigenvalues(spec: Spectrum, lam_max: float):
     """Eigenvalue candidates up to lam_max plus one beyond.
 
-    Stored modes are used as far as they reach; the declared growth law
-    supplies 256 log-spaced virtual modes for the tail.  Returns None when
-    the spectrum is too short and no growth law is available.
+    Stored modes are used as far as they reach; the growth law supplies
+    256 log-spaced virtual modes for the tail.
     """
     stored = spec.eigenvalues[spec.eigenvalues <= lam_max]
     beyond = spec.eigenvalues[spec.eigenvalues > lam_max]
-    cands = [stored]
     if beyond.size:
-        cands.append(beyond[:1])
-        return np.concatenate(cands)
-    if not spec.has_growth_law:
-        return None
+        return np.concatenate([stored, beyond[:1]])
     # virtual indices are log-spaced floats: only the eigenvalue scale matters
     with np.errstate(over="ignore"):
         i_max = (lam_max / spec.growth_coeff) ** (1.0 / spec.growth_power)
     i_hi = float(np.clip(i_max, spec.n_modes + 1, 1e120)) * 2.0
     idx = np.geomspace(spec.n_modes + 1, i_hi, 256)
-    cands.append(spec.growth_eigenvalue(idx))
-    return np.concatenate(cands)
+    return np.concatenate([stored, spec.growth_coeff * idx ** spec.growth_power])
 
 
 def spectral_envelope(spec: Spectrum, numerator, s: float):
     """sup over modes of numerator(lambda_i) * exp(-lambda_i * s).
 
     The envelope peaks near lambda ~ 1/s, so the scan covers modes up to
-    lambda_i > 10 / s plus one beyond.  Returns None when the
-    scan cannot be completed (short spectrum, no growth law).
+    lambda_i > 10 / s plus one beyond.
     """
     lam = _candidate_eigenvalues(spec, 10.0 / s)
-    if lam is None:
-        return None
     with np.errstate(over="ignore", under="ignore"):
         vals = numerator(lam) * np.exp(-lam * s)
     return float(np.max(vals))
@@ -288,39 +251,26 @@ def _a_prime_check(a: WeightFunction) -> ClassReport:
 
 
 def _a_check(a: WeightFunction, spec: Spectrum) -> ClassReport:
-    short_spectrum = False
-
     def numerator(lam):
         return lam / _safe_eval(a.evaluator, lam, f"weight {a.name}")
 
     def integrand(u):
         # substitution s = exp(-u) in the integral over (0, 1]
-        nonlocal short_spectrum
         u = np.atleast_1d(u)
         out = np.empty_like(u)
         for k, uk in enumerate(u):
             s = math.exp(-uk)
-            env = spectral_envelope(spec, numerator, s)
-            if env is None:
-                short_spectrum = True
-                env = 0.0
-            out[k] = env * s
+            out[k] = spectral_envelope(spec, numerator, s) * s
         return out
 
     value, status, windows = halfline_windowed(integrand, domain_limit=700.0)
-    verdict, integral = ((INDETERMINATE, value) if short_spectrum
-                         else _windowed_verdict(status, value, True))
+    verdict, integral = _windowed_verdict(status, value, True)
     return ClassReport(
         check="weight_A",
         verdict=verdict,
         integral_value=integral,
         tail_bound=windows[-1] if windows else 0.0,
-        diagnostics={
-            "status": status,
-            "windows": len(windows),
-            "short_spectrum": short_spectrum,
-            "growth_law": spec.has_growth_law,
-        },
+        diagnostics={"status": status, "windows": len(windows)},
     )
 
 
@@ -385,30 +335,23 @@ def trace_class_check(spec: Spectrum) -> ClassReport:
     hs_bound = float(np.sum(lam ** (2.0 * alpha - 1.0)) * math.gamma(1.0 - 2.0 * alpha)
                      * 2.0 ** (2.0 * alpha - 1.0))
 
-    if spec.has_growth_law:
-        exponent = spec.growth_power * (1.0 - eps)
-        summable = exponent > 1.0
-        if summable:
-            n = spec.n_modes
-            tail = (spec.growth_coeff ** (eps - 1.0)) * n ** (1.0 - exponent) / (exponent - 1.0)
-        else:
-            tail = float("inf")
-        verdict = PASS if summable else FAIL
-        integral = partial + tail if summable else float("inf")
+    exponent = spec.growth_power * (1.0 - eps)
+    summable = exponent > 1.0
+    if summable:
+        n = spec.n_modes
+        tail = (spec.growth_coeff ** (eps - 1.0)) * n ** (1.0 - exponent) / (exponent - 1.0)
     else:
-        verdict = EMPIRICAL
-        tail = float("nan")
-        integral = partial
+        tail = float("inf")
     return ClassReport(
         check="trace_class",
-        verdict=verdict,
-        integral_value=integral,
+        verdict=PASS if summable else FAIL,
+        integral_value=partial + tail if summable else float("inf"),
         tail_bound=tail,
         diagnostics={
             "partial_sum": partial,
             "hs_integral": hs_integral,
             "hs_integral_bound": hs_bound,
-            "criterion_exponent": spec.growth_power * (1.0 - eps) if spec.has_growth_law else None,
+            "criterion_exponent": exponent,
         },
     )
 
@@ -427,7 +370,7 @@ def semigroup_apply(spec: Spectrum, t: float, x: np.ndarray) -> np.ndarray:
 # Built-in library of moduli and weights used throughout the experiments.
 
 def sqrt_modulus() -> ModulusFunction:
-    return ModulusFunction(lambda s: np.sqrt(np.maximum(s, 0.0)), DINI, "sqrt")
+    return ModulusFunction(lambda s: np.sqrt(np.maximum(s, 0.0)), "sqrt")
 
 
 def log_dini_modulus(scale: float = 1.0, delta: float = 1.0) -> ModulusFunction:
@@ -440,7 +383,7 @@ def log_dini_modulus(scale: float = 1.0, delta: float = 1.0) -> ModulusFunction:
             out = scale / np.log(_LOG_SHIFT + inv) ** (1.0 + delta)
         return np.where(s > 0.0, out, 0.0)
 
-    return ModulusFunction(phi, DINI, f"log_dini(K={scale},delta={delta})")
+    return ModulusFunction(phi, f"log_dini(K={scale},delta={delta})")
 
 
 def divergent_log_modulus() -> ModulusFunction:
@@ -453,7 +396,7 @@ def divergent_log_modulus() -> ModulusFunction:
             out = 1.0 / np.log(math.e + inv)
         return np.where(s > 0.0, out, 0.0)
 
-    return ModulusFunction(phi, DINI, "inv_log")
+    return ModulusFunction(phi, "inv_log")
 
 
 def power_weight(delta: float = 1.0) -> WeightFunction:

@@ -18,10 +18,10 @@ import numpy as np
 from . import analysis, harnack, simulator, zvonkin
 from .analysis import Spectrum
 from .config import ExperimentConfig, canonical_json, to_jsonable
-from .errors import CertificationError, ConfigError
-from .segment import SegmentPath, _steps
+from .errors import CertificationError, ConfigError, InputError
+from .segment import SegmentPath, _steps, sine_segment_values, stopping_time
 from .simulator import (CoefficientSet, LyapunovSpec, NoisePath, TruncationScheme,
-                        simulate_ensemble, simulate_mild, truncate_coeffs)
+                        simulate_ensemble, truncate_coeffs)
 
 
 @dataclass
@@ -98,8 +98,11 @@ def fit_order(dts, errors) -> float:
 
 def build_spectrum(cfg: ExperimentConfig) -> Spectrum:
     s = cfg.section("spectrum")
-    return Spectrum.power_law(int(s["n_modes"]), float(s["coeff"]), float(s["power"]),
-                              float(s["trace_exponent"]))
+    try:
+        return Spectrum(int(s["n_modes"]), float(s["coeff"]), float(s["power"]),
+                        float(s["trace_exponent"]))
+    except InputError as exc:
+        raise ConfigError(f"spectrum: {exc}") from exc
 
 
 def build_coefficients(cfg: ExperimentConfig, spec: Spectrum, delay: float) -> CoefficientSet:
@@ -110,7 +113,6 @@ def build_coefficients(cfg: ExperimentConfig, spec: Spectrum, delay: float) -> C
 
     drift_cfg = c.get("drift", {"kind": "zero"})
     kind = drift_cfg.get("kind", "zero")
-    modulus = None
     drift_sup = 0.0
     if kind == "dini":
         modulus = analysis.log_dini_modulus(float(drift_cfg.get("scale", 1.0)),
@@ -131,13 +133,10 @@ def build_coefficients(cfg: ExperimentConfig, spec: Spectrum, delay: float) -> C
     beta = float(delay_cfg.get("beta", 0.0))
     if dkind == "shift":
         delay_drift = simulator.delay_shift_drift(beta, delay)
-        delay_grad, delay_sup = abs(beta), math.inf
     elif dkind == "tanh":
         delay_drift = simulator.delay_tanh_drift(beta, e1)
-        delay_grad, delay_sup = abs(beta), abs(beta)
     elif dkind == "zero":
         delay_drift = simulator.zero_delay_drift(n)
-        delay_grad, delay_sup = 0.0, 0.0
     else:
         raise ConfigError(f"coefficients.delay_drift.kind {dkind!r} is not a built-in")
 
@@ -145,20 +144,17 @@ def build_coefficients(cfg: ExperimentConfig, spec: Spectrum, delay: float) -> C
     qkind = diff_cfg.get("kind", "diag")
     q = float(diff_cfg.get("q", 1.0)) * np.ones(n)
     if qkind == "diag":
-        return simulator.make_coefficients(
-            n, drift=drift, delay_drift=delay_drift, diag_noise=q, modulus=modulus,
-            drift_sup=drift_sup, delay_sup=delay_sup, delay_grad_bound=delay_grad)
+        return simulator.make_coefficients(n, drift=drift, delay_drift=delay_drift,
+                                           diag_noise=q, drift_sup=drift_sup)
     if qkind == "state_diag":
-        amp = float(diff_cfg.get("amplitude", 0.5))
-        diffusion = simulator.state_diagonal_diffusion(q, amp,
-                                                       float(diff_cfg.get("frequency", 1.0)))
-        return simulator.make_coefficients(
-            n, drift=drift, delay_drift=delay_drift, diffusion=diffusion, noise_dim=n,
-            modulus=modulus, drift_sup=drift_sup, delay_sup=delay_sup,
-            delay_grad_bound=delay_grad,
-            diffusion_bounds=(float(np.max(q)) * (1.0 + abs(amp)),
-                              float(np.max(q)) * abs(amp), float(np.max(q)) * abs(amp)),
-            qq_inverse_bound=1.0 / (float(np.min(q)) * (1.0 - abs(amp))) ** 2)
+        try:
+            diffusion = simulator.state_diagonal_diffusion(
+                q, float(diff_cfg.get("amplitude", 0.5)), float(diff_cfg.get("frequency", 1.0)))
+        except InputError as exc:
+            raise ConfigError(f"coefficients.diffusion: {exc}") from exc
+        return simulator.make_coefficients(n, drift=drift, delay_drift=delay_drift,
+                                           diffusion=diffusion, noise_dim=n,
+                                           drift_sup=drift_sup)
     raise ConfigError(f"coefficients.diffusion.kind {qkind!r} is not a built-in")
 
 
@@ -197,16 +193,10 @@ def random_segment_pairs(spec: Spectrum, delay: float, grid_step: float, count: 
     """
     rng = np.random.default_rng(seed)
     n = spec.n_modes
-    lags = _steps(delay, grid_step)
-    s = -delay + grid_step * np.arange(lags + 1)
     golden = math.pi * (3.0 - math.sqrt(5.0))
     pairs = []
     for k in range(count):
-        base = rng.uniform(-0.5 * scale, 0.5 * scale, size=(1, n))
-        amp = rng.uniform(-0.25 * scale, 0.25 * scale, size=(1, n))
-        freq = rng.uniform(0.5, 3.0, size=(1, n))
-        phase = rng.uniform(0.0, 2.0 * math.pi, size=(1, n))
-        xi_vals = base + amp * np.sin(freq * s[:, None] + phase)
+        xi_vals = sine_segment_values(rng, delay, grid_step, 0.5 * scale, 0.25 * scale, (1, n))
         angle = (k * golden) % (2.0 * math.pi)
         direction = np.zeros(n)
         direction[0] = math.cos(angle)
@@ -291,9 +281,7 @@ def run_simulate(cfg: ExperimentConfig) -> ExperimentResult:
     seed = int(cfg.section("montecarlo")["seed"])
     coeffs = build_coefficients(cfg, spec, delay)
     xi = default_initial_segment(spec, delay, dt)
-    tr = simulate_mild(coeffs, xi, horizon, dt, spec, seed=seed)
-    from .segment import stopping_time
-
+    tr = simulate_ensemble(coeffs, xi, horizon, dt, spec, seed=seed).path(0)
     taus = {n: stopping_time(tr, float(n)) for n in (1, 2, 4, 8)}
     rows = list(zip(tr.times().tolist(), *(tr.states[:, i].tolist()
                                            for i in range(tr.n_modes))))
@@ -480,8 +468,7 @@ def run_galerkin(cfg: ExperimentConfig) -> ExperimentResult:
     ref_tail = ref.states[-lags - 1:]
 
     def projected_error(n: int) -> float:
-        sub_spec = Spectrum.power_law(n, spec.growth_coeff, spec.growth_power,
-                                      spec.trace_exponent)
+        sub_spec = Spectrum(n, spec.growth_coeff, spec.growth_power, spec.trace_exponent)
         sub_cfg_coeffs = _project_coefficients(coeffs, spec.n_modes, n)
         sub_xi = SegmentPath(delay, dt, xi.values[:, :n])
         sub_noise = NoisePath(noise.increments[:, :, :n], dt, noise.seed)
@@ -579,8 +566,7 @@ def run_nonexplosion(cfg: ExperimentConfig) -> ExperimentResult:
     metrics = {"paths": paths, "exploded": exploded, "min_margin": min_margin}
 
     if section.get("negative_control", True):
-        ctrl_spec = Spectrum.power_law(1, spec.growth_coeff, spec.growth_power,
-                                       spec.trace_exponent)
+        ctrl_spec = Spectrum(1, spec.growth_coeff, spec.growth_power, spec.trace_exponent)
         start = float(section.get("control_start", 2.0))
         ctrl = simulator.make_coefficients(
             1, drift=simulator.cubic_drift(1.0), diag_noise=np.array([0.1]))

@@ -95,9 +95,19 @@ def pair_distance(xi: SegmentPath, eta: SegmentPath) -> tuple[float, float]:
     return head, sup
 
 
-def log_harnack_rhs(xi: SegmentPath, eta: SegmentPath, horizon: float, constant: float) -> float:
+def harnack_distance(xi: SegmentPath, eta: SegmentPath, horizon: float,
+                     lead: float = 0.0) -> float:
+    """lead + |xi(0) - eta(0)|^2 / (T - r) + |xi - eta|_inf^2, summed left to right.
+
+    lead is 0 for the log form and 1 for the power form; 0.0 + x == x
+    for x >= 0, so the log form gets the bits of the two-term sum.
+    """
     head, sup = pair_distance(xi, eta)
-    return constant * (head**2 / (horizon - xi.delay) + sup**2)
+    return lead + head**2 / (horizon - xi.delay) + sup**2
+
+
+def log_harnack_rhs(xi: SegmentPath, eta: SegmentPath, horizon: float, constant: float) -> float:
+    return constant * harnack_distance(xi, eta, horizon)
 
 
 @dataclass
@@ -158,8 +168,7 @@ def fit_log_constant(estimates: list[PairEstimates], horizon: float) -> float:
     """Smallest C >= 0 with P log f(eta) <= log P f(xi) + C H on every training pair."""
     best = 0.0
     for est in estimates:
-        head, sup = pair_distance(est.xi, est.eta)
-        denom = head**2 / (horizon - est.xi.delay) + sup**2
+        denom = harnack_distance(est.xi, est.eta, horizon)
         gap = est.mean_logf_eta - math.log(est.mean_f_xi)
         if denom > 0.0:
             best = max(best, gap / denom)
@@ -170,8 +179,7 @@ def fit_power_constant(estimates: list[PairEstimates], horizon: float, power: fl
     """Smallest C(p) >= 0 closing the power inequality on every training pair."""
     best = 0.0
     for est in estimates:
-        head, sup = pair_distance(est.xi, est.eta)
-        denom = 1.0 + head**2 / (horizon - est.xi.delay) + sup**2
+        denom = harnack_distance(est.xi, est.eta, horizon, 1.0)
         gap = math.log(est.mean_f_eta) - math.log(est.power_means[power]) / power
         best = max(best, gap / denom)
     return max(best, 0.0)
@@ -188,8 +196,7 @@ def log_residual_from_estimates(est: PairEstimates, horizon: float,
 def _power_rhs(est: PairEstimates, horizon: float, power: float,
                constant: float) -> tuple[float, float]:
     """(Psi_p, (P_T f^p(xi))^{1/p} exp(Psi_p)) for one pair."""
-    head, sup = pair_distance(est.xi, est.eta)
-    psi = constant * (1.0 + head**2 / (horizon - est.xi.delay) + sup**2)
+    psi = constant * harnack_distance(est.xi, est.eta, horizon, 1.0)
     return psi, est.power_means[power] ** (1.0 / power) * math.exp(psi)
 
 

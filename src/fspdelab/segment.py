@@ -9,7 +9,7 @@ the explosion flag set by the integrator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -34,7 +34,6 @@ class SegmentPath:
     delay: float
     grid_step: float
     values: np.ndarray
-    weighted: bool = False
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -64,32 +63,42 @@ class SegmentPath:
     def value_at(self, s: float) -> np.ndarray:
         return self.values[self._index(s)]
 
-    def sup_norm(self) -> float:
-        return segment_norm(self)
-
     @classmethod
-    def constant(cls, value, delay: float, grid_step: float, weighted: bool = False) -> "SegmentPath":
+    def constant(cls, value, delay: float, grid_step: float) -> "SegmentPath":
         value = np.asarray(value, dtype=float)
         k = _steps(delay, grid_step)
-        return cls(delay, grid_step, np.tile(value, (k + 1, 1)), weighted)
+        return cls(delay, grid_step, np.tile(value, (k + 1, 1)))
 
     @classmethod
     def from_function(cls, fn: Callable[[float], np.ndarray], delay: float,
-                      grid_step: float, weighted: bool = False) -> "SegmentPath":
+                      grid_step: float) -> "SegmentPath":
         k = _steps(delay, grid_step)
         times = -delay + grid_step * np.arange(k + 1)
-        return cls(delay, grid_step, np.array([np.asarray(fn(t), dtype=float) for t in times]),
-                   weighted)
+        return cls(delay, grid_step, np.array([np.asarray(fn(t), dtype=float) for t in times]))
 
 
 def segment_norm(xi: SegmentPath) -> float:
-    """Sup norm over the window; the weighted variant applies exp(-s)."""
+    """Sup norm over the window."""
     if xi.values.size == 0:
         raise InputError("empty segment")
-    mags = np.linalg.norm(xi.values, axis=1)
-    if xi.weighted:
-        mags = mags * np.exp(-xi.times())
-    return float(np.max(mags))
+    return float(np.max(np.linalg.norm(xi.values, axis=1)))
+
+
+def sine_segment_values(rng: np.random.Generator, delay: float, grid_step: float,
+                        base_bound: float, amp_bound: float, size: tuple) -> np.ndarray:
+    """Random histories base + amp * sin(freq * s + phase) on the grid of [-delay, 0].
+
+    base, amp, freq and phase are drawn in that order, uniform on
+    [-base_bound, base_bound], [-amp_bound, amp_bound], [0.5, 3) and
+    [0, 2 pi), each of shape `size`, which ends in (1, n_modes).  The
+    result puts the grid times on the axis of that 1.
+    """
+    s = -delay + grid_step * np.arange(_steps(delay, grid_step) + 1)
+    base = rng.uniform(-base_bound, base_bound, size=size)
+    amp = rng.uniform(-amp_bound, amp_bound, size=size)
+    freq = rng.uniform(0.5, 3.0, size=size)
+    phase = rng.uniform(0.0, 2.0 * math.pi, size=size)
+    return base + amp * np.sin(freq * s[:, None] + phase)
 
 
 @dataclass
@@ -102,7 +111,6 @@ class Trajectory:
     horizon: float
     life_time: float = math.inf
     exploded: bool = False
-    stopping_levels: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.states = np.asarray(self.states, dtype=float)
@@ -131,12 +139,8 @@ class Trajectory:
 
 def stopping_time(tr: Trajectory, n: float) -> float:
     """First grid time with |X(t)| >= n, capped at n; the cap when never exceeded."""
-    if n in tr.stopping_levels:
-        return tr.stopping_levels[n]
     start = tr._index(0.0)
     mags = np.linalg.norm(tr.states[start:], axis=1)
     mags = np.where(np.isfinite(mags), mags, np.inf)
     hits = np.nonzero(mags >= n)[0]
-    tau = float(n) if hits.size == 0 else min(float(n), float(hits[0] * tr.grid_step))
-    tr.stopping_levels[n] = tau
-    return tau
+    return float(n) if hits.size == 0 else min(float(n), float(hits[0] * tr.grid_step))

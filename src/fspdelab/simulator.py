@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .analysis import ModulusFunction, Spectrum, ClassReport, PASS, FAIL, hs_kernel_integral
+from .analysis import ModulusFunction, Spectrum, ClassReport, PASS, hs_kernel_integral
 from .errors import InputError
 from .quadrature import DIVERGENT, halfline_windowed
 from .segment import SegmentPath, Trajectory, _steps
@@ -62,7 +62,7 @@ class SegmentView:
 
 @dataclass
 class CoefficientSet:
-    """The triple (b, B, Q) with its declared moduli and bounds.
+    """The triple (b, B, Q) with the sup of |b|.
 
     All evaluators are batch aware: states carry a leading path axis.
     diag_noise, when set, declares Q(t, x) = diag(diag_noise) so the
@@ -74,12 +74,7 @@ class CoefficientSet:
     diffusion: Callable
     noise_dim: int
     diag_noise: np.ndarray | None = None
-    modulus: ModulusFunction | None = None
     drift_sup: float = 0.0
-    delay_sup: float = math.inf
-    delay_grad_bound: float = 0.0
-    diffusion_bounds: tuple = (0.0, 0.0, 0.0)
-    qq_inverse_bound: float = math.inf
 
     def diffusion_matrix(self, t: float, x: np.ndarray) -> np.ndarray:
         """Q(t, x); a constant (n, m) Q is broadcast over the batch axes of x."""
@@ -87,73 +82,6 @@ class CoefficientSet:
         if q.ndim == 2 and np.ndim(x) > 1:
             q = np.broadcast_to(q, np.shape(x)[:-1] + q.shape)
         return q
-
-    def validate(self, spec: Spectrum, delay: float, grid_step: float) -> ClassReport:
-        """Spot check declared bounds and invertibility on 64 seeded states."""
-        rng = np.random.default_rng(0)
-        n_states = 64
-        n = spec.n_modes
-        xs = rng.normal(size=(n_states, n))
-        ys = rng.normal(size=(n_states, n))
-        ts = rng.uniform(0.0, 1.0, size=n_states)
-        diagnostics: dict = {}
-        ok = True
-
-        sigma_min = math.inf
-        q_sup = 0.0
-        for t, x in zip(ts, xs):
-            qm = self.diffusion_matrix(t, x[None])[0]
-            svals = np.linalg.svd(qm, compute_uv=False)
-            sigma_min = min(sigma_min, float(svals[-1]))
-            q_sup = max(q_sup, float(svals[0]))
-        diagnostics["qq_min_singular"] = sigma_min
-        diagnostics["q_operator_sup"] = q_sup
-        ok &= sigma_min > 0.0
-        if np.isfinite(self.diffusion_bounds[0]) and self.diffusion_bounds[0] > 0.0:
-            ok &= q_sup <= self.diffusion_bounds[0] * (1.0 + 1e-9)
-        if np.isfinite(self.qq_inverse_bound) and sigma_min > 0.0:
-            ok &= 1.0 / sigma_min**2 <= self.qq_inverse_bound * (1.0 + 1e-6)
-
-        if self.modulus is not None:
-            gaps = np.linalg.norm(
-                np.stack([self.drift(t, x[None])[0] - self.drift(t, y[None])[0]
-                          for t, x, y in zip(ts, xs, ys)]), axis=-1)
-            allowed = self.modulus(np.linalg.norm(xs - ys, axis=-1))
-            ratio = float(np.max(gaps / np.maximum(allowed, 1e-300)))
-            diagnostics["modulus_ratio"] = ratio
-            ok &= ratio <= 1.0 + 1e-6
-            # weighted variant with the declared trace exponent; on a finite
-            # spectrum all diagonal weights are equivalent, so this mirrors the
-            # unweighted check with the explicit scaling applied.
-            wgt = spec.eigenvalues ** (0.5 * (1.0 - spec.trace_exponent))
-            wgaps = np.linalg.norm(
-                np.stack([wgt * (self.drift(t, x[None])[0] - self.drift(t, y[None])[0])
-                          for t, x, y in zip(ts, xs, ys)]), axis=-1)
-            diagnostics["weighted_modulus_ratio"] = float(
-                np.max(wgaps / np.maximum(allowed, 1e-300)))
-
-        if np.isfinite(self.delay_grad_bound) and self.delay_grad_bound > 0.0:
-            lags = _steps(delay, grid_step)
-            segs_a = rng.normal(size=(n_states, lags + 1, 1, n))
-            segs_b = segs_a + 0.1 * rng.normal(size=segs_a.shape)
-            worst = 0.0
-            b_sup = 0.0
-            for t, sa, sb in zip(ts, segs_a, segs_b):
-                va = SegmentView(sa, grid_step, delay)
-                vb = SegmentView(sb, grid_step, delay)
-                ba = self.delay_drift(t, va)[0]
-                gap = float(np.linalg.norm(ba - self.delay_drift(t, vb)[0]))
-                dist = float(np.linalg.norm(sa - sb, axis=-1).max())
-                worst = max(worst, gap / max(dist, 1e-300))
-                b_sup = max(b_sup, float(np.linalg.norm(ba)))
-            diagnostics["delay_lipschitz_ratio"] = worst
-            diagnostics["delay_sup_sampled"] = b_sup
-            ok &= worst <= self.delay_grad_bound * (1.0 + 1e-6)
-            if np.isfinite(self.delay_sup):
-                ok &= b_sup <= self.delay_sup * (1.0 + 1e-9)
-
-        return ClassReport(check="coefficients", verdict=PASS if ok else FAIL,
-                           integral_value=sigma_min, diagnostics=diagnostics)
 
 
 @dataclass
@@ -316,15 +244,6 @@ def simulate_ensemble(coeffs: CoefficientSet, xi: SegmentPath, horizon: float,
 
     return EnsembleResult(xi.delay, grid_step, horizon, states, life,
                           convolution=conv, norms=norms)
-
-
-def simulate_mild(coeffs: CoefficientSet, xi: SegmentPath, horizon: float,
-                  grid_step: float, spec: Spectrum, noise: NoisePath | None = None,
-                  *, seed: int | None = None) -> Trajectory:
-    """Single-path integration returning a trajectory with life-time bookkeeping."""
-    result = simulate_ensemble(coeffs, xi, horizon, grid_step, spec, noise,
-                               n_paths=1, seed=seed)
-    return result.path(0)
 
 
 # ---------------------------------------------------------------------------
@@ -606,11 +525,7 @@ def state_diagonal_diffusion(q: np.ndarray, amplitude: float = 0.5, frequency: f
 
 def make_coefficients(n_modes: int, *, drift=None, delay_drift=None, diffusion=None,
                       diag_noise=None, noise_dim: int | None = None,
-                      modulus: ModulusFunction | None = None,
-                      drift_sup: float = 0.0, delay_sup: float = math.inf,
-                      delay_grad_bound: float = 0.0,
-                      diffusion_bounds: tuple = (0.0, 0.0, 0.0),
-                      qq_inverse_bound: float = math.inf) -> CoefficientSet:
+                      drift_sup: float = 0.0) -> CoefficientSet:
     """Assemble a coefficient set, defaulting absent parts to zero."""
     if diag_noise is not None:
         diag_noise = np.asarray(diag_noise, dtype=float)
@@ -618,11 +533,6 @@ def make_coefficients(n_modes: int, *, drift=None, delay_drift=None, diffusion=N
             diffusion = constant_diagonal_diffusion(diag_noise)
         if noise_dim is None:
             noise_dim = diag_noise.size
-        if diffusion_bounds == (0.0, 0.0, 0.0):
-            diffusion_bounds = (float(np.max(diag_noise)), 0.0, 0.0)
-        if not np.isfinite(qq_inverse_bound) and np.all(diag_noise > 0.0):
-            with np.errstate(divide="ignore", over="ignore"):
-                qq_inverse_bound = float(1.0 / np.min(diag_noise) ** 2)
     if diffusion is None:
         raise InputError("a diffusion operator (or diagonal amplitudes) is required")
     if noise_dim is None:
@@ -633,10 +543,5 @@ def make_coefficients(n_modes: int, *, drift=None, delay_drift=None, diffusion=N
         diffusion=diffusion,
         noise_dim=noise_dim,
         diag_noise=diag_noise,
-        modulus=modulus,
         drift_sup=drift_sup,
-        delay_sup=delay_sup,
-        delay_grad_bound=delay_grad_bound,
-        diffusion_bounds=diffusion_bounds,
-        qq_inverse_bound=qq_inverse_bound,
     )

@@ -32,7 +32,7 @@ from scipy.interpolate import RegularGridInterpolator
 from .analysis import Spectrum, WeightFunction, sqrt_weight
 from .errors import CertificationError, InputError
 from .quadrature import hermite_tensor, panel_integral
-from .segment import _steps
+from .segment import sine_segment_values
 from .simulator import CoefficientSet, SegmentView
 
 GH_DIM_CAP = 3
@@ -391,8 +391,8 @@ class RegularizingField:
         data = np.load(f"{path_base}.npz")
         with open(f"{path_base}.json", "r", encoding="utf-8") as fh:
             meta = json.load(fh)
-        spec = Spectrum(data["eigenvalues"], meta["trace_exponent"],
-                        meta["growth_coeff"], meta["growth_power"])
+        spec = Spectrum(data["eigenvalues"].size, meta["growth_coeff"], meta["growth_power"],
+                        meta["trace_exponent"])
         field = cls(
             lam=meta["lam"], horizon=meta["horizon"], spec=spec, q_diag=data["q_diag"],
             times=data["times"], axes=tuple(data["axes"]), u=data["u"],
@@ -708,16 +708,6 @@ def _control_gain(sys_q: np.ndarray) -> np.ndarray:
     return np.swapaxes(sol, -1, -2)
 
 
-def _battery_segments(rng, n, delay, grid_step, halfwidth, count):
-    lags = _steps(delay, grid_step)
-    s = -delay + grid_step * np.arange(lags + 1)
-    base = rng.uniform(-0.4 * halfwidth, 0.4 * halfwidth, size=(count, 1, n))
-    amp = rng.uniform(-0.2 * halfwidth, 0.2 * halfwidth, size=(count, 1, n))
-    freq = rng.uniform(0.5, 3.0, size=(count, 1, n))
-    phase = rng.uniform(0.0, 2.0 * math.pi, size=(count, 1, n))
-    return base + amp * np.sin(freq * s[None, :, None] + phase)
-
-
 def _unit_rows(rng, count, n):
     rows = rng.normal(size=(count, n))
     rows /= np.linalg.norm(rows, axis=-1, keepdims=True)
@@ -784,8 +774,8 @@ def transform_coeffs(field: RegularizingField, coeffs: CoefficientSet, *,
         k4 = max(k4, float(np.max(quad[keep] / dists[keep] ** 2)))
 
     seg_count = max(battery // 8, 8)
-    segs_a = _battery_segments(rng, n, delay, grid_step, hw, seg_count)
-    segs_b = _battery_segments(rng, n, delay, grid_step, hw, seg_count)
+    segs_a = sine_segment_values(rng, delay, grid_step, 0.4 * hw, 0.2 * hw, (seg_count, 1, n))
+    segs_b = sine_segment_values(rng, delay, grid_step, 0.4 * hw, 0.2 * hw, (seg_count, 1, n))
     seg_ts = rng.uniform(0.0, field.horizon, size=seg_count)
     k1 = 0.0
     for t, sa, sb in zip(seg_ts, segs_a, segs_b):

@@ -11,7 +11,7 @@ settings.load_profile("fspdelab")
 
 @pytest.fixture(scope="session")
 def spec2():
-    return analysis.Spectrum.power_law(2)
+    return analysis.Spectrum(2)
 
 
 @pytest.fixture(scope="session")
@@ -26,10 +26,7 @@ def dini_coeffs(dini_phi):
         drift=simulator.dini_drift(dini_phi, np.array([1.0, 0.0])),
         delay_drift=simulator.delay_tanh_drift(0.3, np.array([1.0, 0.0])),
         diag_noise=np.ones(2),
-        modulus=dini_phi,
         drift_sup=float(dini_phi(np.array([1.0]))[0]),
-        delay_sup=0.3,
-        delay_grad_bound=0.3,
     )
 
 

@@ -30,7 +30,7 @@ def criterion(number, name, ok, detail=""):
 @pytest.fixture(scope="module")
 def lambda_sweep():
     """Fields for lam in {50, 100, 200, 400}, with the solve wall time."""
-    spec = an.Spectrum.power_law(2)
+    spec = an.Spectrum(2)
     ref = zv.ReferenceSemigroup(spec, np.ones(2), quad_order=7)
     drift = sim.dini_drift(an.log_dini_modulus(scale=0.4), np.array([1.0, 0.0]))
     grid = zv.ZvonkinGrid(time_steps=12, nodes_per_dim=13, halfwidth=3.0)
@@ -52,7 +52,7 @@ def test_criterion_1_class_library():
 
 def test_criterion_2_trace_and_moment_constant():
     start = time.perf_counter()
-    spec = an.Spectrum.power_law(16, power=2.0, trace_exponent=0.4)
+    spec = an.Spectrum(16, growth_power=2.0, trace_exponent=0.4)
     trace = an.trace_class_check(spec)
     fitted = {}
     for horizon in (0.5, 1.0, 2.0):

@@ -86,27 +86,27 @@ class TestDiniCheck:
 
 class TestWeightClasses:
     def test_power_weight_envelope_integral(self, spec2):
-        spec = an.Spectrum.power_law(16)
+        spec = an.Spectrum(16)
         report = an.weight_class_check(an.power_weight(1.0), spec, as_class=an.CLASS_A)
         assert report.passed
         bound = (1.0 - math.exp(-spec.eigenvalues[0])) / spec.eigenvalues[0]
         assert report.integral_value <= bound + 1e-6
 
     def test_log_weight_in_monotone_class(self):
-        spec = an.Spectrum.power_law(16)
+        spec = an.Spectrum(16)
         report = an.weight_class_check(an.log_weight(1.0), spec)
         assert report.passed
         assert report.diagnostics["a_monotone"]
         assert report.diagnostics["x_over_a_monotone"]
 
     def test_oscillating_weight_by_domination(self):
-        spec = an.Spectrum.power_law(16)
+        spec = an.Spectrum(16)
         report = an.weight_class_check(an.oscillating_power_weight(0.5), spec)
         assert report.passed
         assert report.diagnostics["dominating"] == "x^0.5"
 
     def test_monotone_subclass_contained_in_envelope_class(self):
-        spec = an.Spectrum.power_law(16)
+        spec = an.Spectrum(16)
         library = an.builtin_weight_library()
         assert len(library) >= 5
         for w in library:
@@ -117,7 +117,7 @@ class TestWeightClasses:
 
     def test_borderline_log_weight_fails_the_reciprocal_integral(self):
         # a(x) = log(c+x) makes 1/(s a(s)) integrate like 1/(s log s): divergent
-        spec = an.Spectrum.power_law(16)
+        spec = an.Spectrum(16)
         borderline = an.WeightFunction(lambda x: np.log(math.e**2 + x),
                                        an.CLASS_A_PRIME, "log^1")
         report = an.weight_class_check(borderline, spec)
@@ -125,22 +125,16 @@ class TestWeightClasses:
         assert math.isinf(report.integral_value)
 
     def test_ratio_monotonicity_violation_fails(self):
-        spec = an.Spectrum.power_law(16)
+        spec = an.Spectrum(16)
         quadratic = an.WeightFunction(lambda x: x**2, an.CLASS_A_PRIME, "x^2")
         report = an.weight_class_check(quadratic, spec)
         assert report.verdict == an.FAIL
         assert not report.diagnostics["x_over_a_monotone"]
 
-    def test_short_spectrum_without_growth_law_is_indeterminate(self):
-        spec = an.Spectrum(np.array([1.0, 4.0]), 0.4)
-        report = an.weight_class_check(an.power_weight(1.0), spec, as_class=an.CLASS_A)
-        assert report.verdict == an.INDETERMINATE
-        assert report.diagnostics["short_spectrum"]
-
 
 class TestTraceClass:
     def test_quadratic_growth_passes(self):
-        spec = an.Spectrum.power_law(16, power=2.0, trace_exponent=0.4)
+        spec = an.Spectrum(16, growth_power=2.0, trace_exponent=0.4)
         report = an.trace_class_check(spec)
         assert report.passed
         assert report.diagnostics["criterion_exponent"] == pytest.approx(1.2)
@@ -153,18 +147,14 @@ class TestTraceClass:
         assert report.diagnostics["partial_sum"] == pytest.approx(partial)
 
     def test_linear_growth_fails(self):
-        spec = an.Spectrum.power_law(16, power=1.0, trace_exponent=0.5)
+        spec = an.Spectrum(16, growth_power=1.0, trace_exponent=0.5)
         assert an.trace_class_check(spec).verdict == an.FAIL
 
     def test_singular_kernel_integral_below_closed_form_bound(self):
-        spec = an.Spectrum.power_law(16, power=2.0, trace_exponent=0.4)
+        spec = an.Spectrum(16, growth_power=2.0, trace_exponent=0.4)
         report = an.trace_class_check(spec)
         assert np.isfinite(report.diagnostics["hs_integral"])
         assert report.diagnostics["hs_integral"] <= report.diagnostics["hs_integral_bound"]
-
-    def test_no_growth_law_reports_empirical(self):
-        spec = an.Spectrum(np.array([1.0, 3.0, 9.0]), 0.4)
-        assert an.trace_class_check(spec).verdict == an.EMPIRICAL
 
 
 class TestSemigroup:
@@ -200,16 +190,19 @@ class TestSemigroup:
 
 class TestInvariants:
     def test_spectrum_rejects_non_monotone(self):
-        with pytest.raises(InputError):
-            an.Spectrum(np.array([2.0, 1.0]), 0.4)
-        with pytest.raises(InputError):
-            an.Spectrum(np.array([-1.0, 1.0]), 0.4)
-        with pytest.raises(InputError):
-            an.Spectrum(np.array([1.0, 4.0]), 1.5)
-
-    def test_growth_law_consistency_enforced(self):
-        with pytest.raises(InputError):
-            an.Spectrum(np.array([1.0, 5.0]), 0.4, 1.0, 2.0)
+        # the law must give 0 < lambda_1 <= lambda_2 <= ...
+        with pytest.raises(InputError, match="growth_power"):
+            an.Spectrum(2, growth_power=-1.0)  # decreasing
+        with pytest.raises(InputError, match="growth_coeff"):
+            an.Spectrum(2, growth_coeff=-1.0)  # negative
+        with pytest.raises(InputError, match="growth_coeff"):
+            an.Spectrum(2, growth_coeff=0.0)
+        with pytest.raises(InputError, match="mode"):
+            an.Spectrum(0)
+        with pytest.raises(InputError, match="trace_exponent"):
+            an.Spectrum(2, trace_exponent=1.5)
+        flat = an.Spectrum(3, growth_coeff=2.5, growth_power=0.0)
+        assert np.array_equal(flat.eigenvalues, [2.5, 2.5, 2.5])
 
     def test_passing_report_requires_finite_integral(self):
         with pytest.raises(InputError):

@@ -26,7 +26,7 @@ def segment(vec):
 
 def estimates(coeffs, xi, eta, f, powers=(), *, samples, seed, horizon=HORIZON, spec=None):
     """Shared-noise estimates of one (xi, eta) pair."""
-    spec = spec or an.Spectrum.power_law(xi.n_modes)
+    spec = spec or an.Spectrum(xi.n_modes)
     return ha.collect_pair_estimates(coeffs, [(xi, eta)], f, horizon, list(powers),
                                      grid_step=DT, spec=spec, samples=samples,
                                      seed=seed)[0]
@@ -199,7 +199,7 @@ class TestConjugation:
                          50.0, HORIZON, zv.ZvonkinGrid(time_steps=6, nodes_per_dim=9))
         coeffs = sim.make_coefficients(
             2, delay_drift=sim.delay_tanh_drift(0.3, np.array([1.0, 0.0])),
-            diag_noise=np.ones(2), delay_sup=0.3, delay_grad_bound=0.3)
+            diag_noise=np.ones(2))
         xi = SegmentPath.from_function(
             lambda s: np.array([0.3 * math.cos(s), -0.2]), DELAY, DT)
         f = ha.exp_head_function(np.array([1.0, 0.0]))

@@ -127,7 +127,7 @@ class TestGalerkinExperiment:
         })
         result = run_galerkin(cfg)
 
-        spec = an.Spectrum.power_law(8)
+        spec = an.Spectrum(8)
         t = cfg.section("time")
         delay, horizon, dt = t["delay"], t["horizon"], t["grid_step"]
         seed = cfg.section("montecarlo")["seed"]
@@ -150,7 +150,7 @@ class TestNonexplosionExperiment:
     def test_linear_dissipative_dominated_by_gronwall_curve(self):
         # comparison pair Phi = K s, h = K s^2 + c matches the analytic
         # alpha * exp(2 K t) envelope of the quadratic comparison argument
-        spec = an.Spectrum.power_law(2)
+        spec = an.Spectrum(2)
         kappa = 1.0
         coeffs = sim.make_coefficients(2, drift=sim.linear_drift(kappa),
                                        diag_noise=0.3 * np.ones(2))
@@ -318,6 +318,26 @@ class TestCli:
         code = main([experiment, "--config", str(bad), "--out", str(tmp_path)])
         assert code == 2
         assert "config_error" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("experiment, config, section", [
+        ("classcheck", {"spectrum": {"coeff": -1.0}}, "spectrum"),
+        ("simulate", {"spectrum": {"coeff": -1.0}}, "spectrum"),
+        ("classcheck", {"spectrum": {"power": -1.0}}, "spectrum"),
+        ("simulate", {"coefficients": {"diffusion": {"kind": "state_diag", "q": 1.0,
+                                                     "amplitude": 1.5}}},
+         "coefficients.diffusion"),
+    ], ids=["classcheck-negative-coeff", "simulate-negative-coeff",
+            "classcheck-negative-power", "simulate-amplitude-above-one"])
+    def test_invalid_model_parameter_exit_two(self, tmp_path, capsys, experiment, config,
+                                              section):
+        # the constructor's rule surfaces as a config error naming the section
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config))
+        code = main([experiment, "--config", str(bad), "--out", str(tmp_path)])
+        assert code == 2
+        out = capsys.readouterr().out
+        assert "config_error" in out
+        assert f"message=ConfigError('{section}: " in out
 
     def test_seed_override_changes_hash(self, tmp_path):
         main(["simulate", "--out", str(tmp_path / "a"), "--seed", "1"])

@@ -75,7 +75,7 @@ class TestStoredNorms:
         coeffs = sim.make_coefficients(modes, drift=drift, delay_drift=delay_drift,
                                        diag_noise=np.ones(modes))
         xi = SegmentPath.constant(np.full(modes, level), delay, dt)
-        spec = an.Spectrum.power_law(modes)
+        spec = an.Spectrum(modes)
         with np.errstate(over="ignore", invalid="ignore"):
             res = sim.simulate_ensemble(coeffs, xi, steps * dt, dt, spec, n_paths=paths,
                                         seed=seed, force_general_noise=noise == "general")

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -21,12 +19,6 @@ class TestSegmentNorm:
         v = np.array([1.0, 0.0])
         xi = SegmentPath.from_function(lambda s: s * v, 1.0, 0.125)
         assert segment_norm(xi) == pytest.approx(1.0)
-
-    def test_weighted_variant_cancels_exponential(self):
-        v = np.array([0.6, 0.8])
-        xi = SegmentPath.from_function(lambda s: math.exp(s) * v, 1.0, 0.125,
-                                       weighted=True)
-        assert segment_norm(xi) == pytest.approx(1.0, rel=1e-12)
 
     def test_triangle_and_homogeneity(self):
         rng = np.random.default_rng(5)

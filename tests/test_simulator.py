@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fspdelab import analysis as an
 from fspdelab import simulator as sim
@@ -9,9 +12,10 @@ from fspdelab.errors import InputError
 from fspdelab.segment import SegmentPath
 
 
-SPEC1 = an.Spectrum.power_law(1)
+SPEC1 = an.Spectrum(1)
 DT = 1.0 / 64.0
 DELAY = 0.25
+COORD = st.floats(-3.0, 3.0)
 
 
 def near_zero_noise(n):
@@ -21,7 +25,7 @@ def near_zero_noise(n):
 class TestMildIntegrator:
     def test_pure_heat_flow_is_exact(self, spec2):
         xi = SegmentPath.constant(np.array([1.0, 2.0]), DELAY, DT)
-        tr = sim.simulate_mild(near_zero_noise(2), xi, 1.0, DT, spec2, seed=1)
+        tr = sim.simulate_ensemble(near_zero_noise(2), xi, 1.0, DT, spec2, seed=1).path(0)
         exact = an.semigroup_apply(spec2, 1.0, xi.value_at(0.0))
         assert np.allclose(tr.state(1.0), exact, atol=1e-14)
 
@@ -42,7 +46,7 @@ class TestMildIntegrator:
         lam, beta, horizon = 1.0, 0.5, 2.0
         coeffs = sim.make_coefficients(
             1, delay_drift=sim.delay_shift_drift(beta, DELAY),
-            diag_noise=np.array([1e-300]), delay_grad_bound=beta)
+            diag_noise=np.array([1e-300]))
 
         def oracle(dt_f):
             n_hist = round(DELAY / dt_f)
@@ -74,7 +78,7 @@ class TestMildIntegrator:
         for e in (6, 7):
             dt = 2.0**-e
             xi = SegmentPath.from_function(lambda s: np.array([1.0 + 0.5 * s]), DELAY, dt)
-            tr = sim.simulate_mild(coeffs, xi, horizon, dt, SPEC1, seed=1)
+            tr = sim.simulate_ensemble(coeffs, xi, horizon, dt, SPEC1, seed=1).path(0)
             sub = fine[:: round(dt * 1024)]
             errors[e] = float(np.max(np.abs(tr.states[:, 0] - sub[: tr.states.shape[0]])))
         assert errors[6] < 5e-3
@@ -214,7 +218,7 @@ class TestBihari:
 
 
 class TestMaximalInequality:
-    SPEC = an.Spectrum.power_law(16)
+    SPEC = an.Spectrum(16)
 
     def test_zero_integrand(self):
         report = sim.maximal_inequality_check(
@@ -239,18 +243,46 @@ class TestMaximalInequality:
 
 
 class TestCoefficientValidation:
-    def test_builtin_system_passes_spot_checks(self, dini_coeffs, spec2):
-        report = dini_coeffs.validate(spec2, DELAY, DT)
-        assert report.passed
-        assert report.diagnostics["modulus_ratio"] <= 1.0 + 1e-6
-        assert report.diagnostics["qq_min_singular"] > 0.0
+    """Bounds the experiments assume of the built-in coefficients, with 1e-6 relative slack."""
 
-    def test_state_diagonal_keeps_covariance_invertible(self, spec2):
-        coeffs = sim.make_coefficients(
-            2, diffusion=sim.state_diagonal_diffusion(np.ones(2), 0.8, 3.0),
-            noise_dim=2)
-        report = coeffs.validate(spec2, DELAY, DT)
-        assert report.diagnostics["qq_min_singular"] > 0.0
+    @given(modes=st.integers(1, 3), scale=st.floats(0.05, 2.0), use_sqrt=st.booleans(),
+           data=st.data())
+    def test_dini_drift_obeys_its_modulus(self, modes, scale, use_sqrt, data):
+        # |b(x) - b(y)| <= phi(|x - y|) and |b| <= phi(1)
+        phi = an.sqrt_modulus() if use_sqrt else an.log_dini_modulus(scale)
+        direction = data.draw(hnp.arrays(np.float64, modes, elements=COORD))
+        assume(np.linalg.norm(direction) > 0.1)
+        xs = data.draw(hnp.arrays(np.float64, (16, modes), elements=COORD))
+        ys = data.draw(hnp.arrays(np.float64, (16, modes), elements=COORD))
+        b = sim.dini_drift(phi, direction)
+        gaps = np.linalg.norm(b(0.0, xs) - b(0.0, ys), axis=-1)
+        assert np.all(gaps <= phi(np.linalg.norm(xs - ys, axis=-1)) * (1.0 + 1e-6))
+        assert np.all(np.linalg.norm(b(0.0, xs), axis=-1) <= phi(1.0) * (1.0 + 1e-6))
+
+    @given(q=hnp.arrays(np.float64, st.integers(1, 3), elements=st.floats(0.1, 3.0)),
+           amp=st.floats(-0.99, 0.99), freq=st.floats(0.1, 5.0), data=st.data())
+    def test_state_diagonal_keeps_covariance_invertible(self, q, amp, freq, data):
+        # the smallest singular value of Q stays at or above min(q) (1 - |amp|) > 0
+        xs = data.draw(hnp.arrays(np.float64, (16, q.size), elements=COORD))
+        qm = sim.state_diagonal_diffusion(q, amp, freq)(0.0, xs)
+        smallest = np.linalg.svd(qm, compute_uv=False)[..., -1]
+        bound = np.min(q) * (1.0 - abs(amp))
+        assert bound > 0.0
+        assert np.all(smallest >= bound * (1.0 - 1e-6))
+
+    @given(beta=st.floats(-2.0, 2.0), lags=st.integers(0, 6), modes=st.integers(1, 3),
+           data=st.data())
+    def test_delay_tanh_drift_lipschitz_and_bounded(self, beta, lags, modes, data):
+        # |B(xi) - B(eta)| <= |beta| |xi - eta|_inf and |B| <= |beta|
+        windows = hnp.arrays(np.float64, (lags + 1, 8, modes), elements=COORD)
+        sa, sb = data.draw(windows), data.draw(windows)
+        drift = sim.delay_tanh_drift(beta, np.ones(modes))
+        ba = drift(0.0, sim.SegmentView(sa, DT, lags * DT))
+        bb = drift(0.0, sim.SegmentView(sb, DT, lags * DT))
+        window_sup = np.linalg.norm(sa - sb, axis=-1).max(axis=0)
+        assert np.all(np.linalg.norm(ba - bb, axis=-1)
+                      <= abs(beta) * window_sup * (1.0 + 1e-6))
+        assert np.all(np.linalg.norm(ba, axis=-1) <= abs(beta) * (1.0 + 1e-6))
 
     def test_amplitude_cap_enforced(self):
         with pytest.raises(InputError):
