@@ -60,8 +60,10 @@ class Spectrum:
             raise InputError("growth_power must be non-negative")
         if not 0.0 < self.trace_exponent < 1.0:
             raise InputError("trace_exponent must lie in (0, 1)")
-        object.__setattr__(self, "eigenvalues", self.growth_coeff
-                           * np.arange(1.0, self.n_modes + 1.0) ** self.growth_power)
+        eigenvalues = self.growth_coeff * np.arange(1.0, self.n_modes + 1.0) ** self.growth_power
+        # the modes follow the law; a caller must not rewrite them in place
+        eigenvalues.flags.writeable = False
+        object.__setattr__(self, "eigenvalues", eigenvalues)
 
 
 @dataclass(frozen=True)

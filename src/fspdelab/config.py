@@ -173,6 +173,9 @@ class ExperimentConfig:
         if samples < 100:
             raise ConfigError("montecarlo.samples must be at least 100")
         spec = self.section("spectrum")
+        for key in ("n_modes", "coeff", "power", "trace_exponent"):
+            if key in spec and not isinstance(spec[key], (int, float)):
+                raise ConfigError(f"spectrum.{key} must be a number")
         if not 0.0 < spec.get("trace_exponent", 0.4) < 1.0:
             raise ConfigError("spectrum.trace_exponent must lie in (0, 1)")
         if spec.get("n_modes", 0) < 1:

@@ -27,7 +27,8 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
+from scipy.interpolate import NdBSpline
+from scipy.sparse.linalg import gcrotmk
 
 from .analysis import Spectrum, WeightFunction, sqrt_weight
 from .errors import CertificationError, InputError
@@ -142,8 +143,7 @@ def _multilinear(table: np.ndarray, lo, frac) -> np.ndarray:
     against each other to (B, *layout), and table b is read only at the
     points of row b.  The result is (C, B, *layout).  Corners are visited
     and their weights multiplied in the order of scipy's
-    RegularGridInterpolator(method="linear"), so the values agree with it
-    bit for bit.
+    interpn(method="linear"), so the values agree with it bit for bit.
     """
     grid_shape = table.shape[2:]
     flat = table.reshape(table.shape[0], -1)
@@ -163,6 +163,11 @@ def _multilinear(table: np.ndarray, lo, frac) -> np.ndarray:
         term *= weight
         value += term
     return value
+
+
+def _cubic_knots(axis: np.ndarray) -> np.ndarray:
+    """Not-a-knot knots of a cubic spline interpolating at the nodes of axis."""
+    return np.concatenate([np.full(4, axis[0]), axis[2:-2], np.full(4, axis[-1])])
 
 
 def _sphere_directions(n: int) -> np.ndarray:
@@ -202,7 +207,11 @@ def _bilinear_norm(tensors: np.ndarray) -> float:
 
 @dataclass
 class RegularizingField:
-    """Tabulated solution of the resolvent equation with certified bounds."""
+    """Tabulated solution of the resolvent equation with certified bounds.
+
+    The tables are read-only once the field is built, so the splines cached
+    from them cannot go stale; a field with other tables is a new field.
+    """
 
     lam: float
     horizon: float
@@ -218,7 +227,13 @@ class RegularizingField:
     converged: bool
     weight_name: str
     norms: dict
-    _interp_cache: dict = dc_field(default_factory=dict, repr=False)
+    # (kind, j) -> spline coefficients of slice j; (kind, j, up) -> its spline
+    _coefs: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
+    _splines: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for table in (self.u, self.grad, self.hess, self.times, *self.axes):
+            table.flags.writeable = False
 
     @property
     def n_modes(self) -> int:
@@ -242,21 +257,52 @@ class RegularizingField:
     def certified(self) -> bool:
         return all(self.cap_checks().values())
 
-    def _interp(self, kind: str, j: int) -> RegularGridInterpolator:
+    def _coefficients(self, kind: str, j: int) -> np.ndarray:
+        """Cubic B-spline coefficients interpolating slice j of a table, (*grid, components).
+
+        The knots are not-a-knot on every axis.  The collocation system at
+        the grid nodes is solved by gcrotmk to atol 1e-6, one component at a
+        time, which is the fit scipy's cubic grid interpolation makes, so the
+        values match it bit for bit.
+        """
         key = (kind, j)
-        if key not in self._interp_cache:
+        if key not in self._coefs:
             table = getattr(self, kind)[j]
             shape = table.shape[: len(self.axes)]
-            vals = table.reshape(shape + (-1,))
-            self._interp_cache[key] = RegularGridInterpolator(
-                self.axes, vals, method="cubic", bounds_error=False, fill_value=None)
-        return self._interp_cache[key]
+            vals = table.reshape(math.prod(shape), -1)
+            nodes = np.stack(np.meshgrid(*self.axes, indexing="ij"), axis=-1)
+            matrix = NdBSpline.design_matrix(nodes.reshape(vals.shape[0], -1),
+                                             tuple(map(_cubic_knots, self.axes)), 3)
+            matrix.eliminate_zeros()
+            coef = np.empty_like(vals)
+            for c in range(vals.shape[1]):
+                coef[:, c], info = gcrotmk(matrix, vals[:, c], atol=1e-6)
+                if info != 0:
+                    raise CertificationError(
+                        f"cubic fit of the {kind} table at slice {j} did not converge")
+            self._coefs[key] = coef.reshape(shape + (-1,))
+        return self._coefs[key]
+
+    def _spline(self, kind: str, j: int, up: bool) -> NdBSpline:
+        """Slice j's spline of a table, with slice j+1's components after its own when up."""
+        key = (kind, j, up)
+        if key not in self._splines:
+            coef = [self._coefficients(kind, i) for i in ((j, j + 1) if up else (j,))]
+            self._splines[key] = NdBSpline(tuple(map(_cubic_knots, self.axes)),
+                                           np.concatenate(coef, axis=-1), 3)
+        return self._splines[key]
 
     def _blend(self, kind: str, lo: int, frac, up: bool, xb: np.ndarray) -> np.ndarray:
-        """(1 - frac) * A_lo(xb) + frac * A_{lo+1}(xb), the second term only when up."""
-        out = (1.0 - frac) * self._interp(kind, lo)(xb)
+        """(1 - frac) * A_lo(xb) + frac * A_{lo+1}(xb), the second term only when up.
+
+        One spline call reads both slices: a B-spline sums each component on
+        its own, so the stacked components are bitwise those of one slice.
+        """
+        vals = self._spline(kind, lo, up)(xb)
+        m = vals.shape[-1] // 2 if up else vals.shape[-1]
+        out = (1.0 - frac) * vals[..., :m]
         if up:
-            out += frac * self._interp(kind, lo + 1)(xb)
+            out += frac * vals[..., m:]
         return out
 
     def _eval(self, kind: str, t, x: np.ndarray) -> np.ndarray:
@@ -277,7 +323,7 @@ class RegularizingField:
         xb = np.clip(x, -self.halfwidth, self.halfwidth)
         if np.ndim(t) == 0:
             lo, frac = _axis_stencil(self.times, min(max(t, 0.0), self.horizon))
-            out = self._blend(kind, lo, frac, frac > 0.0, xb)
+            out = self._blend(kind, int(lo), frac, bool(frac > 0.0), xb)
         else:
             lo, frac = _axis_stencil(self.times, np.clip(np.asarray(t, dtype=float), 0.0,
                                                          self.horizon))
@@ -694,8 +740,10 @@ class TransformedSystem:
         return np.einsum("...ij,...jm->...im", jac, self.base.diffusion_matrix(t, z))
 
     def delay_drift(self, t, view):
-        head = np.asarray(view.value_at(0.0), dtype=float)
-        z0 = self.field.invert_theta(t, head)
+        return self._delay_drift_from(t, self.field.invert_theta(t, view.value_at(0.0)), view)
+
+    def _delay_drift_from(self, t, z0, view):
+        """The conjugated delay drift on view, given the preimage z0 of its head."""
         jac = self.field.grad_theta(t, z0)
         inner = np.asarray(self.base.delay_drift(t, _InvertedSegmentView(view, self.field, t)),
                            dtype=float)
@@ -782,8 +830,10 @@ def transform_coeffs(field: RegularizingField, coeffs: CoefficientSet, *,
         va = SegmentView(sa[:, None], grid_step, delay)
         vb = SegmentView(sb[:, None], grid_step, delay)
         ba = sys.delay_drift(t, va)[0]
-        bb = sys.delay_drift(t, vb)[0]
-        qb = sys.diffusion(t, vb.value_at(0.0))[0]
+        # vb's head is inverted once, for its delay drift and its diffusion
+        zb = field.invert_theta(t, vb.value_at(0.0))
+        bb = sys._delay_drift_from(t, zb, vb)[0]
+        qb = sys._diffusion_from(t, zb)[0]
         gain = _control_gain(qb[None])[0]
         num = float(np.linalg.norm(gain @ (ba - bb)))
         den = float(np.max(np.linalg.norm(sa - sb, axis=-1)))

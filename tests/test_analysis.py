@@ -204,6 +204,12 @@ class TestInvariants:
         flat = an.Spectrum(3, growth_coeff=2.5, growth_power=0.0)
         assert np.array_equal(flat.eigenvalues, [2.5, 2.5, 2.5])
 
+    def test_spectrum_eigenvalues_read_only(self):
+        spec = an.Spectrum(3)
+        with pytest.raises(ValueError):
+            spec.eigenvalues[0] = 50.0
+        assert spec.eigenvalues[0] == 1.0
+
     def test_passing_report_requires_finite_integral(self):
         with pytest.raises(InputError):
             an.ClassReport(check="x", verdict=an.PASS, integral_value=math.inf)

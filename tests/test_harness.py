@@ -339,6 +339,15 @@ class TestCli:
         assert "config_error" in out
         assert f"message=ConfigError('{section}: " in out
 
+    @pytest.mark.parametrize("key, value", [("n_modes", "2"), ("coeff", "abc")])
+    def test_non_numeric_spectrum_exit_two(self, tmp_path, capsys, key, value):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"spectrum": {key: value}}))
+        code = main(["classcheck", "--config", str(bad), "--out", str(tmp_path)])
+        assert code == 2
+        assert f"message=ConfigError('spectrum.{key} must be a number')" in \
+            capsys.readouterr().out
+
     def test_seed_override_changes_hash(self, tmp_path):
         main(["simulate", "--out", str(tmp_path / "a"), "--seed", "1"])
         main(["simulate", "--out", str(tmp_path / "b"), "--seed", "2"])

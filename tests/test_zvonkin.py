@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
-from scipy.interpolate import RegularGridInterpolator
+from scipy.interpolate import NdBSpline, RegularGridInterpolator
 
 from fspdelab import analysis as an
 from fspdelab import simulator as sim
@@ -324,12 +324,124 @@ class TestPerRowTimes:
 
     def test_window_row_without_convergence_raises(self, field):
         # scaled up 1000-fold, x <- y - u(t, x) no longer contracts at y = (0, -2.5)
-        steep = replace(field, u=1000.0 * field.u, _interp_cache={})
+        steep = replace(field, u=1000.0 * field.u)
         window = np.zeros((9, 2, 2))
         window[:, 1] = [0.0, -2.5]
         view = zv._InvertedSegmentView(sim.SegmentView(window, 1.0 / 32.0, 0.25), steep, 0.3)
         with pytest.raises(CertificationError, match="200 iterations"):
             view.sup_norm()
+
+
+@st.composite
+def _field_reads(draw):
+    """A read of one table of a 1-, 2- or 3-mode field: scalar or per-row times.
+
+    The 3-mode field's hess table is left out: its cubic fit does not
+    converge on that 5-node grid (test_unconverged_fit_raises).  A time is
+    a multiple in [-0.5, 1.5] of the horizon, which clamps it at both ends,
+    or an integer naming a slice node (frac = 0; the last slice for any
+    integer past it).  Coordinates reach past the box [-3, 3], and one of
+    them may be NaN.
+    """
+    n = draw(st.sampled_from((1, 2, 3)))
+    kind = draw(st.sampled_from(("u", "grad") if n == 3 else ("u", "grad", "hess")))
+    per_row = draw(st.booleans())
+    n_rows, n_pts = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    times = draw(st.lists(st.one_of(st.floats(-0.5, 1.5), st.integers(0, 20)),
+                          min_size=n_rows, max_size=n_rows))
+    size = n_rows * n_pts * n
+    coords = np.array(draw(st.lists(st.floats(-4.5, 4.5), min_size=size, max_size=size)))
+    nan_at = draw(st.none() | st.integers(0, size - 1))
+    if nan_at is not None:
+        coords[nan_at] = math.nan
+    return n, kind, per_row, times, coords.reshape(n_rows, n_pts, n)
+
+
+class TestSplineReads:
+    """u_at/grad_at/hess_at against the cubic RegularGridInterpolator read they replace."""
+
+    @pytest.fixture(scope="class")
+    def fields(self, field):
+        out = {2: field}
+        for n in (1, 3):
+            _, lam, order, grid, _, _ = TestRecordedFields.CASES[f"n{n}"]
+            ref = zv.ReferenceSemigroup(an.Spectrum(n), np.ones(n), quad_order=order)
+            drift = sim.dini_drift(an.log_dini_modulus(scale=0.4), np.ones(n))
+            out[n] = zv.solve_u(ref, drift, lam, 1.0, grid)
+        return out
+
+    @pytest.fixture(scope="class")
+    def grid_read(self):
+        """One scalar-time read: a cubic RegularGridInterpolator per slice, blended in time."""
+        interps = {}
+
+        def interp(field, kind, j):
+            key = (id(field), kind, j)
+            if key not in interps:
+                table = getattr(field, kind)[j]
+                interps[key] = RegularGridInterpolator(
+                    field.axes, table.reshape(table.shape[: field.n_modes] + (-1,)),
+                    method="cubic", bounds_error=False, fill_value=None)
+            return interps[key]
+
+        def read(field, kind, t, x):
+            lo, frac = zv._axis_stencil(field.times, min(max(t, 0.0), field.horizon))
+            xb = np.clip(x, -field.halfwidth, field.halfwidth)
+            out = (1.0 - frac) * interp(field, kind, lo)(xb)
+            if frac > 0.0:
+                out += frac * interp(field, kind, lo + 1)(xb)
+            return out.reshape(x.shape[:-1] + getattr(field, kind).shape[1 + field.n_modes:])
+
+        return read
+
+    @given(_field_reads())
+    @example((2, "grad", True, [20, -0.5, 1.5, 0],
+              np.array([[[0.3, -0.1]], [[4.2, math.nan]], [[-3.0, 3.0]], [[0.0, 0.0]]])))
+    @example((3, "grad", False, [0.25], np.full((1, 2, 3), -4.0)))
+    def test_reads_equal_grid_interpolator(self, fields, grid_read, case):
+        n, kind, per_row, times, x = case
+        field = fields[n]
+        ts = np.array([field.times[min(t, field.times.size - 1)] if isinstance(t, int)
+                       else t * field.horizon for t in times])
+        read = {"u": field.u_at, "grad": field.grad_at, "hess": field.hess_at}[kind]
+        if per_row:
+            got = read(ts, x)
+            want = np.stack([grid_read(field, kind, t, row) for t, row in zip(ts, x)])
+        else:
+            got, want = read(ts[0], x), grid_read(field, kind, ts[0], x)
+        assert np.array_equal(got, want, equal_nan=True)
+        # a point with a NaN coordinate reads NaN, every other point a number
+        nan_pts = np.isnan(x).any(axis=-1)
+        assert np.isnan(got[nan_pts]).all() and not np.isnan(got[~nan_pts]).any()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_fit_equals_grid_interpolator_coefficients(self, fields, n):
+        field = fields[n]
+        for kind in ("u", "grad") if n == 3 else ("u", "grad", "hess"):
+            for j in range(field.times.size):
+                table = getattr(field, kind)[j]
+                rgi = RegularGridInterpolator(field.axes, table.reshape(table.shape[:n] + (-1,)),
+                                              method="cubic")
+                assert np.array_equal(field._coefficients(kind, j), rgi._spline.c)
+
+    def test_unconverged_fit_raises(self, fields):
+        # scipy's cubic grid interpolation fails on this slice as well
+        with pytest.raises(CertificationError, match="hess table at slice 1"):
+            fields[3].hess_at(fields[3].times[1], np.zeros(3))
+
+    def test_one_spline_call_per_read(self, field, monkeypatch):
+        calls = []
+        real = NdBSpline.__call__
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(NdBSpline, "__call__", counted)
+        x = np.array([[0.4, -0.7]])
+        field.grad_at(0.123, x)          # between slices
+        field.u_at(field.times[3], x)    # on a slice
+        assert len(calls) == 2
 
 
 class TestTransformedSystem:
@@ -404,6 +516,16 @@ class TestPersistence:
         assert np.array_equal(field.u_at(0.2, x), loaded.u_at(0.2, x))
         assert loaded.norms == pytest.approx(field.norms)
         assert loaded.certified == field.certified
+
+    def test_built_and_loaded_tables_are_read_only(self, field, tmp_path):
+        # a write in place would leave the cached splines describing old tables
+        base = str(tmp_path / "field")
+        field.save(base)
+        loaded = zv.RegularizingField.load(base)
+        for fld in (field, loaded):
+            for table in (fld.u, fld.grad, fld.hess):
+                with pytest.raises(ValueError):
+                    table[0] = 0.0
 
     def test_tampered_sidecar_rejected(self, field, tmp_path):
         import json
