@@ -176,6 +176,9 @@ class ExperimentConfig:
         for key in ("n_modes", "coeff", "power", "trace_exponent"):
             if key in spec and not isinstance(spec[key], (int, float)):
                 raise ConfigError(f"spectrum.{key} must be a number")
+        if "n_modes" in spec and (isinstance(spec["n_modes"], bool)
+                                  or not isinstance(spec["n_modes"], int)):
+            raise ConfigError("spectrum.n_modes must be an integer")
         if not 0.0 < spec.get("trace_exponent", 0.4) < 1.0:
             raise ConfigError("spectrum.trace_exponent must lie in (0, 1)")
         if spec.get("n_modes", 0) < 1:

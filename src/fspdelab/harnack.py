@@ -21,7 +21,7 @@ from .errors import ExplosionError, InputError
 from .segment import SegmentPath, _steps
 from .simulator import (CoefficientSet, EnsembleResult, NoisePath, SegmentView,
                         _history_windows, simulate_ensemble)
-from .zvonkin import RegularizingField
+from .zvonkin import RegularizingField, TransformedSystem
 
 
 @dataclass(frozen=True)
@@ -231,9 +231,10 @@ def conjugation_check(coeffs: CoefficientSet, field: RegularizingField, xi: Segm
     The direct side is simulate_ensemble on one Brownian array; the loop
     here advances only the transformed path Y and, next to it, the
     inverse image Z = theta^{-1}(Y), so the pullback of f needs no extra
-    inversions.  Both sides apply the noise with the same rule, which
-    makes the trivial field an exact identity and leaves only the
-    transform-consistency gap otherwise.
+    inversions and the TransformedSystem coefficients are read on Z.  Both
+    sides apply the noise with the same rule, which makes the trivial field
+    an exact identity and leaves only the transform-consistency gap
+    otherwise.
     """
     if horizon <= xi.delay:
         raise InputError("the conjugation identity is checked for T > r")
@@ -264,21 +265,19 @@ def conjugation_check(coeffs: CoefficientSet, field: RegularizingField, xi: Segm
     y_states[: lags + 1] = field.theta(-xi.delay + np.arange(lags + 1) * grid_step,
                                        xi.values[:, None, :])
 
-    resolvent = field.lam + lam
+    sys = TransformedSystem(field, coeffs, {})
     for k, (t, z, zview) in enumerate(_history_windows(z_states, z_norms, xi.delay,
                                                        grid_step, steps)):
         y = y_states[lags + k]
         z[...] = field.invert_theta(t, y)
         z_norms[lags + k] = np.linalg.norm(z, axis=-1)
         jac = field.grad_theta(t, z)
-        b_bar = resolvent * field.u_at(t, z)
-        inner = np.asarray(coeffs.delay_drift(t, zview), dtype=float)
-        drift_bar = b_bar + np.einsum("pij,pj->pi", jac, inner)
+        drift_bar = sys.drift_at(t, z) + sys.delay_drift_at(t, jac, zview)
         if use_exact:
             gain_bar = conv_scale * noise.increments[k]
         else:
-            q_bar = np.einsum("pij,pjm->pim", jac, coeffs.diffusion_matrix(t, z))
-            gain_bar = decay * np.einsum("pnm,pm->pn", q_bar, noise.increments[k])
+            gain_bar = decay * np.einsum("pnm,pm->pn", sys.diffusion_at(t, z, jac),
+                                         noise.increments[k])
         y_states[lags + k + 1] = decay * y + drift_fac * drift_bar + gain_bar
 
     z_states[-1] = field.invert_theta(horizon, y_states[-1])

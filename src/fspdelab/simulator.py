@@ -52,9 +52,6 @@ class SegmentView:
             raise InputError(f"lag {s} outside the stored window")
         return self.window[int(rounded)]
 
-    def terminal(self) -> np.ndarray:
-        return self.window[-1]
-
     def sup_norm(self) -> np.ndarray:
         norms = np.linalg.norm(self.window, axis=-1) if self.norms is None else self.norms
         return norms.max(axis=0)

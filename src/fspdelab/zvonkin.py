@@ -692,62 +692,32 @@ def lambda_threshold(fields: list[RegularizingField], horizon: float,
     raise CertificationError(f"no lam on the grid certifies the field; failures: {failures}")
 
 
-class _InvertedSegmentView:
-    """Lazy theta^{-1} image of a segment window."""
-
-    def __init__(self, view, field: RegularizingField, t: float):
-        self._view = view
-        self._field = field
-        self._t = t
-
-    def value_at(self, s: float) -> np.ndarray:
-        return self._field.invert_theta(self._t + s, self._view.value_at(s))
-
-    def sup_norm(self):
-        """Row-wise max over the window of |theta^{-1}(t + s_k, window[k])|, one inversion."""
-        window = self._view.window
-        lags = np.arange(window.shape[0])
-        times = self._t + (-self._view.delay + lags * self._view.grid_step)
-        inv = self._field.invert_theta(times, window)
-        return np.max(np.linalg.norm(inv, axis=-1), axis=0)
-
-
 @dataclass
 class TransformedSystem:
-    """Conjugated coefficients with their measured Lipschitz budget."""
+    """Conjugated coefficients with their measured Lipschitz budget.
+
+    The methods are the one definition of the conjugated coefficients.  Each
+    reads them at theta(t, z) from the preimage z = theta^{-1}(t, y), and
+    jac = grad theta(t, z) is read once by the caller for the two that need it.
+    """
 
     field: RegularizingField
     base: CoefficientSet
     bounds: dict
 
-    @property
-    def lam(self) -> float:
-        return self.field.lam
+    def drift_at(self, t, z):
+        """The conjugated drift (lam + lam_i) u(t, z)."""
+        return (self.field.lam + self.field.spec.eigenvalues) * self.field.u_at(t, z)
 
-    def drift(self, t, x):
-        return self._drift_from(t, self.field.invert_theta(t, x))
+    def delay_drift_at(self, t, jac, zview):
+        """The conjugated delay drift jac B(t, zview), zview a window of preimages."""
+        inner = np.asarray(self.base.delay_drift(t, zview), dtype=float)
+        return np.einsum("...ij,...j->...i", jac, inner)
 
-    def diffusion(self, t, x):
-        return self._diffusion_from(t, self.field.invert_theta(t, x))
-
-    def _drift_from(self, t, z):
-        """The conjugated drift at theta(t, z), given the preimage z."""
-        return (self.lam + self.field.spec.eigenvalues) * self.field.u_at(t, z)
-
-    def _diffusion_from(self, t, z):
-        """The conjugated diffusion at theta(t, z), given the preimage z."""
-        jac = self.field.grad_theta(t, z)
+    def diffusion_at(self, t, z, jac):
+        """The conjugated diffusion jac Q(t, z)."""
         return np.einsum("...ij,...jm->...im", jac, self.base.diffusion_matrix(t, z))
 
-    def delay_drift(self, t, view):
-        return self._delay_drift_from(t, self.field.invert_theta(t, view.value_at(0.0)), view)
-
-    def _delay_drift_from(self, t, z0, view):
-        """The conjugated delay drift on view, given the preimage z0 of its head."""
-        jac = self.field.grad_theta(t, z0)
-        inner = np.asarray(self.base.delay_drift(t, _InvertedSegmentView(view, self.field, t)),
-                           dtype=float)
-        return np.einsum("...ij,...j->...i", jac, inner)
 
 def _control_gain(sys_q: np.ndarray) -> np.ndarray:
     """Q*(QQ*)^{-1} for a batch of (n, m) matrices."""
@@ -807,8 +777,9 @@ def transform_coeffs(field: RegularizingField, coeffs: CoefficientSet, *,
         xs, ys = _log_spaced_pairs(rng, n, hw, battery, np.geomspace(1e-3, 2.0, 24))
         # both batteries inverted once, as two rows that stop on their own
         zx, zy = field.invert_theta(np.full(2, t), np.stack([xs, ys]))
-        qx = sys._diffusion_from(t, zx)
-        qy = sys._diffusion_from(t, zy)
+        jx, jy = field.grad_theta(t, np.stack([zx, zy]))
+        qx = sys.diffusion_at(t, zx, jx)
+        qy = sys.diffusion_at(t, zy, jy)
         gaps = xs - ys
         dists = np.linalg.norm(gaps, axis=-1)
         keep = dists > 1e-12
@@ -816,25 +787,28 @@ def transform_coeffs(field: RegularizingField, coeffs: CoefficientSet, *,
         k2 = max(k2, float(np.max(dq_op[keep] / np.minimum(1.0, dists[keep]))))
         gain_norms = np.linalg.svd(_control_gain(qx), compute_uv=False)[..., 0]
         k3 = max(k3, float(np.max(gain_norms)))
-        db = sys._drift_from(t, zx) - sys._drift_from(t, zy)
+        db = sys.drift_at(t, zx) - sys.drift_at(t, zy)
         quad = 2.0 * np.einsum("pi,pi->p", gaps, -lamvec * gaps + db) \
             + np.sum((qx - qy) ** 2, axis=(-2, -1))
         k4 = max(k4, float(np.max(quad[keep] / dists[keep] ** 2)))
 
     seg_count = max(battery // 8, 8)
-    segs_a = sine_segment_values(rng, delay, grid_step, 0.4 * hw, 0.2 * hw, (seg_count, 1, n))
-    segs_b = sine_segment_values(rng, delay, grid_step, 0.4 * hw, 0.2 * hw, (seg_count, 1, n))
+    # (pair, side a/b, lag, mode)
+    segs = np.stack([sine_segment_values(rng, delay, grid_step, 0.4 * hw, 0.2 * hw,
+                                         (seg_count, 1, n)) for _ in range(2)], axis=1)
     seg_ts = rng.uniform(0.0, field.horizon, size=seg_count)
+    # one per-row inversion: every window row at its own time, every head at t
+    row_ts = seg_ts[:, None, None] + (-delay + np.arange(segs.shape[2]) * grid_step)
+    n_rows = segs[..., 0].size
+    pre = field.invert_theta(
+        np.concatenate([np.broadcast_to(row_ts, segs.shape[:-1]).ravel(), np.repeat(seg_ts, 2)]),
+        np.concatenate([segs.reshape(-1, n), segs[:, :, -1].reshape(-1, n)]))
+    z_rows, z_heads = pre[:n_rows].reshape(segs.shape), pre[n_rows:].reshape(-1, 2, n)
+    jacs = field.grad_theta(np.repeat(seg_ts, 2), z_heads.reshape(-1, n)).reshape(-1, 2, n, n)
     k1 = 0.0
-    for t, sa, sb in zip(seg_ts, segs_a, segs_b):
-        va = SegmentView(sa[:, None], grid_step, delay)
-        vb = SegmentView(sb[:, None], grid_step, delay)
-        ba = sys.delay_drift(t, va)[0]
-        # vb's head is inverted once, for its delay drift and its diffusion
-        zb = field.invert_theta(t, vb.value_at(0.0))
-        bb = sys._delay_drift_from(t, zb, vb)[0]
-        qb = sys._diffusion_from(t, zb)[0]
-        gain = _control_gain(qb[None])[0]
+    for t, (sa, sb), z_side, z_head, jac in zip(seg_ts, segs, z_rows, z_heads, jacs):
+        ba, bb = sys.delay_drift_at(t, jac, SegmentView(z_side.swapaxes(0, 1), grid_step, delay))
+        gain = _control_gain(sys.diffusion_at(t, z_head[1:], jac[1:]))[0]
         num = float(np.linalg.norm(gain @ (ba - bb)))
         den = float(np.max(np.linalg.norm(sa - sb, axis=-1)))
         k1 = max(k1, num / max(den, 1e-12))

@@ -123,7 +123,7 @@ class TestHistoryWindows:
         norms = np.zeros(states.shape[:2])
         for k, (t, x, view) in enumerate(sim._history_windows(states, norms, lags * dt, dt,
                                                               steps)):
-            assert np.all(view.terminal() == k) and np.all(view.sup_norm() == k)
+            assert np.all(view.window[-1] == k) and np.all(view.sup_norm() == k)
             states[lags + k + 1] = x + 1.0
             norms[lags + k + 1] = k + 1.0
 

@@ -259,12 +259,13 @@ class TestDiffeomorphism:
             assert 8.0 / 9.0 <= inverse <= 8.0 / 7.0
 
     def test_segment_transform_roundtrip(self, field):
-        # the inverted window view that the K1 battery of transform_coeffs reads
+        # a window of preimages as the K1 battery of transform_coeffs reads it
         delay, step = 0.25, 1.0 / 32.0
         xi = SegmentPath.from_function(lambda s: np.array([0.4 * math.cos(s), 0.2]),
                                        delay, step)
-        fwd = np.stack([field.theta(0.1 + s, v) for s, v in zip(xi.times(), xi.values)])
-        back = zv._InvertedSegmentView(sim.SegmentView(fwd[:, None], step, delay), field, 0.1)
+        times = 0.1 + xi.times()
+        fwd = np.stack([field.theta(t, v) for t, v in zip(times, xi.values)])
+        back = sim.SegmentView(field.invert_theta(times, fwd[:, None]), step, delay)
         vals = np.stack([back.value_at(s)[0] for s in xi.times()])
         assert np.max(np.abs(vals - xi.values)) <= 1e-9
         assert back.sup_norm()[0] == pytest.approx(segment_norm(xi), abs=1e-9)
@@ -317,9 +318,10 @@ class TestPerRowTimes:
         # t = 0.3 with delay 0.25 reads times 0.05 ... 0.3, across five slices
         delay, step = 0.25, 1.0 / 32.0
         window = np.random.default_rng(5).uniform(-2.5, 2.5, size=(9, 4, 2))
-        view = zv._InvertedSegmentView(sim.SegmentView(window, step, delay), field, 0.3)
-        want = np.max([np.linalg.norm(field.invert_theta(0.3 + (-delay + k * step), row),
-                                      axis=-1) for k, row in enumerate(window)], axis=0)
+        times = 0.3 + (-delay + np.arange(9) * step)
+        view = sim.SegmentView(field.invert_theta(times, window), step, delay)
+        want = np.max([np.linalg.norm(field.invert_theta(t, row), axis=-1)
+                       for t, row in zip(times, window)], axis=0)
         assert np.array_equal(view.sup_norm(), want)
 
     def test_window_row_without_convergence_raises(self, field):
@@ -327,9 +329,9 @@ class TestPerRowTimes:
         steep = replace(field, u=1000.0 * field.u)
         window = np.zeros((9, 2, 2))
         window[:, 1] = [0.0, -2.5]
-        view = zv._InvertedSegmentView(sim.SegmentView(window, 1.0 / 32.0, 0.25), steep, 0.3)
+        times = 0.3 + (-0.25 + np.arange(9) / 32.0)
         with pytest.raises(CertificationError, match="200 iterations"):
-            view.sup_norm()
+            steep.invert_theta(times, window)
 
 
 @st.composite
@@ -444,14 +446,24 @@ class TestSplineReads:
         assert len(calls) == 2
 
 
+def conjugated_at(tsys, t, ys):
+    """The conjugated drift and diffusion at states ys, read from their preimages."""
+    zs = tsys.field.invert_theta(t, ys)
+    return tsys.drift_at(t, zs), tsys.diffusion_at(t, zs, tsys.field.grad_theta(t, zs))
+
+
 class TestTransformedSystem:
     def test_trivial_transform_returns_base(self, ref, dini_coeffs):
         fld = zv.solve_u(ref, lambda t, y: np.zeros_like(np.asarray(y, dtype=float)),
                          50.0, 0.5, SMALL_GRID)
         tsys = zv.transform_coeffs(fld, dini_coeffs)
         xs = np.array([[0.7, -0.4], [1.2, 0.3]])
-        assert np.array_equal(tsys.drift(0.2, xs), np.zeros_like(xs))
-        assert np.array_equal(tsys.diffusion(0.2, xs), dini_coeffs.diffusion_matrix(0.2, xs))
+        drift, diffusion = conjugated_at(tsys, 0.2, xs)
+        assert np.array_equal(drift, np.zeros_like(xs))
+        assert np.array_equal(diffusion, dini_coeffs.diffusion_matrix(0.2, xs))
+        view = sim.SegmentView(np.stack([xs] * 9), 1.0 / 32.0, 0.25)
+        assert np.array_equal(tsys.delay_drift_at(0.2, fld.grad_theta(0.2, xs), view),
+                              dini_coeffs.delay_drift(0.2, view))
         assert tsys.bounds["K2"] == 0.0
 
     def test_diffusion_modulus_holds_out(self, transformed):
@@ -460,8 +472,8 @@ class TestTransformedSystem:
         for t in np.linspace(0.0, 0.5, 5):
             xs = rng.uniform(-2.4, 2.4, size=(200, 2))
             ys = rng.uniform(-2.4, 2.4, size=(200, 2))
-            dq = np.linalg.svd(transformed.diffusion(t, xs)
-                               - transformed.diffusion(t, ys), compute_uv=False)[..., 0]
+            dq = np.linalg.svd(conjugated_at(transformed, t, xs)[1]
+                               - conjugated_at(transformed, t, ys)[1], compute_uv=False)[..., 0]
             caps = k2 * np.minimum(1.0, np.linalg.norm(xs - ys, axis=-1))
             assert np.all(dq <= caps + 1e-12)
 
@@ -473,11 +485,9 @@ class TestTransformedSystem:
             xs = rng.uniform(-2.4, 2.4, size=(200, 2))
             ys = rng.uniform(-2.4, 2.4, size=(200, 2))
             gaps = xs - ys
-            qd = transformed.diffusion(t, xs) - transformed.diffusion(t, ys)
-            quad = 2.0 * np.einsum("pi,pi->p", gaps,
-                                   -lamvec * gaps + transformed.drift(t, xs)
-                                   - transformed.drift(t, ys)) \
-                + np.sum(qd**2, axis=(-2, -1))
+            (bx, qx), (by, qy) = (conjugated_at(transformed, t, pts) for pts in (xs, ys))
+            quad = 2.0 * np.einsum("pi,pi->p", gaps, -lamvec * gaps + bx - by) \
+                + np.sum((qx - qy)**2, axis=(-2, -1))
             d2 = np.sum(gaps**2, axis=-1)
             assert np.all(quad <= k4 * d2 + 0.1 * abs(k4) * d2 + 1e-9)
 
@@ -487,6 +497,35 @@ class TestTransformedSystem:
         assert {k: repr(transformed.bounds[k]) for k in ("K1", "K2", "K3", "K4")} == {
             "K1": "0.18661670625805435", "K2": "0.03125545029646565",
             "K3": "1.008792059449004", "K4": "-1.5477460182369709"}
+
+    @pytest.mark.parametrize("delay, step, seed, pinned", [
+        (0.25, 1.0 / 128.0, 99, ("0.7008145804334232", "0.8413957619039131",
+                                 "2.0072060461419357", "-1.2744838679491848")),
+        # a grid step that is not a binary fraction: lag times carry rounding
+        (0.3, 0.1, 7, ("0.7293909637396301", "0.8299561383736591",
+                       "2.007393318000492", "-1.148230090655008"))])
+    def test_bounds_pinned_shift_state_diag(self, field, dini_coeffs, delay, step, seed,
+                                            pinned):
+        # B reads xi(-r), row 0 of the preimage window, and Q depends on the state
+        coeffs = sim.make_coefficients(2, drift=dini_coeffs.drift,
+                                       delay_drift=sim.delay_shift_drift(0.4, delay),
+                                       diffusion=sim.state_diagonal_diffusion(np.ones(2)))
+        tsys = zv.transform_coeffs(field, coeffs, delay=delay, grid_step=step, seed=seed)
+        assert tuple(repr(tsys.bounds[k]) for k in ("K1", "K2", "K3", "K4")) == pinned
+
+    def test_one_inversion_per_battery(self, field, dini_coeffs, monkeypatch):
+        real = zv.RegularizingField.invert_theta
+        rows = []
+
+        def counted(self, t, y):
+            rows.append(np.size(t))
+            return real(self, t, y)
+
+        monkeypatch.setattr(zv.RegularizingField, "invert_theta", counted)
+        zv.transform_coeffs(field, dini_coeffs, delay=0.25, grid_step=1.0 / 32.0)
+        # two battery rows at each of the nine K2-K4 times, then the K1 battery:
+        # 32 pairs of 9-row windows and their 64 heads in one call
+        assert rows == [2] * 9 + [32 * 2 * 9 + 64]
 
     def test_control_gain_bounded(self, transformed):
         assert transformed.bounds["K3"] >= 1.0
