@@ -407,7 +407,7 @@ def run_uniqueness(cfg: ExperimentConfig) -> ExperimentResult:
         lags = _steps(delay, dt)
 
         # stop each comparison at the first level crossing of the low run
-        mags = np.linalg.norm(res_low.states[lags:], axis=-1)
+        mags = res_low.norms[lags:]
         crossing = np.argmax(mags >= level, axis=0)
         never = ~np.any(mags >= level, axis=0)
         stop_steps = np.where(never, mags.shape[0] - 1,

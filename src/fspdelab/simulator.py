@@ -168,6 +168,11 @@ def _history_windows(states: np.ndarray, norms: np.ndarray, delay: float,
                SegmentView(states[k: k + lags + 1], grid_step, delay, norms[k: k + lags + 1]))
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """|x| over the last axis, bit for bit `np.linalg.norm(x, axis=-1)` on real x."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
+
+
 def _full_drift(coeffs: CoefficientSet, t: float, x: np.ndarray,
                 view: SegmentView) -> np.ndarray:
     """b(t, x) + B(t, X_t), the drift the mild equation integrates."""
@@ -180,7 +185,13 @@ def simulate_ensemble(coeffs: CoefficientSet, xi: SegmentPath, horizon: float,
                       *, n_paths: int = 1, seed: int | None = None,
                       record_convolution: bool = False,
                       force_general_noise: bool = False) -> EnsembleResult:
-    """Integrate the mild equation for a batch of paths sharing one noise array."""
+    """Integrate the mild equation for a batch of paths sharing one noise array.
+
+    The per-step norms come from `_row_norms`, which is the expression
+    `np.linalg.norm(x, axis=-1)` evaluates for real input (the square root
+    of `np.add.reduce` over the squares), so `norms` holds its bits for
+    every mode count.  Dead paths are frozen only once one has exploded.
+    """
     if xi.grid_step != grid_step and abs(xi.grid_step - grid_step) > 1e-12:
         raise InputError("initial segment grid step must match the simulation grid")
     steps = _steps(horizon, grid_step)
@@ -210,9 +221,10 @@ def simulate_ensemble(coeffs: CoefficientSet, xi: SegmentPath, horizon: float,
     states = np.empty((lags + steps + 1, paths, n))
     states[: lags + 1] = xi.values[:, None, :]
     norms = np.empty(states.shape[:2])
-    norms[: lags + 1] = np.linalg.norm(xi.values, axis=-1)[:, None]
+    norms[: lags + 1] = _row_norms(xi.values)[:, None]
     conv = np.zeros_like(states) if record_convolution else None
     alive = np.ones(paths, dtype=bool)
+    dead = None  # ~alive, once some path has exploded
     life = np.full(paths, math.inf)
 
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
@@ -227,15 +239,18 @@ def simulate_ensemble(coeffs: CoefficientSet, xi: SegmentPath, horizon: float,
                 qm = coeffs.diffusion_matrix(t, x)
                 gain = decay * np.einsum("...nm,...m->...n", qm, dw)
             nxt = decay * x + drift_fac * drift + gain
-            nxt[~alive] = x[~alive]
             if conv is not None:
                 conv[base + 1] = decay * conv[base] + gain
-                conv[base + 1][~alive] = conv[base][~alive]
-            mags = np.linalg.norm(nxt, axis=-1)
+            if dead is not None:
+                nxt[dead] = x[dead]
+                if conv is not None:
+                    conv[base + 1][dead] = conv[base][dead]
+            mags = _row_norms(nxt)
             bad = alive & (~np.isfinite(mags) | (mags > EXPLOSION_THRESHOLD))
             if np.any(bad):
                 life[bad] = (k + 1) * grid_step
                 alive &= ~bad
+                dead = ~alive
             states[base + 1] = nxt
             norms[base + 1] = mags
 
@@ -247,8 +262,15 @@ def simulate_ensemble(coeffs: CoefficientSet, xi: SegmentPath, horizon: float,
 # Smooth truncation of coefficients.
 
 def smooth_cutoff(u):
-    """C-infinity cutoff: 1 on [0, 1], 0 on [2, inf), monotone between."""
+    """C-infinity cutoff: 1 on [0, 1], 0 on [2, inf), monotone between.
+
+    When every argument is <= 1 the result is all ones without evaluating
+    the formula: that is exactly what the outer `np.where` picks there.
+    NaN and inf fail `u <= 1`, so an array holding one takes the formula.
+    """
     u = np.asarray(u, dtype=float)
+    if np.all(u <= 1.0):
+        return np.ones_like(u)
     with np.errstate(over="ignore", under="ignore"):
         lo = np.exp(np.where(u < 2.0, -1.0 / np.maximum(2.0 - u, 1e-300), -np.inf))
         hi = np.exp(np.where(u > 1.0, -1.0 / np.maximum(u - 1.0, 1e-300), -np.inf))
@@ -280,7 +302,7 @@ def truncate_coeffs(coeffs: CoefficientSet, scheme: TruncationScheme) -> Coeffic
     psi = scheme.cutoff
 
     def b_m(t, x):
-        factor = psi(np.linalg.norm(x, axis=-1) / m)[..., None]
+        factor = psi(_row_norms(np.asarray(x, dtype=float)) / m)[..., None]
         return np.asarray(coeffs.drift(min(t, m), x), dtype=float) * factor
 
     def delay_m(t, view):
@@ -288,7 +310,7 @@ def truncate_coeffs(coeffs: CoefficientSet, scheme: TruncationScheme) -> Coeffic
         return np.asarray(coeffs.delay_drift(min(t, m), view), dtype=float) * factor
 
     def q_m(t, x):
-        factor = psi(np.linalg.norm(x, axis=-1) / m)[..., None, None]
+        factor = psi(_row_norms(np.asarray(x, dtype=float)) / m)[..., None, None]
         return np.asarray(coeffs.diffusion_matrix(min(t, m), x), dtype=float) * factor
 
     return replace(coeffs, drift=b_m, delay_drift=delay_m, diffusion=q_m,

@@ -104,6 +104,39 @@ class TestMildIntegrator:
         assert np.isfinite(tr.states[-2]).all()
         assert np.array_equal(tr.states[: round(DELAY / DT) + 1], xi.values)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 32])
+    def test_norms_are_linalg_norm_bitwise(self, n):
+        # n = 32 is the galerkin reference spectrum
+        rng = np.random.default_rng(n)
+        xi = SegmentPath(DELAY, DT, rng.normal(size=(round(DELAY / DT) + 1, n)))
+        coeffs = sim.make_coefficients(n, drift=sim.linear_drift(0.5),
+                                       diag_noise=np.linspace(1.0, 0.1, n))
+        res = sim.simulate_ensemble(coeffs, xi, 0.5, DT, an.Spectrum(n), n_paths=5, seed=n)
+        assert np.array_equal(res.norms, np.linalg.norm(res.states, axis=-1))
+
+    def test_batch_with_explosions_matches_one_path_runs(self, spec2):
+        # cubic drift from the unstable equilibrium: some paths explode, some decay;
+        # each path's column must not see whether its neighbours are dead
+        coeffs = sim.make_coefficients(2, drift=sim.cubic_drift(1.0),
+                                       diag_noise=np.array([1.5, 0.5]))
+        xi = SegmentPath.constant(np.array([1.0, 0.5]), DELAY, DT)
+        noise = sim.NoisePath.generate(3, 128, 2, DT, n_paths=16)
+        res = sim.simulate_ensemble(coeffs, xi, 2.0, DT, spec2, noise, record_convolution=True)
+        assert 0 < res.exploded.sum() < res.n_paths
+        for p in range(res.n_paths):
+            one = sim.simulate_ensemble(coeffs, xi, 2.0, DT, spec2,
+                                        sim.NoisePath(noise.increments[:, p: p + 1], DT),
+                                        record_convolution=True)
+            assert one.life_times[0] == res.life_times[p]
+            if one.exploded[0]:
+                # frozen from the exploding step on
+                stop = round((DELAY + one.life_times[0]) / DT)
+                tail = res.states[stop:, p]
+                assert np.array_equal(tail, np.broadcast_to(tail[0], tail.shape), equal_nan=True)
+            for name in ("states", "norms", "convolution"):
+                assert np.array_equal(getattr(one, name)[:, 0], getattr(res, name)[:, p],
+                                      equal_nan=True), (p, name)
+
     def test_noise_grid_mismatch_rejected(self, spec2):
         xi = SegmentPath.constant(np.zeros(2), DELAY, DT)
         noise = sim.NoisePath.generate(1, 10, 2, DT / 2.0)
@@ -169,6 +202,15 @@ class TestTruncation:
         a = sim.simulate_ensemble(low, xi, 1.0, DT, spec2, noise)
         b = sim.simulate_ensemble(high, xi, 1.0, DT, spec2, noise)
         assert np.max(np.abs(a.states - b.states)) <= 1e-12
+
+    @given(hnp.arrays(np.float64, st.integers(1, 12), elements=st.one_of(
+        st.floats(0.0, 1.0), st.floats(1.0, 2.0, exclude_min=True, exclude_max=True),
+        st.floats(2.0, 1e300), st.sampled_from([1.0, 2.0, -0.0, math.nan, math.inf]))))
+    def test_cutoff_batch_equals_elementwise_bytes(self, u):
+        # a mixed array takes the formula, a single entry <= 1 the all-ones shortcut
+        batch = sim.smooth_cutoff(u)
+        single = np.array([sim.smooth_cutoff(v) for v in u])
+        assert batch.dtype == single.dtype and batch.tobytes() == single.tobytes()
 
     def test_cutoff_validation(self):
         with pytest.raises(InputError):
