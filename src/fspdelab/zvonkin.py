@@ -135,7 +135,21 @@ def _axis_stencil(axis: np.ndarray, coords: np.ndarray):
     return lo, (coords - axis[lo]) / (axis[lo + 1] - axis[lo])
 
 
-def _multilinear(table: np.ndarray, lo, frac) -> np.ndarray:
+def _work(work: dict, name, shape, dtype=float) -> np.ndarray:
+    """A C-ordered view of `shape` on the leading entries of the buffer work[name].
+
+    The buffer is allocated at its first request and again only when a later
+    request needs more entries; a smaller request reads a leading view, which
+    holds whatever an earlier request left there.
+    """
+    size = math.prod(shape)
+    buf = work.get(name)
+    if buf is None or buf.size < size:
+        buf = work[name] = np.empty(size, dtype)
+    return buf[:size].reshape(shape)
+
+
+def _multilinear(table: np.ndarray, lo, frac, work: dict) -> np.ndarray:
     """Multilinear interpolation of B component-major (C, B, *grid) tables.
 
     lo[d] and frac[d] are the cell index and offset along grid dimension d
@@ -144,22 +158,36 @@ def _multilinear(table: np.ndarray, lo, frac) -> np.ndarray:
     points of row b.  The result is (C, B, *layout).  Corners are visited
     and their weights multiplied in the order of scipy's
     interpn(method="linear"), so the values agree with it bit for bit.
+
+    The value, the gathered corner term, the flat index and the corner
+    weights live in `work` (see _work), and the result is a view into it,
+    valid until the next call on the same `work`.
     """
     grid_shape = table.shape[2:]
     flat = table.reshape(table.shape[0], -1)
     strides = [math.prod(grid_shape[d + 1:]) for d in range(len(lo))]
     rows = np.arange(table.shape[1]).reshape((-1,) + (1,) * (lo[0].ndim - 1))
-    base = rows * math.prod(grid_shape) + sum(l * st for l, st in zip(lo, strides))
+    shape = np.broadcast_shapes(rows.shape, *(l.shape for l in lo))
+    index = np.multiply(rows, math.prod(grid_shape), out=_work(work, "index", shape, np.intp))
+    for l, st in zip(lo, strides):
+        index += l * st
     sides = [(1.0 - y, y) for y in frac]
-    value = np.zeros((flat.shape[0],) + base.shape)
-    term = np.empty_like(value)
+    value = _work(work, "value", (flat.shape[0],) + shape)
+    term = _work(work, "term", value.shape)
+    # summed onto zeros, not copied from the first term, so -0.0 reads 0.0
+    value.fill(0.0)
+    shift = 0
     for corner in itertools.product((0, 1), repeat=len(lo)):
         weight = sides[0][corner[0]]
         for d in range(1, len(lo)):
-            weight = weight * sides[d][corner[d]]
+            side = sides[d][corner[d]]
+            weight = np.multiply(weight, side, out=_work(
+                work, ("weight", d % 2), np.broadcast_shapes(weight.shape, side.shape)))
         offset = sum(c * st for c, st in zip(corner, strides))
+        index += offset - shift
+        shift = offset
         # every index is inside the table, so "clip" only skips the bounds check
-        np.take(flat, base + offset, axis=1, out=term, mode="clip")
+        np.take(flat, index, axis=1, out=term, mode="clip")
         term *= weight
         value += term
     return value
@@ -187,22 +215,35 @@ def _bilinear_norm(tensors: np.ndarray) -> float:
 
     Estimated as max over unit directions eta' of the spectral norm of
     T[:, :, :] @ eta'; the direction sphere is sampled densely, which is
-    exact up to the sampling resolution in dimension <= 3.  A slice's
-    Frobenius norm bounds its spectral norm from above, so only slices
-    whose Frobenius norm reaches the spectral norm of the Frobenius-largest
-    slice can hold the max, and only those go through the SVD.
+    exact up to the sampling resolution in dimension <= 3.
+
+    Only slices that can hold the max go through the SVD.  By Cauchy-Schwarz
+    a slice's spectral norm is at most its Frobenius norm, and that is at
+    most the whole-tensor Frobenius norm of its point.  The floor, the
+    largest slice spectral norm of the Frobenius-largest point, is a value
+    the max reaches, so a point, and then a slice, whose Frobenius norm is
+    below it cannot hold the max; the relative slack of 1e-9 covers the
+    rounding of the norms.  Squares of entries below ~1e-154 underflow, so
+    the bound is trusted only for a floor >= 1e-150 and everything is kept
+    below it.  A NaN norm is never below the cut, so points and slices with
+    a NaN or inf entry stay in and reach the max as in the full sweep.
     """
     n = tensors.shape[-1]
     if n == 1:
         return float(np.max(np.abs(tensors[..., 0, 0, 0])))
-    slices = np.einsum("...kij,dj->...dki", tensors, _sphere_directions(n)).reshape(-1, n, n)
-    frob = np.sqrt(np.einsum("pki,pki->p", slices, slices))
-    floor = np.linalg.svd(slices[np.argmax(frob)], compute_uv=False)[0]
-    # squares of entries below ~1e-154 underflow, so the Frobenius bound is
-    # trusted only above that; the 1e-9 slack covers its rounding
+    points = tensors.reshape(-1, n, n, n)
+    dirs = _sphere_directions(n)
+
+    def spectral_norms(pts, cut):
+        """Spectral norms of the slices of pts whose Frobenius norm is not below cut."""
+        slices = np.einsum("...kij,dj->...dki", pts, dirs).reshape(-1, n, n)
+        frob = np.sqrt(np.einsum("pki,pki->p", slices, slices))
+        return np.linalg.svd(slices[~(frob < cut)], compute_uv=False)[..., 0]
+
+    frob = np.sqrt(np.einsum("pkij,pkij->p", points, points))
+    floor = np.max(spectral_norms(points[[np.argmax(frob)]], 0.0))
     cut = floor * (1.0 - 1e-9) if floor >= 1e-150 else 0.0
-    keep = ~(frob < cut)
-    return float(np.max(np.linalg.svd(slices[keep], compute_uv=False)[..., 0]))
+    return float(np.max(spectral_norms(points[~(frob < cut)], cut)))
 
 
 @dataclass
@@ -512,7 +553,11 @@ def solve_u(ref: ReferenceSemigroup, drift: Callable, lam: float, horizon: float
     slice are interpolated, drift-sampled and reduced together on
     component-major arrays, in chunks of whole slots holding at most
     CHUNK_POINTS query points (one slot when it alone holds more), which
-    caps its memory.  Drift samples are not kept between sweeps.
+    caps its memory.  Its chunk-sized work arrays (interpolation value,
+    term, index and weights, drift samples, grad u . b + b and its Hermite
+    layout) are allocated once per call, bounded by CHUNK_POINTS, and a
+    shorter chunk writes leading views of them.  Drift samples are not kept
+    between sweeps.
 
     The iteration stops once a difference in the norm |u|_a + |grad u|_a
     falls below 1e-8, or after 100 sweeps.  The contraction factor is
@@ -581,6 +626,12 @@ def solve_u(ref: ReferenceSemigroup, drift: Callable, lam: float, horizon: float
     bounds = np.searchsorted(slot, np.arange(n_t + 1))
     chunks = [(j, slice(e, min(e + per_chunk, bounds[j + 1])))
               for j in range(n_t) for e in range(bounds[j], bounds[j + 1], per_chunk)]
+    # the sweep's work arrays: the first chunk sizes them, slice 0 spans the
+    # longest time and so holds the most slots, and every later chunk and
+    # sweep reuses them; the drift reads one slot's query points from pts
+    work = {}
+    per_slot = m_nodes * w.size
+    pts = _work(work, "pts", (axis.size,) * n + (ref.quad_order,) * n + (n,))
 
     def sweep(g_in, with_hess=False):
         # the map integrates grad u . b + b, so only grad u is interpolated,
@@ -597,26 +648,32 @@ def solve_u(ref: ReferenceSemigroup, drift: Callable, lam: float, horizon: float
             # the kernel, and nonnegative weights add no ringing between the
             # coarse outer nodes
             g_y = _multilinear(table.reshape(n * n, -1, *shape), [c[sl] for c, _ in stencils],
-                               [y[sl] for _, y in stencils]).reshape(n, n, -1)
-            pts = np.stack(np.broadcast_arrays(*(c[sl] for c in coords)), axis=-1)
-            b_y = np.concatenate([np.asarray(drift(t, p.reshape(-1, n)), dtype=float)
-                                  .reshape(-1, n) for t, p in zip(t_q[sl], pts)]).T.copy()
+                               [y[sl] for _, y in stencils], work).reshape(n, n, -1)
+            # drift samples, component-major (n, slot * point), one slot at a time
+            b_y = _work(work, "b_y", (n, k_slots * per_slot))
+            for s, t in enumerate(t_q[sl]):
+                for d, c in enumerate(coords):
+                    np.copyto(pts[..., d], c[sl.start + s])
+                np.copyto(b_y[:, s * per_slot:(s + 1) * per_slot],
+                          np.asarray(drift(t, pts.reshape(-1, n)), dtype=float).reshape(-1, n).T)
             # sum_j g_ij b_j in the order einsum("mgij,mgj->mgi") adds it in
             # two SIMD lanes: even j, odd j, then the two lanes (left to right
-            # for n <= 2), which keeps the recorded field hashes at n = 3
-            gvec = np.empty_like(b_y)
+            # for n <= 2), which keeps the recorded field hashes at n = 3;
+            # n <= GH_DIM_CAP leaves one term in the odd lane
+            gvec = _work(work, "gvec", b_y.shape)
+            term = _work(work, "gvec_term", b_y.shape[1:])
             for i in range(n):
-                terms = [g_y[i, jj] * b_y[jj] for jj in range(n)]
-                dot = sum(terms[2::2], terms[0])
-                if n > 1:
-                    dot = dot + sum(terms[3::2], terms[1])
-                gvec[i] = dot + b_y[i]
+                np.multiply(g_y[i, 0], b_y[0], out=gvec[i])
+                for jj in (*range(2, n, 2), *range(1, n, 2)):
+                    gvec[i] += np.multiply(g_y[i, jj], b_y[jj], out=term)
+                gvec[i] += b_y[i]
             # the Hermite reductions run over (Hermite, i, slot * node) rows,
             # where einsum adds the terms of each point in Hermite order, as it
             # does in the per-point layout (node, Hermite, i); at n = 1 that
             # layout holds a point's terms contiguously and einsum adds them in
             # SIMD lanes instead, so u is reduced in it there
-            by_g = np.ascontiguousarray(gvec.reshape(n, -1, w.size).transpose(2, 0, 1))
+            by_g = _work(work, "by_g", (w.size, n, k_slots * m_nodes))
+            np.copyto(by_g, gvec.reshape(n, -1, w.size).transpose(2, 0, 1))
             if n == 1:
                 u_sum = np.einsum("g,smgi->ism", w, gvec.reshape(k_slots, m_nodes, -1, 1))
             else:
@@ -665,7 +722,7 @@ def solve_u(ref: ReferenceSemigroup, drift: Callable, lam: float, horizon: float
         contraction = 0.0
 
     u_fin, g_fin, h_fin = sweep(g_tab, with_hess=True)
-    del stencils, coords
+    del stencils, coords, work, pts
     u_grid = u_fin.reshape((n_t + 1,) + shape + (n,))
     g_grid = g_fin.reshape((n_t + 1,) + shape + (n, n))
     h_grid = h_fin.reshape((n_t + 1,) + shape + (n, n, n))

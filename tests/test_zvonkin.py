@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -97,6 +98,19 @@ def _grid_and_points(draw):
     return axes, table, coords
 
 
+# (3, 3, 3, 3) points of distinct entries of mixed sign, and 12 small
+# points with one 1e4 times larger than the rest
+_SPREAD_POINTS = np.cos(np.arange(81.0)).reshape(3, 3, 3, 3)
+_DOMINANT_POINT = np.sin(np.arange(12 * 27.0)).reshape(12, 3, 3, 3) * np.where(
+    np.arange(12) == 7, 1e2, 1e-2)[:, None, None, None]
+
+
+def _with_entry(tensors, index, value):
+    out = tensors.copy()
+    out[index] = value
+    return out
+
+
 class TestSweepKernels:
     @given(_grid_and_points())
     def test_stencil_interpolation_matches_scipy_linear(self, case):
@@ -113,7 +127,7 @@ class TestSweepKernels:
         tables = np.stack([table, table[..., ::-1]])
         got = zv._multilinear(np.moveaxis(tables, -1, 0),
                               [np.concatenate([c, c]) for c in lo],
-                              [np.concatenate([y, y]) for y in frac])
+                              [np.concatenate([y, y]) for y in frac], {})
         pts = np.stack(np.meshgrid(*coords, indexing="ij"), axis=-1)
         for b, tab in enumerate(tables):
             want = RegularGridInterpolator(tuple(axes), tab, method="linear")(pts)
@@ -125,11 +139,62 @@ class TestSweepKernels:
     @example(np.zeros((3, 2, 2, 2)))
     @example(np.zeros((2, 3, 3, 3)))
     @example(np.full((2, 2, 2, 2), 1e-170))  # squares underflow: no Frobenius bound
+    @example(_DOMINANT_POINT)
+    @example(np.tile(_SPREAD_POINTS[:3], (4, 1, 1, 1)))  # every point tied at the max
+    @example(np.concatenate([np.full((5, 2, 2, 2), 1e-170), _SPREAD_POINTS[:2, :2, :2, :2],
+                             np.full((5, 2, 2, 2), -1e-170)]))
+    # rank one along the sampled direction e1: its Frobenius norm rounds
+    # below its spectral norm, so only the slack keeps it
+    @example(np.einsum("k,i,j->kij", [0.1, 0.1], [0.1, 0.3], [1.0, 0.0])[None])
+    @example(_with_entry(_SPREAD_POINTS[:, :2, :2, :2], (1, 0, 1, 1), math.inf))
+    @example(_with_entry(_SPREAD_POINTS, (2, 1, 1, 0), math.nan))
     def test_pruned_bilinear_norm_equals_full_svd_max(self, tensors):
         n = tensors.shape[-1]
         slices = np.einsum("...kij,dj->...dki", tensors, zv._sphere_directions(n))
-        full = float(np.max(np.linalg.svd(slices, compute_uv=False)[..., 0]))
-        assert zv._bilinear_norm(tensors) == full
+        try:
+            full = float(np.max(np.linalg.svd(slices, compute_uv=False)[..., 0]))
+        except np.linalg.LinAlgError:
+            with pytest.raises(np.linalg.LinAlgError):
+                zv._bilinear_norm(tensors)
+        else:
+            # repr tells NaN from NaN-free values and keeps the last bit
+            assert repr(zv._bilinear_norm(tensors)) == repr(full)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_multilinear_ignores_dirty_work_arrays(self, n):
+        """A small call on buffers a larger call left behind equals a fresh one byte for byte."""
+        rng = np.random.default_rng(n)
+        axis = np.linspace(-1.0, 1.0, 4)
+        tables = rng.normal(size=(n * n, 3) + (axis.size,) * n)
+
+        def stencil(rows, size):
+            lo, frac = [], []
+            for d in range(n):
+                layout = (rows,) + tuple(size if a == d else 1 for a in range(n))
+                cell, offset = zv._axis_stencil(axis, rng.uniform(-1.2, 1.2, size=layout))
+                lo.append(cell)
+                frac.append(offset)
+            return lo, frac
+
+        work = {}
+        zv._multilinear(tables, *stencil(3, 7), work)
+        lo, frac = stencil(2, 3)
+        small = zv._multilinear(tables[:, :2], lo, frac, work)
+        fresh = zv._multilinear(tables[:, :2], lo, frac, {})
+        assert small.shape == fresh.shape == (n * n, 2) + (3,) * n
+        assert small.tobytes() == fresh.tobytes()
+
+    def test_bilinear_norm_memory_stays_below_slice_array(self):
+        """On the n3 recorded field, far less than the (points, 400, 3, 3) slices it once built."""
+        hess = TestRecordedFields.solve("n3").hess.reshape(-1, 3, 3, 3)
+        slice_bytes = hess.shape[0] * 400 * 3 * 3 * hess.itemsize
+        tracemalloc.start()
+        try:
+            zv._bilinear_norm(hess)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < slice_bytes / 4
 
 
 class TestResolventSolve:
@@ -176,39 +241,57 @@ class TestRecordedFields:
     order, so a reordering shows here as a changed hash.
     """
 
-    CASES = {  # n, lam, Hermite order, grid, content hash, contraction factor
+    CASES = {  # n, lam, Hermite order, grid, content hash, contraction factor, norms
         "n1": (1, 60.0, 7, zv.ZvonkinGrid(time_steps=6, nodes_per_dim=11, quad_panels=4,
                                           quad_order=4),
                "3040d95eb73d3685e47d317a3d6cb3e2bf6ddb8c85f8564198f143d1929b0d83",
-               "0.003606712151788585"),
+               "0.003606712151788585",
+               "{'u_a': 0.0014736908888727568, 'grad_a': 0.0017676440420114168, "
+               "'grad': 0.0017676440420114168, 'sqrtA_grad': 0.0017676440420114168, "
+               "'hess': 0.11998396523597829}"),
         "n2": (2, 60.0, 5, zv.ZvonkinGrid(time_steps=4, nodes_per_dim=9, quad_panels=3,
                                           quad_order=4),
                "382f48fc1cb135db1b55e7da0d29843919432d5d078e7de3e17edf1a04b57a3c",
-               "0.002497047588847499"),
+               "0.002497047588847499",
+               "{'u_a': 0.0023301483505961834, 'grad_a': 0.0022488100103494404, "
+               "'grad': 0.0014222723315382114, 'sqrtA_grad': 0.0022488100103494404, "
+               "'hess': 0.07744801806305082}"),
         "n3": (3, 80.0, 3, zv.ZvonkinGrid(time_steps=2, nodes_per_dim=5, quad_panels=2,
                                           quad_order=3),
                "39810631b4f1dea888ee53c9d5696ffaf751c30ff5ecc9da4b1bf6c46e62551e",
-               "0.0011740655538867296"),
+               "0.0011740655538867296",
+               "{'u_a': 0.002387722428307269, 'grad_a': 0.0010991808227382028, "
+               "'grad': 0.000508821849487779, 'sqrtA_grad': 0.0010991808227382028, "
+               "'hess': 0.06390767670647787}"),
         # 20 slots of 81 nodes x 49 Hermite points per slice: chunks of 8, 8 and 4
         "n2-chunked": (2, 60.0, 7, zv.ZvonkinGrid(time_steps=2, nodes_per_dim=9,
                                                   quad_panels=4, quad_order=5),
                        "eca8e7946ad0354c2c82a0e63a903afaaec72a2f729281df4934725365fb9706",
-                       "0.002554627818923533"),
+                       "0.002554627818923533",
+                       "{'u_a': 0.0023301484399715078, 'grad_a': 0.0022979182316714827, "
+                       "'grad': 0.0014533310977816714, 'sqrtA_grad': 0.0022979182316714827, "
+                       "'hess': 0.07130776963299462}"),
     }
 
-    @pytest.mark.parametrize("name", list(CASES))
-    def test_field_matches_recorded_hash(self, name):
-        n, lam, order, grid, content, factor = self.CASES[name]
-        if name == "n2-chunked":
-            slots = zv._warped_time_rule(lam, 1.0, grid)[0].size
-            assert slots * grid.nodes_per_dim**n * order**n > zv.CHUNK_POINTS
+    @staticmethod
+    def solve(name):
+        n, lam, order, grid = TestRecordedFields.CASES[name][:4]
         ref = zv.ReferenceSemigroup(an.Spectrum(n), np.ones(n), quad_order=order)
         # along the diagonal, so every component of b and every term of
         # grad u . b is nonzero
         drift = sim.dini_drift(an.log_dini_modulus(scale=0.4), np.ones(n))
-        fld = zv.solve_u(ref, drift, lam, 1.0, grid)
+        return zv.solve_u(ref, drift, lam, 1.0, grid)
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_field_matches_recorded_hash(self, name):
+        n, lam, order, grid, content, factor, norms = self.CASES[name]
+        if name == "n2-chunked":
+            slots = zv._warped_time_rule(lam, 1.0, grid)[0].size
+            assert slots * grid.nodes_per_dim**n * order**n > zv.CHUNK_POINTS
+        fld = self.solve(name)
         assert fld.content_hash() == content
         assert repr(fld.contraction_factor) == factor
+        assert repr(fld.norms) == norms
         assert fld.converged and fld.certified
 
 
@@ -366,10 +449,7 @@ class TestSplineReads:
     def fields(self, field):
         out = {2: field}
         for n in (1, 3):
-            _, lam, order, grid, _, _ = TestRecordedFields.CASES[f"n{n}"]
-            ref = zv.ReferenceSemigroup(an.Spectrum(n), np.ones(n), quad_order=order)
-            drift = sim.dini_drift(an.log_dini_modulus(scale=0.4), np.ones(n))
-            out[n] = zv.solve_u(ref, drift, lam, 1.0, grid)
+            out[n] = TestRecordedFields.solve(f"n{n}")
         return out
 
     @pytest.fixture(scope="class")
