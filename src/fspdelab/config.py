@@ -183,6 +183,24 @@ class ExperimentConfig:
             raise ConfigError("spectrum.trace_exponent must lie in (0, 1)")
         if spec.get("n_modes", 0) < 1:
             raise ConfigError("spectrum.n_modes must be at least 1")
+        zvonkin = self.section("zvonkin")
+        # 5 nodes is the least count whose axis reaches +-halfwidth
+        for key, least in (("time_steps", 1), ("nodes_per_dim", 5), ("quad_panels", 1),
+                           ("quad_order", 1), ("hermite_order", 1)):
+            if key in zvonkin:
+                if isinstance(zvonkin[key], bool) or not isinstance(zvonkin[key], int):
+                    raise ConfigError(f"zvonkin.{key} must be an integer")
+                if zvonkin[key] < least:
+                    raise ConfigError(f"zvonkin.{key} must be at least {least}")
+
+        def positive(val):
+            return not isinstance(val, bool) and isinstance(val, (int, float)) and val > 0
+
+        if not positive(zvonkin.get("halfwidth", 1.0)):
+            raise ConfigError("zvonkin.halfwidth must be a positive number")
+        lams = zvonkin.get("lambda_grid", [1.0])
+        if not isinstance(lams, list) or not lams or not all(map(positive, lams)):
+            raise ConfigError("zvonkin.lambda_grid must be a non-empty list of positive numbers")
         if self.experiment == "harnack":
             if horizon <= delay:
                 raise ConfigError("time.horizon must exceed time.delay for harnack runs")

@@ -40,6 +40,9 @@ GH_DIM_CAP = 3
 # solve_u's sweep reads a time slice's quadrature points in chunks of whole
 # slots holding at most this many points (one slot if it alone holds more)
 CHUNK_POINTS = 1 << 15
+# solve_u keeps the drift samples of its leading chunks across its sweeps
+# while their floats, n per query point, total at most this many (8 MiB)
+KEPT_DRIFT_FLOATS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -556,8 +559,15 @@ def solve_u(ref: ReferenceSemigroup, drift: Callable, lam: float, horizon: float
     caps its memory.  Its chunk-sized work arrays (interpolation value,
     term, index and weights, drift samples, grad u . b + b and its Hermite
     layout) are allocated once per call, bounded by CHUNK_POINTS, and a
-    shorter chunk writes leading views of them.  Drift samples are not kept
-    between sweeps.
+    shorter chunk writes leading views of them.
+
+    The first sweep samples the drift once per slot.  The samples of the
+    leading chunks, as far as they total at most KEPT_DRIFT_FLOATS floats,
+    are kept and every later sweep, the final one too, reads them; a chunk
+    beyond that budget is sampled again in every sweep into the work
+    array.  The drift must therefore be a deterministic function of (t, x);
+    its result is copied, so it may return a view of its argument or reuse
+    its output array.
 
     The iteration stops once a difference in the norm |u|_a + |grad u|_a
     falls below 1e-8, or after 100 sweeps.  The contraction factor is
@@ -566,6 +576,8 @@ def solve_u(ref: ReferenceSemigroup, drift: Callable, lam: float, horizon: float
     """
     if lam <= 0.0:
         raise InputError("resolvent parameter lam must be positive")
+    if horizon <= 0.0:
+        raise InputError("horizon must be positive")
     weight = weight or sqrt_weight()
     spec = ref.spec
     n = spec.n_modes
@@ -632,6 +644,11 @@ def solve_u(ref: ReferenceSemigroup, drift: Callable, lam: float, horizon: float
     work = {}
     per_slot = m_nodes * w.size
     pts = _work(work, "pts", (axis.size,) * n + (ref.quad_order,) * n + (n,))
+    # the drift samples of each chunk that fits the budget, once sampled,
+    # by chunk index; the budget keeps a prefix of the chunks
+    floats = np.cumsum([n * (sl.stop - sl.start) * per_slot for _, sl in chunks])
+    keep = floats <= KEPT_DRIFT_FLOATS
+    kept = {}
 
     def sweep(g_in, with_hess=False):
         # the map integrates grad u . b + b, so only grad u is interpolated,
@@ -640,7 +657,7 @@ def solve_u(ref: ReferenceSemigroup, drift: Callable, lam: float, horizon: float
         u_out = np.zeros((n_t + 1, m_nodes, n))
         g_out = np.zeros_like(g_in)
         h_out = np.zeros((n_t + 1, m_nodes, n, n, n)) if with_hess else None
-        for j, sl in chunks:
+        for chunk, (j, sl) in enumerate(chunks):
             k_slots = sl.stop - sl.start
             lo, frac = t_lo[sl], t_frac[sl, None]
             table = (1.0 - frac) * tab[:, lo] + frac * tab[:, lo + 1]
@@ -649,13 +666,20 @@ def solve_u(ref: ReferenceSemigroup, drift: Callable, lam: float, horizon: float
             # coarse outer nodes
             g_y = _multilinear(table.reshape(n * n, -1, *shape), [c[sl] for c, _ in stencils],
                                [y[sl] for _, y in stencils], work).reshape(n, n, -1)
-            # drift samples, component-major (n, slot * point), one slot at a time
-            b_y = _work(work, "b_y", (n, k_slots * per_slot))
-            for s, t in enumerate(t_q[sl]):
-                for d, c in enumerate(coords):
-                    np.copyto(pts[..., d], c[sl.start + s])
-                np.copyto(b_y[:, s * per_slot:(s + 1) * per_slot],
-                          np.asarray(drift(t, pts.reshape(-1, n)), dtype=float).reshape(-1, n).T)
+            # drift samples, component-major (n, slot * point), one slot at a
+            # time, into an array of their own if the chunk is kept
+            b_y = kept.get(chunk)
+            if b_y is None:
+                b_y = (np.empty((n, k_slots * per_slot)) if keep[chunk]
+                       else _work(work, "b_y", (n, k_slots * per_slot)))
+                for s, t in enumerate(t_q[sl]):
+                    for d, coord in enumerate(coords):
+                        np.copyto(pts[..., d], coord[sl.start + s])
+                    np.copyto(b_y[:, s * per_slot:(s + 1) * per_slot],
+                              np.asarray(drift(t, pts.reshape(-1, n)),
+                                         dtype=float).reshape(-1, n).T)
+                if keep[chunk]:
+                    kept[chunk] = b_y
             # sum_j g_ij b_j in the order einsum("mgij,mgj->mgi") adds it in
             # two SIMD lanes: even j, odd j, then the two lanes (left to right
             # for n <= 2), which keeps the recorded field hashes at n = 3;
@@ -722,7 +746,7 @@ def solve_u(ref: ReferenceSemigroup, drift: Callable, lam: float, horizon: float
         contraction = 0.0
 
     u_fin, g_fin, h_fin = sweep(g_tab, with_hess=True)
-    del stencils, coords, work, pts
+    del stencils, coords, work, pts, kept
     u_grid = u_fin.reshape((n_t + 1,) + shape + (n,))
     g_grid = g_fin.reshape((n_t + 1,) + shape + (n, n))
     h_grid = h_fin.reshape((n_t + 1,) + shape + (n, n, n))

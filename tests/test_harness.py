@@ -357,6 +357,32 @@ class TestCli:
         assert "message=ConfigError('spectrum.n_modes must be an integer')" in \
             capsys.readouterr().out
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("nodes_per_dim", 9.7, "must be an integer"),
+        ("time_steps", True, "must be an integer"),
+        ("quad_order", "6", "must be an integer"),
+        ("nodes_per_dim", 2, "must be at least 5"),
+        ("nodes_per_dim", 1, "must be at least 5"),
+        ("time_steps", 0, "must be at least 1"),
+        ("quad_panels", 0, "must be at least 1"),
+        ("hermite_order", 0, "must be at least 1"),
+        ("lambda_grid", [], "must be a non-empty list of positive numbers"),
+        ("lambda_grid", [40.0, -1.0], "must be a non-empty list of positive numbers"),
+        ("lambda_grid", [True], "must be a non-empty list of positive numbers"),
+        ("lambda_grid", 40.0, "must be a non-empty list of positive numbers"),
+        ("halfwidth", 0.0, "must be a positive number"),
+        ("halfwidth", -3.0, "must be a positive number"),
+    ], ids=["nodes-fraction", "time-steps-bool", "quad-order-string", "nodes-2", "nodes-1",
+            "time-steps-0", "quad-panels-0", "hermite-order-0", "lambdas-empty",
+            "lambdas-negative", "lambdas-bool", "lambdas-scalar", "halfwidth-0",
+            "halfwidth-negative"])
+    def test_invalid_zvonkin_grid_exit_two(self, tmp_path, capsys, key, value, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"zvonkin": {key: value}}))
+        code = main(["solve-u", "--config", str(bad), "--out", str(tmp_path)])
+        assert code == 2
+        assert f"message=ConfigError('zvonkin.{key} {message}')" in capsys.readouterr().out
+
     def test_seed_override_changes_hash(self, tmp_path):
         main(["simulate", "--out", str(tmp_path / "a"), "--seed", "1"])
         main(["simulate", "--out", str(tmp_path / "b"), "--seed", "2"])

@@ -225,6 +225,12 @@ class TestResolventSolve:
         with pytest.raises(CertificationError, match="increase lam"):
             zv.solve_u(ref, rough, 0.5, 1.0, SMALL_GRID)
 
+    @pytest.mark.parametrize("horizon", [0.0, -1.0])
+    def test_nonpositive_horizon_rejected(self, ref, horizon):
+        with pytest.raises(InputError, match="horizon must be positive"):
+            zv.solve_u(ref, lambda t, y: np.zeros_like(np.asarray(y, dtype=float)),
+                       50.0, horizon, SMALL_GRID)
+
     def test_dimension_cap(self):
         spec4 = an.Spectrum(4)
         ref4 = zv.ReferenceSemigroup(spec4, np.ones(4))
@@ -274,13 +280,14 @@ class TestRecordedFields:
     }
 
     @staticmethod
-    def solve(name):
+    def solve(name, wrap=lambda drift: drift):
+        """The recorded solve of case `name`, with its drift passed through `wrap`."""
         n, lam, order, grid = TestRecordedFields.CASES[name][:4]
         ref = zv.ReferenceSemigroup(an.Spectrum(n), np.ones(n), quad_order=order)
         # along the diagonal, so every component of b and every term of
         # grad u . b is nonzero
         drift = sim.dini_drift(an.log_dini_modulus(scale=0.4), np.ones(n))
-        return zv.solve_u(ref, drift, lam, 1.0, grid)
+        return zv.solve_u(ref, wrap(drift), lam, 1.0, grid)
 
     @pytest.mark.parametrize("name", list(CASES))
     def test_field_matches_recorded_hash(self, name):
@@ -293,6 +300,63 @@ class TestRecordedFields:
         assert repr(fld.contraction_factor) == factor
         assert repr(fld.norms) == norms
         assert fld.converged and fld.certified
+
+
+class TestKeptDriftSamples:
+    """solve_u samples the drift once per slot while the samples fit its budget."""
+
+    @staticmethod
+    def counted(calls):
+        """A wrap for TestRecordedFields.solve that appends each drift call's t to calls."""
+        def wrap(drift):
+            def fn(t, x):
+                calls.append(t)
+                return drift(t, x)
+            return fn
+        return wrap
+
+    @staticmethod
+    def slots_and_floats(name, fld):
+        """Quadrature slots of the solve and the floats of their drift samples."""
+        n, lam, order, grid = TestRecordedFields.CASES[name][:4]
+        slots = sum(zv._warped_time_rule(lam, fld.horizon - t, grid)[0].size
+                    for t in fld.times[:-1])
+        return slots, slots * grid.nodes_per_dim**n * order**n * n
+
+    @pytest.mark.parametrize("name", ["n1", "n2", "n3"])
+    def test_fitting_solve_samples_each_slot_once(self, name):
+        calls = []
+        fld = TestRecordedFields.solve(name, self.counted(calls))
+        slots, floats = self.slots_and_floats(name, fld)
+        assert floats <= zv.KEPT_DRIFT_FLOATS
+        assert fld.iterations >= 2
+        assert len(calls) == slots
+        assert fld.content_hash() == TestRecordedFields.CASES[name][4]
+
+    def test_solve_beyond_budget_keeps_a_prefix(self):
+        calls = []
+        fld = TestRecordedFields.solve("n2-chunked", self.counted(calls))
+        slots, floats = self.slots_and_floats("n2-chunked", fld)
+        assert floats > zv.KEPT_DRIFT_FLOATS
+        assert slots < len(calls) < slots * (fld.iterations + 1)
+        content, factor, norms = TestRecordedFields.CASES["n2-chunked"][4:]
+        assert fld.content_hash() == content
+        assert repr(fld.contraction_factor) == factor
+        assert repr(fld.norms) == norms
+
+    def test_kept_samples_do_not_alias_the_drift_result(self):
+        # the identity drift returns a view of the point buffer the sweep
+        # refills for every slot, and `reused` overwrites one output array
+        out = {}
+
+        def reused(t, x):
+            buf = out.setdefault(x.shape, np.empty(x.shape))
+            np.copyto(buf, x)
+            return buf
+
+        hashes = {TestRecordedFields.solve("n2", lambda _: drift).content_hash()
+                  for drift in (lambda t, x: x, lambda t, x: np.array(x), reused)}
+        assert len(hashes) == 1
 
 
 class TestThreshold:
