@@ -11,10 +11,9 @@ from .analysis import (ClassReport, ModulusFunction, Spectrum, WeightFunction,
                        dini_check, semigroup_apply, trace_class_check, weight_class_check)
 from .config import ExperimentConfig
 from .errors import (CertificationError, ConfigError, ExplosionError, InputError)
-from .segment import SegmentPath, Trajectory, segment_norm, stopping_time
-from .simulator import (CoefficientSet, LyapunovSpec, NoisePath, TruncationScheme,
-                        make_coefficients, maximal_inequality_check, simulate_ensemble,
-                        truncate_coeffs)
+from .segment import SegmentPath, segment_norm, stopping_time
+from .simulator import (CoefficientSet, LyapunovSpec, NoisePath, make_coefficients,
+                        maximal_inequality_check, simulate_ensemble, truncate_coeffs)
 from .zvonkin import (ReferenceSemigroup, RegularizingField, TransformedSystem,
                       ZvonkinGrid, lambda_threshold, solve_u, transform_coeffs)
 from .harnack import ConjugationResult, TestFunction, conjugation_check

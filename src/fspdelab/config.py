@@ -159,61 +159,75 @@ class ExperimentConfig:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def validate(self) -> None:
+        def number(val):
+            return not isinstance(val, bool) and isinstance(val, (int, float))
+
+        def positive(val):
+            return number(val) and val > 0
+
+        def integer(name, val, least):
+            if isinstance(val, bool) or not isinstance(val, int):
+                raise ConfigError(f"{name} must be an integer")
+            if val < least:
+                raise ConfigError(f"{name} must be at least {least}")
+
         time = self.section("time")
         delay, horizon, dt = time.get("delay"), time.get("horizon"), time.get("grid_step")
         for field_name, val in (("time.delay", delay), ("time.horizon", horizon),
                                 ("time.grid_step", dt)):
-            if not isinstance(val, (int, float)) or val <= 0:
+            if not positive(val):
                 raise ConfigError(f"{field_name} must be a positive number")
         for field_name, span in (("time.delay", delay), ("time.horizon", horizon)):
             ratio = span / dt
             if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
                 raise ConfigError(f"time.grid_step must divide {field_name}")
-        samples = self.section("montecarlo").get("samples", 0)
-        if samples < 100:
-            raise ConfigError("montecarlo.samples must be at least 100")
+        integer("montecarlo.samples", self.section("montecarlo").get("samples", 0), 100)
+        integer("montecarlo.seed", self.section("montecarlo").get("seed", 0), 0)
+        # counts are checked wherever their section is given
+        for dotted, least in (("harnack.samples", 100), ("harnack.train_pairs", 1),
+                              ("harnack.holdout_pairs", 1), ("uniqueness.paths", 1),
+                              ("galerkin.paths", 1), ("galerkin.reference_modes", 1),
+                              ("nonexplosion.paths", 1)):
+            section, key = dotted.split(".")
+            if key in self.section(section):
+                integer(dotted, self.section(section)[key], least)
+        if not positive(self.section("uniqueness").get("level", 1.0)):
+            raise ConfigError("uniqueness.level must be a positive number")
+        counts = self.section("galerkin").get("mode_counts", [])
+        if not isinstance(counts, list):
+            raise ConfigError("galerkin.mode_counts must be a list")
+        for count in counts:
+            integer("galerkin.mode_counts entries", count, 1)
         spec = self.section("spectrum")
         for key in ("n_modes", "coeff", "power", "trace_exponent"):
             if key in spec and not isinstance(spec[key], (int, float)):
                 raise ConfigError(f"spectrum.{key} must be a number")
-        if "n_modes" in spec and (isinstance(spec["n_modes"], bool)
-                                  or not isinstance(spec["n_modes"], int)):
-            raise ConfigError("spectrum.n_modes must be an integer")
+        integer("spectrum.n_modes", spec.get("n_modes", 0), 1)
         if not 0.0 < spec.get("trace_exponent", 0.4) < 1.0:
             raise ConfigError("spectrum.trace_exponent must lie in (0, 1)")
-        if spec.get("n_modes", 0) < 1:
-            raise ConfigError("spectrum.n_modes must be at least 1")
         zvonkin = self.section("zvonkin")
         # 5 nodes is the least count whose axis reaches +-halfwidth
         for key, least in (("time_steps", 1), ("nodes_per_dim", 5), ("quad_panels", 1),
                            ("quad_order", 1), ("hermite_order", 1)):
             if key in zvonkin:
-                if isinstance(zvonkin[key], bool) or not isinstance(zvonkin[key], int):
-                    raise ConfigError(f"zvonkin.{key} must be an integer")
-                if zvonkin[key] < least:
-                    raise ConfigError(f"zvonkin.{key} must be at least {least}")
-
-        def positive(val):
-            return not isinstance(val, bool) and isinstance(val, (int, float)) and val > 0
-
+                integer(f"zvonkin.{key}", zvonkin[key], least)
         if not positive(zvonkin.get("halfwidth", 1.0)):
             raise ConfigError("zvonkin.halfwidth must be a positive number")
         lams = zvonkin.get("lambda_grid", [1.0])
         if not isinstance(lams, list) or not lams or not all(map(positive, lams)):
             raise ConfigError("zvonkin.lambda_grid must be a non-empty list of positive numbers")
+        for name, entry in self.section("coefficients").items():
+            if not isinstance(entry, dict):
+                raise ConfigError(f"coefficients.{name} must be an object")
+        drift = self.section("coefficients").get("drift", {})
+        if drift.get("kind") == "linear" and not number(drift.get("rate")):
+            raise ConfigError("coefficients.drift.rate must be a number for a linear drift")
         if self.experiment == "harnack":
             if horizon <= delay:
                 raise ConfigError("time.horizon must exceed time.delay for harnack runs")
-            harnack = self.section("harnack")
-            hsamples = harnack.get("samples", samples)
-            if hsamples < 100:
-                raise ConfigError("harnack.samples must be at least 100")
             # power = (1 + K2 K3)^2 * factor, so factors above 1 keep every
             # power above the admissible floor the power inequality needs
-            factors = harnack.get("power_factors", [])
+            factors = self.section("harnack").get("power_factors", [])
             if not factors or any(float(fac) <= 1.0 for fac in factors):
                 raise ConfigError("harnack.power_factors must be a non-empty list of "
                                   "factors above 1 (powers above the floor (1+K)^2)")
-            for key in ("train_pairs", "holdout_pairs"):
-                if int(harnack.get(key, 0)) < 1:
-                    raise ConfigError(f"harnack.{key} must be at least 1")

@@ -20,8 +20,8 @@ from .analysis import Spectrum
 from .config import ExperimentConfig, canonical_json, to_jsonable
 from .errors import CertificationError, ConfigError, InputError
 from .segment import SegmentPath, _steps, sine_segment_values, stopping_time
-from .simulator import (CoefficientSet, LyapunovSpec, NoisePath, TruncationScheme,
-                        simulate_ensemble, truncate_coeffs)
+from .simulator import (CoefficientSet, LyapunovSpec, NoisePath, simulate_ensemble,
+                        truncate_coeffs)
 
 
 @dataclass
@@ -136,7 +136,7 @@ def build_coefficients(cfg: ExperimentConfig, spec: Spectrum, delay: float) -> C
     elif dkind == "tanh":
         delay_drift = simulator.delay_tanh_drift(beta, e1)
     elif dkind == "zero":
-        delay_drift = simulator.zero_delay_drift(n)
+        delay_drift = simulator.zero_delay_drift()
     else:
         raise ConfigError(f"coefficients.delay_drift.kind {dkind!r} is not a built-in")
 
@@ -281,17 +281,20 @@ def run_simulate(cfg: ExperimentConfig) -> ExperimentResult:
     seed = int(cfg.section("montecarlo")["seed"])
     coeffs = build_coefficients(cfg, spec, delay)
     xi = default_initial_segment(spec, delay, dt)
-    tr = simulate_ensemble(coeffs, xi, horizon, dt, spec, seed=seed).path(0)
-    taus = {n: stopping_time(tr, float(n)) for n in (1, 2, 4, 8)}
-    rows = list(zip(tr.times().tolist(), *(tr.states[:, i].tolist()
-                                           for i in range(tr.n_modes))))
+    res = simulate_ensemble(coeffs, xi, horizon, dt, spec, seed=seed)
+    life, lags = float(res.life_times[0]), _steps(delay, dt)
+    # path 0 up to its life time: the history, then one row per step
+    kept = res.states.shape[0] if math.isinf(life) else lags + round(life / dt) + 1
+    states = res.states[:kept, 0]
+    taus = {n: stopping_time(res.norms[lags:kept, 0], dt, float(n)) for n in (1, 2, 4, 8)}
+    rows = list(zip((-delay + dt * np.arange(kept)).tolist(), *states.T.tolist()))
     metrics = {
-        "final_norm": float(np.linalg.norm(tr.states[-1])),
-        "life_time": tr.life_time,
+        "final_norm": float(np.linalg.norm(states[-1])),
+        "life_time": life,
         "stopping_times": {str(k): v for k, v in taus.items()},
     }
-    verdicts = {"non_explosive": not tr.exploded}
-    header = ("t",) + tuple(f"mode_{i + 1}" for i in range(tr.n_modes))
+    verdicts = {"non_explosive": math.isinf(life)}
+    header = ("t",) + tuple(f"mode_{i + 1}" for i in range(spec.n_modes))
     return ExperimentResult("simulate", cfg.hash(), seed, to_jsonable(metrics), verdicts,
                             tables={"trajectory": (header, rows)})
 
@@ -385,8 +388,8 @@ def run_uniqueness(cfg: ExperimentConfig) -> ExperimentResult:
                           "uniqueness.reference_exponent")
     paths = int(u.get("paths", 64))
     coeffs = build_coefficients(cfg, spec, delay)
-    low = truncate_coeffs(coeffs, TruncationScheme(level))
-    high = truncate_coeffs(coeffs, TruncationScheme(2.0 * level))
+    low = truncate_coeffs(coeffs, level)
+    high = truncate_coeffs(coeffs, 2.0 * level)
 
     dt_ref = 2.0 ** (-ref_exp)
     xi_ref = default_initial_segment(spec, delay, dt_ref)
@@ -471,7 +474,7 @@ def run_galerkin(cfg: ExperimentConfig) -> ExperimentResult:
         sub_spec = Spectrum(n, spec.growth_coeff, spec.growth_power, spec.trace_exponent)
         sub_cfg_coeffs = _project_coefficients(coeffs, spec.n_modes, n)
         sub_xi = SegmentPath(delay, dt, xi.values[:, :n])
-        sub_noise = NoisePath(noise.increments[:, :, :n], dt, noise.seed)
+        sub_noise = NoisePath(noise.increments[:, :, :n], dt)
         sub = simulate_ensemble(sub_cfg_coeffs, sub_xi, horizon, dt, spec=sub_spec,
                                 noise=sub_noise)
         diff = ref_tail.copy()

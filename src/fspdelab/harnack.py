@@ -11,7 +11,7 @@ carry the Monte Carlo noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -252,8 +252,8 @@ def conjugation_check(coeffs: CoefficientSet, field: RegularizingField, xi: Segm
     if use_exact:
         conv_scale = coeffs.diag_noise[:n] * np.sqrt(
             (1.0 - decay**2) / (2.0 * lam)) / math.sqrt(grid_step)
-    direct = simulate_ensemble(coeffs, xi, horizon, grid_step, spec, noise,
-                               force_general_noise=not use_exact)
+    direct = simulate_ensemble(coeffs if use_exact else replace(coeffs, diag_noise=None),
+                               xi, horizon, grid_step, spec, noise)
     _require_alive(direct)
 
     # transformed start: theta with the frozen extension, one time per row;

@@ -1,9 +1,9 @@
-"""Delay segments and trajectories on a uniform time grid.
+"""Delay segments on a uniform time grid.
 
 A segment is the sliding window X_t(s) = X(t+s), s in [-r, 0], stored at
 grid resolution; interpolation is deliberately unsupported so that delay
-reads are always grid-aligned.  Trajectories carry their life time and
-the explosion flag set by the integrator.
+reads are always grid-aligned (`_lag_row`).  `stopping_time` reads the
+per-step norms the path engine stores with each ensemble.
 """
 
 from __future__ import annotations
@@ -16,14 +16,27 @@ import numpy as np
 
 from .errors import InputError
 
-_GRID_TOL = 1e-9
-
 
 def _steps(span: float, dt: float) -> int:
     k = span / dt
     rounded = round(k)
-    if abs(k - rounded) > _GRID_TOL * max(1.0, abs(k)):
+    if abs(k - rounded) > 1e-9 * max(1.0, abs(k)):
         raise InputError(f"grid step {dt} does not divide span {span}")
+    return int(rounded)
+
+
+def _lag_row(s: float, delay: float, grid_step: float, rows: int) -> int:
+    """Row of lag s in `rows` grid values stored from -delay on.
+
+    s must lie within 1e-6 grid units of a grid point, and that point
+    within the stored rows; either failure raises InputError.
+    """
+    k = (s + delay) / grid_step
+    rounded = round(k)
+    if abs(k - rounded) > 1e-6:
+        raise InputError(f"lag {s} is not grid aligned (step {grid_step})")
+    if rounded < 0 or rounded >= rows:
+        raise InputError(f"lag {s} outside the stored window")
     return int(rounded)
 
 
@@ -51,17 +64,8 @@ class SegmentPath:
     def times(self) -> np.ndarray:
         return -self.delay + self.grid_step * np.arange(self.values.shape[0])
 
-    def _index(self, s: float) -> int:
-        if s > _GRID_TOL or s < -self.delay - _GRID_TOL:
-            raise InputError(f"lag {s} outside [-{self.delay}, 0]")
-        k = (s + self.delay) / self.grid_step
-        rounded = round(k)
-        if abs(k - rounded) > 1e-6:
-            raise InputError(f"lag {s} is not grid aligned (step {self.grid_step})")
-        return int(rounded)
-
     def value_at(self, s: float) -> np.ndarray:
-        return self.values[self._index(s)]
+        return self.values[_lag_row(s, self.delay, self.grid_step, self.values.shape[0])]
 
     @classmethod
     def constant(cls, value, delay: float, grid_step: float) -> "SegmentPath":
@@ -101,46 +105,12 @@ def sine_segment_values(rng: np.random.Generator, delay: float, grid_step: float
     return base + amp * np.sin(freq * s[:, None] + phase)
 
 
-@dataclass
-class Trajectory:
-    """One path on [-r, min(T, zeta)] with its life-time bookkeeping."""
+def stopping_time(norms: np.ndarray, grid_step: float, n: float) -> float:
+    """First grid time with |X(t)| >= n, capped at n; the cap when never exceeded.
 
-    delay: float
-    grid_step: float
-    states: np.ndarray
-    horizon: float
-    life_time: float = math.inf
-    exploded: bool = False
-
-    def __post_init__(self):
-        self.states = np.asarray(self.states, dtype=float)
-        if self.states.ndim != 2:
-            raise InputError("trajectory states must be a (steps, n_modes) array")
-
-    @property
-    def n_modes(self) -> int:
-        return self.states.shape[1]
-
-    def times(self) -> np.ndarray:
-        return -self.delay + self.grid_step * np.arange(self.states.shape[0])
-
-    def _index(self, t: float) -> int:
-        k = (t + self.delay) / self.grid_step
-        rounded = round(k)
-        if abs(k - rounded) > 1e-6:
-            raise InputError(f"time {t} is not grid aligned (step {self.grid_step})")
-        if rounded < 0 or rounded >= self.states.shape[0]:
-            raise InputError(f"time {t} outside stored range")
-        return int(rounded)
-
-    def state(self, t: float) -> np.ndarray:
-        return self.states[self._index(t)]
-
-
-def stopping_time(tr: Trajectory, n: float) -> float:
-    """First grid time with |X(t)| >= n, capped at n; the cap when never exceeded."""
-    start = tr._index(0.0)
-    mags = np.linalg.norm(tr.states[start:], axis=1)
-    mags = np.where(np.isfinite(mags), mags, np.inf)
+    norms[k] is |X(k * grid_step)| from t = 0 on; a non-finite norm counts
+    as crossed.
+    """
+    mags = np.where(np.isfinite(norms), norms, np.inf)
     hits = np.nonzero(mags >= n)[0]
-    return float(n) if hits.size == 0 else min(float(n), float(hits[0] * tr.grid_step))
+    return float(n) if hits.size == 0 else min(float(n), float(hits[0] * grid_step))

@@ -22,7 +22,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .analysis import ModulusFunction, Spectrum, ClassReport, PASS, hs_kernel_integral
 from .errors import InputError
 from .quadrature import DIVERGENT, halfline_windowed
-from .segment import SegmentPath, Trajectory, _steps
+from .segment import SegmentPath, _lag_row, _steps, segment_norm
 
 EXPLOSION_THRESHOLD = 1e12
 
@@ -44,13 +44,7 @@ class SegmentView:
         self.norms = norms
 
     def value_at(self, s: float) -> np.ndarray:
-        k = (s + self.delay) / self.grid_step
-        rounded = round(k)
-        if abs(k - rounded) > 1e-6:
-            raise InputError(f"lag {s} is not grid aligned (step {self.grid_step})")
-        if rounded < 0 or rounded >= self.window.shape[0]:
-            raise InputError(f"lag {s} outside the stored window")
-        return self.window[int(rounded)]
+        return self.window[_lag_row(s, self.delay, self.grid_step, self.window.shape[0])]
 
     def sup_norm(self) -> np.ndarray:
         norms = np.linalg.norm(self.window, axis=-1) if self.norms is None else self.norms
@@ -87,12 +81,6 @@ class NoisePath:
 
     increments: np.ndarray  # (steps, n_paths, noise_dim)
     grid_step: float
-    seed: int | None = None
-
-    def __post_init__(self):
-        self.increments = np.asarray(self.increments, dtype=float)
-        if self.increments.ndim == 2:
-            self.increments = self.increments[:, None, :]
 
     @property
     def n_steps(self) -> int:
@@ -107,7 +95,7 @@ class NoisePath:
                  n_paths: int = 1) -> "NoisePath":
         rng = np.random.default_rng(seed)
         incr = rng.normal(scale=math.sqrt(grid_step), size=(n_steps, n_paths, noise_dim))
-        return cls(incr, grid_step, seed)
+        return cls(incr, grid_step)
 
     def coarsen(self, factor: int) -> "NoisePath":
         """Sum consecutive increments to move to a grid coarser by `factor`."""
@@ -115,7 +103,7 @@ class NoisePath:
             raise InputError(f"cannot coarsen {self.n_steps} steps by {factor}")
         shape = (self.n_steps // factor, factor) + self.increments.shape[1:]
         incr = self.increments.reshape(shape).sum(axis=1)
-        return NoisePath(incr, self.grid_step * factor, self.seed)
+        return NoisePath(incr, self.grid_step * factor)
 
 
 @dataclass
@@ -127,8 +115,8 @@ class EnsembleResult:
     horizon: float
     states: np.ndarray          # (lags + steps + 1, n_paths, n_modes)
     life_times: np.ndarray      # (n_paths,), inf where non-explosive
+    norms: np.ndarray           # (lags + steps + 1, n_paths), |states| per row
     convolution: np.ndarray | None = None
-    norms: np.ndarray | None = None  # (lags + steps + 1, n_paths), |states| per row
 
     @property
     def n_paths(self) -> int:
@@ -140,17 +128,8 @@ class EnsembleResult:
 
     def terminal_view(self) -> SegmentView:
         lags = _steps(self.delay, self.grid_step)
-        norms = None if self.norms is None else self.norms[-lags - 1:]
-        return SegmentView(self.states[-lags - 1:], self.grid_step, self.delay, norms)
-
-    def path(self, p: int) -> Trajectory:
-        life = float(self.life_times[p])
-        states = self.states[:, p]
-        if math.isfinite(life):
-            lags = _steps(self.delay, self.grid_step)
-            states = states[: lags + round(life / self.grid_step) + 1]
-        return Trajectory(self.delay, self.grid_step, states.copy(), self.horizon,
-                          life_time=life, exploded=math.isfinite(life))
+        return SegmentView(self.states[-lags - 1:], self.grid_step, self.delay,
+                           self.norms[-lags - 1:])
 
 
 def _history_windows(states: np.ndarray, norms: np.ndarray, delay: float,
@@ -183,8 +162,7 @@ def _full_drift(coeffs: CoefficientSet, t: float, x: np.ndarray,
 def simulate_ensemble(coeffs: CoefficientSet, xi: SegmentPath, horizon: float,
                       grid_step: float, spec: Spectrum, noise: NoisePath | None = None,
                       *, n_paths: int = 1, seed: int | None = None,
-                      record_convolution: bool = False,
-                      force_general_noise: bool = False) -> EnsembleResult:
+                      record_convolution: bool = False) -> EnsembleResult:
     """Integrate the mild equation for a batch of paths sharing one noise array.
 
     The per-step norms come from `_row_norms`, which is the expression
@@ -213,7 +191,7 @@ def simulate_ensemble(coeffs: CoefficientSet, xi: SegmentPath, horizon: float,
 
     decay = np.exp(-lam * grid_step)
     drift_fac = (1.0 - decay) / lam
-    use_diag = coeffs.diag_noise is not None and not force_general_noise
+    use_diag = coeffs.diag_noise is not None
     if use_diag:
         q = np.asarray(coeffs.diag_noise, dtype=float)[:n]
         conv_scale = q * np.sqrt((1.0 - decay**2) / (2.0 * lam)) / math.sqrt(grid_step)
@@ -254,8 +232,7 @@ def simulate_ensemble(coeffs: CoefficientSet, xi: SegmentPath, horizon: float,
             states[base + 1] = nxt
             norms[base + 1] = mags
 
-    return EnsembleResult(xi.delay, grid_step, horizon, states, life,
-                          convolution=conv, norms=norms)
+    return EnsembleResult(xi.delay, grid_step, horizon, states, life, norms, conv)
 
 
 # ---------------------------------------------------------------------------
@@ -278,39 +255,19 @@ def smooth_cutoff(u):
     return np.where(u <= 1.0, 1.0, np.where(u >= 2.0, 0.0, out))
 
 
-@dataclass(frozen=True)
-class TruncationScheme:
-    level: float
-    cutoff: Callable = smooth_cutoff
-
-    def validate(self) -> None:
-        u = np.linspace(0.0, 3.0, 301)
-        v = np.asarray(self.cutoff(u), dtype=float)
-        if np.any(v < -1e-12) or np.any(v > 1.0 + 1e-12):
-            raise InputError("cutoff must take values in [0, 1]")
-        if not np.allclose(v[u <= 1.0], 1.0) or not np.allclose(v[u >= 2.0], 0.0):
-            raise InputError("cutoff must be 1 on [0,1] and 0 on [2,inf)")
-        mid = v[(u >= 1.0) & (u <= 2.0)]
-        if np.any(np.diff(mid) > 1e-12):
-            raise InputError("cutoff must be non-increasing on [1, 2]")
-
-
-def truncate_coeffs(coeffs: CoefficientSet, scheme: TruncationScheme) -> CoefficientSet:
+def truncate_coeffs(coeffs: CoefficientSet, m: float) -> CoefficientSet:
     """Coefficients that agree with the originals for |z| <= m, t <= m and vanish for |z| >= 2m."""
-    scheme.validate()
-    m = scheme.level
-    psi = scheme.cutoff
 
     def b_m(t, x):
-        factor = psi(_row_norms(np.asarray(x, dtype=float)) / m)[..., None]
+        factor = smooth_cutoff(_row_norms(np.asarray(x, dtype=float)) / m)[..., None]
         return np.asarray(coeffs.drift(min(t, m), x), dtype=float) * factor
 
     def delay_m(t, view):
-        factor = np.asarray(psi(view.sup_norm() / m))[..., None]
+        factor = np.asarray(smooth_cutoff(view.sup_norm() / m))[..., None]
         return np.asarray(coeffs.delay_drift(min(t, m), view), dtype=float) * factor
 
     def q_m(t, x):
-        factor = psi(_row_norms(np.asarray(x, dtype=float)) / m)[..., None, None]
+        factor = smooth_cutoff(_row_norms(np.asarray(x, dtype=float)) / m)[..., None, None]
         return np.asarray(coeffs.diffusion_matrix(min(t, m), x), dtype=float) * factor
 
     return replace(coeffs, drift=b_m, delay_drift=delay_m, diffusion=q_m,
@@ -374,8 +331,6 @@ def _window_sup_norms(states: np.ndarray, lags: int) -> np.ndarray:
 def bihari_alpha(lyap: LyapunovSpec, xi: SegmentPath, conv_states: np.ndarray,
                  horizon: float, grid_step: float) -> np.ndarray:
     """alpha_T = 2 |X_0|_inf^2 + 2 int_0^T h(|M_s|_inf) ds by grid quadrature."""
-    from .segment import segment_norm
-
     lags = _steps(xi.delay, grid_step)
     sup_m = _window_sup_norms(conv_states, lags)
     h_vals = np.asarray(lyap.forcing(horizon, sup_m), dtype=float)
@@ -457,7 +412,7 @@ def zero_drift():
     return lambda t, x: np.zeros_like(np.asarray(x, dtype=float))
 
 
-def zero_delay_drift(n_modes: int):
+def zero_delay_drift():
     def fn(t, view):
         ref = view.value_at(0.0)
         return np.zeros_like(np.asarray(ref, dtype=float))
@@ -558,7 +513,7 @@ def make_coefficients(n_modes: int, *, drift=None, delay_drift=None, diffusion=N
         noise_dim = n_modes
     return CoefficientSet(
         drift=drift or zero_drift(),
-        delay_drift=delay_drift or zero_delay_drift(n_modes),
+        delay_drift=delay_drift or zero_delay_drift(),
         diffusion=diffusion,
         noise_dim=noise_dim,
         diag_noise=diag_noise,

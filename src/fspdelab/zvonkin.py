@@ -541,8 +541,7 @@ def composite_smallness(field: RegularizingField, weight: WeightFunction) -> flo
 
 
 def solve_u(ref: ReferenceSemigroup, drift: Callable, lam: float, horizon: float,
-            grid: ZvonkinGrid = ZvonkinGrid(), *,
-            weight: WeightFunction | None = None) -> RegularizingField:
+            grid: ZvonkinGrid = ZvonkinGrid()) -> RegularizingField:
     """Picard-iterate the resolvent map until the tabulated fix point settles.
 
     P0 is applied with the tensor Gauss-Hermite rule, so the query point
@@ -578,7 +577,7 @@ def solve_u(ref: ReferenceSemigroup, drift: Callable, lam: float, horizon: float
         raise InputError("resolvent parameter lam must be positive")
     if horizon <= 0.0:
         raise InputError("horizon must be positive")
-    weight = weight or sqrt_weight()
+    weight = sqrt_weight()
     spec = ref.spec
     n = spec.n_modes
     if n > GH_DIM_CAP:
@@ -759,10 +758,9 @@ def solve_u(ref: ReferenceSemigroup, drift: Callable, lam: float, horizon: float
         weight_name=weight.name, norms=norms)
 
 
-def lambda_threshold(fields: list[RegularizingField], horizon: float,
-                     weight: WeightFunction | None = None) -> RegularizingField:
-    """Smallest-lam field meeting the derivative caps and the smallness functional."""
-    weight = weight or sqrt_weight()
+def lambda_threshold(fields: list[RegularizingField], horizon: float) -> RegularizingField:
+    """Smallest-lam field meeting the derivative caps and the sqrt-weight smallness functional."""
+    weight = sqrt_weight()
     failures = {}
     for field in sorted(fields, key=lambda f: f.lam):
         checks = {**field.cap_checks(),

@@ -12,7 +12,7 @@ from fspdelab.config import ExperimentConfig
 from fspdelab.errors import CertificationError, ConfigError
 from fspdelab.experiments import (RUNNERS, fit_order, run_classcheck, run_galerkin,
                                   run_nonexplosion, run_simulate, run_uniqueness)
-from fspdelab.segment import SegmentPath, _steps
+from fspdelab.segment import SegmentPath, _steps, stopping_time
 
 
 class TestConfig:
@@ -76,6 +76,29 @@ class TestSimulateExperiment:
         header = csv.read_text().splitlines()
         assert header[0].startswith("# experiment=simulate")
         assert any(line.startswith("# seed=") for line in header[:3])
+
+    def test_exploding_path_ends_at_life_time(self, tmp_path):
+        cfg = ExperimentConfig.defaults("simulate", {
+            "coefficients": {"drift": {"kind": "cubic", "coeff": 1.0}},
+            "time": {"horizon": 3.0}})
+        result = run_simulate(cfg)
+        life = result.metrics["life_time"]
+        assert life < 3.0
+        assert not result.verdicts["non_explosive"]
+        result.write(tmp_path)
+        lines = (tmp_path / "simulate_trajectory.csv").read_text().splitlines()
+        assert float(lines[-1].split(",")[0]) == pytest.approx(life, abs=1e-12)
+        # the same run again: its stored norms from t = 0 on, up to the horizon
+        spec = experiments.build_spectrum(cfg)
+        delay, dt = cfg.data["time"]["delay"], cfg.data["time"]["grid_step"]
+        res = sim.simulate_ensemble(
+            experiments.build_coefficients(cfg, spec, delay),
+            experiments.default_initial_segment(spec, delay, dt), 3.0, dt, spec,
+            seed=cfg.data["montecarlo"]["seed"])
+        assert res.life_times[0] == life
+        norms = res.norms[_steps(delay, dt):, 0]
+        assert result.metrics["stopping_times"] == {
+            str(n): stopping_time(norms, dt, float(n)) for n in (1, 2, 4, 8)}
 
 
 class TestUniquenessExperiment:
@@ -383,6 +406,31 @@ class TestCli:
         assert code == 2
         assert f"message=ConfigError('zvonkin.{key} {message}')" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("experiment, config, message", [
+        ("simulate", {"montecarlo": {"samples": "abc"}}, "montecarlo.samples must be an integer"),
+        ("simulate", {"montecarlo": {"seed": 1.5}}, "montecarlo.seed must be an integer"),
+        ("simulate", {"montecarlo": {"seed": -1}}, "montecarlo.seed must be at least 0"),
+        ("simulate", {"time": {"delay": True}}, "time.delay must be a positive number"),
+        ("harnack", {"harnack": {"train_pairs": 1.5}}, "harnack.train_pairs must be an integer"),
+        ("uniqueness", {"uniqueness": {"level": -1}}, "uniqueness.level must be a positive number"),
+        ("uniqueness", {"uniqueness": {"paths": 0}}, "uniqueness.paths must be at least 1"),
+        ("nonexplosion", {"nonexplosion": {"paths": 0}}, "nonexplosion.paths must be at least 1"),
+        ("galerkin", {"galerkin": {"mode_counts": [0, 4]}},
+         "galerkin.mode_counts entries must be at least 1"),
+        ("simulate", {"coefficients": {"drift": {"kind": "linear"}}},
+         "coefficients.drift.rate must be a number for a linear drift"),
+        ("simulate", {"coefficients": {"drift": "dini"}}, "coefficients.drift must be an object"),
+    ], ids=["samples-string", "seed-fraction", "seed-negative", "delay-bool",
+            "train-pairs-fraction", "level-negative", "uniqueness-paths-0",
+            "nonexplosion-paths-0", "mode-count-0", "linear-without-rate", "drift-string"])
+    def test_invalid_section_value_exit_two(self, tmp_path, capsys, experiment, config,
+                                            message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config))
+        code = main([experiment, "--config", str(bad), "--out", str(tmp_path)])
+        assert code == 2
+        assert f"message=ConfigError('{message}')" in capsys.readouterr().out
+
     def test_seed_override_changes_hash(self, tmp_path):
         main(["simulate", "--out", str(tmp_path / "a"), "--seed", "1"])
         main(["simulate", "--out", str(tmp_path / "b"), "--seed", "2"])
@@ -439,3 +487,40 @@ def test_every_public_definition_is_referenced_in_the_package():
                   if not name.startswith("_") and name not in referenced
                   and qualified not in UNREACHED_ON_PURPOSE)
     assert not dead, f"public definitions no package code references: {dead}"
+
+
+def test_every_parameter_is_read_by_its_function():
+    """A parameter of a top-level function or method that its body never reads is dead API.
+
+    A read anywhere in the body counts, nested functions included; the
+    parameters of nested callbacks are fixed by their caller and are exempt,
+    as is a method's self or cls.
+    """
+    import ast
+    from pathlib import Path
+
+    import fspdelab
+
+    # perfbench/workloads.py passes lambda_threshold's horizon positionally, so
+    # removing it is a change to the benchmark
+    exempt = {"zvonkin.py:lambda_threshold.horizon"}
+    unread = []
+    for path in sorted(Path(fspdelab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = [(node.name, node, False) for node in tree.body
+                     if isinstance(node, ast.FunctionDef)]
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            functions += [(f"{cls.name}.{member.name}", member,
+                           not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                   for d in member.decorator_list))
+                          for member in cls.body if isinstance(member, ast.FunctionDef)]
+        for qualified, fn, bound in functions:
+            args = fn.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            params = params[1:] if bound else params
+            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            unread += [f"{path.name}:{qualified}.{name}" for name in params
+                       if name not in read and f"{path.name}:{qualified}.{name}" not in exempt]
+    assert not unread, f"parameters their function never reads: {unread}"

@@ -25,9 +25,9 @@ def near_zero_noise(n):
 class TestMildIntegrator:
     def test_pure_heat_flow_is_exact(self, spec2):
         xi = SegmentPath.constant(np.array([1.0, 2.0]), DELAY, DT)
-        tr = sim.simulate_ensemble(near_zero_noise(2), xi, 1.0, DT, spec2, seed=1).path(0)
+        res = sim.simulate_ensemble(near_zero_noise(2), xi, 1.0, DT, spec2, seed=1)
         exact = an.semigroup_apply(spec2, 1.0, xi.value_at(0.0))
-        assert np.allclose(tr.state(1.0), exact, atol=1e-14)
+        assert np.allclose(res.terminal_view().value_at(0.0)[0], exact, atol=1e-14)
 
     def test_ou_stationary_variance(self):
         # oracle: closed-form stationary variance q^2 / (2 lam) of the
@@ -78,9 +78,9 @@ class TestMildIntegrator:
         for e in (6, 7):
             dt = 2.0**-e
             xi = SegmentPath.from_function(lambda s: np.array([1.0 + 0.5 * s]), DELAY, dt)
-            tr = sim.simulate_ensemble(coeffs, xi, horizon, dt, SPEC1, seed=1).path(0)
+            res = sim.simulate_ensemble(coeffs, xi, horizon, dt, SPEC1, seed=1)
             sub = fine[:: round(dt * 1024)]
-            errors[e] = float(np.max(np.abs(tr.states[:, 0] - sub[: tr.states.shape[0]])))
+            errors[e] = float(np.max(np.abs(res.states[:, 0, 0] - sub[: res.states.shape[0]])))
         assert errors[6] < 5e-3
         assert errors[6] / errors[7] > 1.5  # roughly first order in dt
 
@@ -95,14 +95,18 @@ class TestMildIntegrator:
                                        diag_noise=np.array([0.1]))
         xi = SegmentPath.constant(np.array([2.0]), DELAY, DT)
         res = sim.simulate_ensemble(coeffs, xi, 3.0, DT, SPEC1, n_paths=1, seed=5)
-        tr = res.path(0)
-        assert tr.exploded
-        assert tr.life_time == res.life_times[0] < 3.0
-        # the trajectory stops at the life time, with the history still in front
-        assert tr.times()[-1] == pytest.approx(tr.life_time)
-        assert np.array_equal(tr.states, res.states[: tr.states.shape[0], 0])
-        assert np.isfinite(tr.states[-2]).all()
-        assert np.array_equal(tr.states[: round(DELAY / DT) + 1], xi.values)
+        assert res.exploded[0]
+        assert res.life_times[0] < 3.0
+        # the row at the life time is the first out of bounds, later rows are
+        # frozen copies of it, and the history is still in front
+        stop = round((DELAY + res.life_times[0]) / DT)
+        norms = res.norms[:, 0]
+        assert not norms[stop] <= sim.EXPLOSION_THRESHOLD
+        assert np.all(norms[:stop] <= sim.EXPLOSION_THRESHOLD)
+        assert np.isfinite(res.states[stop - 1]).all()
+        tail = res.states[stop:, 0]
+        assert np.array_equal(tail, np.broadcast_to(tail[0], tail.shape), equal_nan=True)
+        assert np.array_equal(res.states[: round(DELAY / DT) + 1, 0], xi.values)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 32])
     def test_norms_are_linalg_norm_bitwise(self, n):
@@ -174,8 +178,7 @@ class TestNoisePath:
 
 class TestTruncation:
     def test_agreement_inside_and_vanishing_outside(self, dini_coeffs):
-        scheme = sim.TruncationScheme(3.0)
-        trunc = sim.truncate_coeffs(dini_coeffs, scheme)
+        trunc = sim.truncate_coeffs(dini_coeffs, 3.0)
         inside = np.array([[0.5, -0.5]])
         assert np.allclose(trunc.drift(1.0, inside), dini_coeffs.drift(1.0, inside))
         far = np.array([[6.0, 0.0]])
@@ -190,13 +193,13 @@ class TestTruncation:
             return np.zeros_like(np.asarray(x, dtype=float))
 
         coeffs = sim.make_coefficients(1, drift=drift, diag_noise=np.ones(1))
-        trunc = sim.truncate_coeffs(coeffs, sim.TruncationScheme(2.0))
+        trunc = sim.truncate_coeffs(coeffs, 2.0)
         trunc.drift(5.0, np.zeros((1, 1)))
         assert calls == [2.0]
 
     def test_pathwise_agreement_up_to_stopping_level(self, dini_coeffs, spec2):
-        low = sim.truncate_coeffs(dini_coeffs, sim.TruncationScheme(4.0))
-        high = sim.truncate_coeffs(dini_coeffs, sim.TruncationScheme(8.0))
+        low = sim.truncate_coeffs(dini_coeffs, 4.0)
+        high = sim.truncate_coeffs(dini_coeffs, 8.0)
         xi = SegmentPath.constant(np.array([0.2, 0.1]), DELAY, DT)
         noise = sim.NoisePath.generate(17, round(1.0 / DT), 2, DT, n_paths=32)
         a = sim.simulate_ensemble(low, xi, 1.0, DT, spec2, noise)
@@ -212,15 +215,16 @@ class TestTruncation:
         single = np.array([sim.smooth_cutoff(v) for v in u])
         assert batch.dtype == single.dtype and batch.tobytes() == single.tobytes()
 
-    def test_cutoff_validation(self):
-        with pytest.raises(InputError):
-            sim.TruncationScheme(1.0, cutoff=lambda u: np.asarray(u) * 0.0 + 2.0).validate()
-        bad_monotone = lambda u: np.where(np.asarray(u) <= 1.0, 1.0,
-                                          np.where(np.asarray(u) >= 2.0, 0.0,
-                                                   np.asarray(u) - 1.0))
-        with pytest.raises(InputError):
-            sim.TruncationScheme(1.0, cutoff=bad_monotone).validate()
-        sim.TruncationScheme(1.0).validate()
+    @given(st.lists(st.one_of(st.floats(0.0, 3.0), st.floats(0.0, 1e300),
+                              st.sampled_from([0.0, 1.0, 2.0, math.inf])), min_size=2))
+    def test_smooth_cutoff_is_a_cutoff(self, us):
+        # values in [0, 1], exactly 1 on [0, 1], exactly 0 on [2, inf),
+        # non-increasing in between: sorted arguments give sorted values
+        u = np.sort(np.concatenate([us, np.linspace(0.0, 3.0, 301)]))
+        v = sim.smooth_cutoff(u)
+        assert np.all((v >= 0.0) & (v <= 1.0))
+        assert np.all(v[u <= 1.0] == 1.0) and np.all(v[u >= 2.0] == 0.0)
+        assert np.all(np.diff(v) <= 0.0)
 
 
 class TestBihari:
