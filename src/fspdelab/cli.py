@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 
 from .config import EXPERIMENTS, ExperimentConfig
 from .errors import ConfigError
@@ -45,12 +46,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args)
+        start = time.perf_counter()
         result = RUNNERS[args.experiment](cfg)
+        result.wall_clock = time.perf_counter() - start
     except ConfigError as exc:
         # cross-section invariants surface while the experiment assembles
         print(f"event=config_error experiment={args.experiment} message={exc!r}")
         return 2
-    report = result.write(cfg.section("output").get("directory", "out"))
+    report = result.write(cfg.section("output")["directory"])
     print(result.log_line() + f" report={report} report_hash={result.report_hash()[:12]}")
     return 0 if result.passed else 1
 

@@ -31,22 +31,20 @@ _BASE = {
     "output": {"directory": "out"},
 }
 
+# the lab's resolvent grid, shared by the two experiments that solve for u
+_ZVONKIN = {"lambda_grid": [40.0, 80.0, 160.0], "time_steps": 12, "nodes_per_dim": 11,
+            "halfwidth": 3.0, "quad_panels": 8, "quad_order": 6, "hermite_order": 7}
+
+# each experiment's departures from _BASE, merged over it key by key
 _PER_EXPERIMENT = {
     "classcheck": {},
     "simulate": {},
     "solve-u": {
-        "coefficients": {
-            "drift": {"kind": "dini", "scale": 0.4, "delta": 1.0},
-            "delay_drift": {"kind": "tanh", "beta": 0.3},
-            "diffusion": {"kind": "diag", "q": 1.0},
-        },
-        "zvonkin": {"lambda_grid": [40.0, 80.0, 160.0], "time_steps": 12,
-                    "nodes_per_dim": 11, "halfwidth": 3.0, "quad_panels": 8,
-                    "quad_order": 6, "hermite_order": 7},
+        "coefficients": {"drift": {"scale": 0.4}},
+        "zvonkin": _ZVONKIN,
     },
     "uniqueness": {
         "coefficients": {
-            "drift": {"kind": "dini", "scale": 1.0, "delta": 1.0},
             "delay_drift": {"kind": "shift", "beta": 0.4},
             "diffusion": {"kind": "state_diag", "q": 1.2, "amplitude": 0.8,
                           "frequency": 3.0},
@@ -55,35 +53,23 @@ _PER_EXPERIMENT = {
                        "reference_exponent": 11, "paths": 64},
     },
     "galerkin": {
-        "spectrum": {"n_modes": 32, "coeff": 1.0, "power": 2.0, "trace_exponent": 0.4},
-        "coefficients": {
-            "drift": {"kind": "dini", "scale": 1.0, "delta": 1.0},
-            "delay_drift": {"kind": "shift", "beta": 0.4},
-            "diffusion": {"kind": "diag", "q": 0.5},
-        },
+        "spectrum": {"n_modes": 32},
+        "coefficients": {"delay_drift": {"kind": "shift", "beta": 0.4},
+                         "diffusion": {"q": 0.5}},
         "galerkin": {"mode_counts": [2, 4, 8, 16], "reference_modes": 32, "paths": 256},
     },
     "nonexplosion": {
-        "coefficients": {
-            "drift": {"kind": "linear", "rate": 1.0},
-            "delay_drift": {"kind": "tanh", "beta": 0.3},
-            "diffusion": {"kind": "diag", "q": 0.5},
-        },
+        "coefficients": {"drift": {"kind": "linear", "rate": 1.0},
+                         "diffusion": {"q": 0.5}},
         "nonexplosion": {"paths": 1000, "comparison_margin": 0.5,
                          "negative_control": True, "control_start": 2.0,
                          "control_horizon": 3.0},
     },
     "harnack": {
-        "time": {"delay": 0.25, "horizon": 0.5, "grid_step": 1.0 / 128.0},
-        "coefficients": {
-            "drift": {"kind": "dini", "scale": 0.4, "delta": 1.0},
-            "delay_drift": {"kind": "tanh", "beta": 0.3},
-            "diffusion": {"kind": "diag", "q": 1.0},
-        },
-        "montecarlo": {"samples": 10000, "seed": 20240801},
-        "zvonkin": {"lambda_grid": [40.0, 80.0, 160.0], "time_steps": 12,
-                    "nodes_per_dim": 11, "halfwidth": 3.0, "quad_panels": 8,
-                    "quad_order": 6, "hermite_order": 7},
+        "time": {"horizon": 0.5},
+        "coefficients": {"drift": {"scale": 0.4}},
+        "montecarlo": {"samples": 10000},
+        "zvonkin": _ZVONKIN,
         "harnack": {"train_pairs": 10, "holdout_pairs": 10, "pair_scale": 0.4,
                     "power_factors": [1.1, 1.5, 2.0], "test_function": "exp_head"},
     },
@@ -171,63 +157,77 @@ class ExperimentConfig:
             if val < least:
                 raise ConfigError(f"{name} must be at least {least}")
 
+        def given(dotted):
+            """The value at a dotted key as a 1-tuple, or () where the config omits it."""
+            node = self.data
+            for key in dotted.split("."):
+                if not isinstance(node, dict) or key not in node:
+                    return ()
+                node = node[key]
+            return (node,)
+
         time = self.section("time")
-        delay, horizon, dt = time.get("delay"), time.get("horizon"), time.get("grid_step")
-        for field_name, val in (("time.delay", delay), ("time.horizon", horizon),
-                                ("time.grid_step", dt)):
-            if not positive(val):
-                raise ConfigError(f"{field_name} must be a positive number")
-        for field_name, span in (("time.delay", delay), ("time.horizon", horizon)):
-            ratio = span / dt
+        for key in ("delay", "horizon", "grid_step"):
+            if not positive(time[key]):
+                raise ConfigError(f"time.{key} must be a positive number")
+        for key in ("delay", "horizon"):
+            ratio = time[key] / time["grid_step"]
             if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
-                raise ConfigError(f"time.grid_step must divide {field_name}")
-        integer("montecarlo.samples", self.section("montecarlo").get("samples", 0), 100)
-        integer("montecarlo.seed", self.section("montecarlo").get("seed", 0), 0)
-        # counts are checked wherever their section is given
-        for dotted, least in (("harnack.samples", 100), ("harnack.train_pairs", 1),
+                raise ConfigError(f"time.grid_step must divide time.{key}")
+        # every other value is checked wherever the config gives it;
+        # 5 nodes is the least count whose axis reaches +-halfwidth
+        for dotted, least in (("montecarlo.samples", 100), ("montecarlo.seed", 0),
+                              ("harnack.samples", 100), ("harnack.train_pairs", 1),
                               ("harnack.holdout_pairs", 1), ("uniqueness.paths", 1),
-                              ("galerkin.paths", 1), ("galerkin.reference_modes", 1),
-                              ("nonexplosion.paths", 1)):
-            section, key = dotted.split(".")
-            if key in self.section(section):
-                integer(dotted, self.section(section)[key], least)
-        if not positive(self.section("uniqueness").get("level", 1.0)):
-            raise ConfigError("uniqueness.level must be a positive number")
-        counts = self.section("galerkin").get("mode_counts", [])
-        if not isinstance(counts, list):
-            raise ConfigError("galerkin.mode_counts must be a list")
-        for count in counts:
-            integer("galerkin.mode_counts entries", count, 1)
+                              ("uniqueness.reference_exponent", 0), ("galerkin.paths", 1),
+                              ("galerkin.reference_modes", 1), ("nonexplosion.paths", 1),
+                              ("zvonkin.time_steps", 1), ("zvonkin.nodes_per_dim", 5),
+                              ("zvonkin.quad_panels", 1), ("zvonkin.quad_order", 1),
+                              ("zvonkin.hermite_order", 1)):
+            for val in given(dotted):
+                integer(dotted, val, least)
+        for dotted, least in (("galerkin.mode_counts", 1), ("uniqueness.dt_exponents", 0)):
+            for entries in given(dotted):
+                if not isinstance(entries, list):
+                    raise ConfigError(f"{dotted} must be a list")
+                for entry in entries:
+                    integer(f"{dotted} entries", entry, least)
+        for dotted in ("uniqueness.level", "zvonkin.halfwidth", "nonexplosion.control_horizon"):
+            if not all(map(positive, given(dotted))):
+                raise ConfigError(f"{dotted} must be a positive number")
+        for dotted in ("coefficients.drift.scale", "coefficients.drift.delta",
+                       "coefficients.drift.coeff", "coefficients.drift.rate",
+                       "coefficients.delay_drift.beta", "coefficients.diffusion.q",
+                       "coefficients.diffusion.amplitude", "coefficients.diffusion.frequency",
+                       "nonexplosion.comparison_margin", "nonexplosion.control_start"):
+            if not all(map(number, given(dotted))):
+                raise ConfigError(f"{dotted} must be a number")
+        if not all(isinstance(val, bool) for val in given("nonexplosion.negative_control")):
+            raise ConfigError("nonexplosion.negative_control must be true or false")
         spec = self.section("spectrum")
         for key in ("n_modes", "coeff", "power", "trace_exponent"):
-            if key in spec and not isinstance(spec[key], (int, float)):
+            if not isinstance(spec[key], (int, float)):
                 raise ConfigError(f"spectrum.{key} must be a number")
-        integer("spectrum.n_modes", spec.get("n_modes", 0), 1)
-        if not 0.0 < spec.get("trace_exponent", 0.4) < 1.0:
+        integer("spectrum.n_modes", spec["n_modes"], 1)
+        if not 0.0 < spec["trace_exponent"] < 1.0:
             raise ConfigError("spectrum.trace_exponent must lie in (0, 1)")
-        zvonkin = self.section("zvonkin")
-        # 5 nodes is the least count whose axis reaches +-halfwidth
-        for key, least in (("time_steps", 1), ("nodes_per_dim", 5), ("quad_panels", 1),
-                           ("quad_order", 1), ("hermite_order", 1)):
-            if key in zvonkin:
-                integer(f"zvonkin.{key}", zvonkin[key], least)
-        if not positive(zvonkin.get("halfwidth", 1.0)):
-            raise ConfigError("zvonkin.halfwidth must be a positive number")
-        lams = zvonkin.get("lambda_grid", [1.0])
-        if not isinstance(lams, list) or not lams or not all(map(positive, lams)):
-            raise ConfigError("zvonkin.lambda_grid must be a non-empty list of positive numbers")
+        for lams in given("zvonkin.lambda_grid"):
+            if not isinstance(lams, list) or not lams or not all(map(positive, lams)):
+                raise ConfigError("zvonkin.lambda_grid must be a non-empty list of "
+                                  "positive numbers")
         for name, entry in self.section("coefficients").items():
             if not isinstance(entry, dict):
                 raise ConfigError(f"coefficients.{name} must be an object")
-        drift = self.section("coefficients").get("drift", {})
-        if drift.get("kind") == "linear" and not number(drift.get("rate")):
+        drift = self.section("coefficients")["drift"]
+        if drift["kind"] == "linear" and not number(drift.get("rate")):
             raise ConfigError("coefficients.drift.rate must be a number for a linear drift")
         if self.experiment == "harnack":
-            if horizon <= delay:
+            if time["horizon"] <= time["delay"]:
                 raise ConfigError("time.horizon must exceed time.delay for harnack runs")
             # power = (1 + K2 K3)^2 * factor, so factors above 1 keep every
             # power above the admissible floor the power inequality needs
-            factors = self.section("harnack").get("power_factors", [])
-            if not factors or any(float(fac) <= 1.0 for fac in factors):
+            factors = self.section("harnack")["power_factors"]
+            if not isinstance(factors, list) or not factors or \
+                    not all(number(fac) and fac > 1.0 for fac in factors):
                 raise ConfigError("harnack.power_factors must be a non-empty list of "
                                   "factors above 1 (powers above the floor (1+K)^2)")

@@ -9,7 +9,6 @@ config reproduces byte-identical output files.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
@@ -111,12 +110,11 @@ def build_coefficients(cfg: ExperimentConfig, spec: Spectrum, delay: float) -> C
     e1 = np.zeros(n)
     e1[0] = 1.0
 
-    drift_cfg = c.get("drift", {"kind": "zero"})
-    kind = drift_cfg.get("kind", "zero")
+    drift_cfg = c["drift"]
+    kind = drift_cfg["kind"]
     drift_sup = 0.0
     if kind == "dini":
-        modulus = analysis.log_dini_modulus(float(drift_cfg.get("scale", 1.0)),
-                                            float(drift_cfg.get("delta", 1.0)))
+        modulus = analysis.log_dini_modulus(float(drift_cfg["scale"]), float(drift_cfg["delta"]))
         drift = simulator.dini_drift(modulus, e1)
         drift_sup = float(modulus(np.array([1.0]))[0])
     elif kind == "linear":
@@ -128,9 +126,8 @@ def build_coefficients(cfg: ExperimentConfig, spec: Spectrum, delay: float) -> C
     else:
         raise ConfigError(f"coefficients.drift.kind {kind!r} is not a built-in")
 
-    delay_cfg = c.get("delay_drift", {"kind": "zero"})
-    dkind = delay_cfg.get("kind", "zero")
-    beta = float(delay_cfg.get("beta", 0.0))
+    dkind = c["delay_drift"]["kind"]
+    beta = float(c["delay_drift"]["beta"])
     if dkind == "shift":
         delay_drift = simulator.delay_shift_drift(beta, delay)
     elif dkind == "tanh":
@@ -140,9 +137,9 @@ def build_coefficients(cfg: ExperimentConfig, spec: Spectrum, delay: float) -> C
     else:
         raise ConfigError(f"coefficients.delay_drift.kind {dkind!r} is not a built-in")
 
-    diff_cfg = c.get("diffusion", {"kind": "diag", "q": 1.0})
-    qkind = diff_cfg.get("kind", "diag")
-    q = float(diff_cfg.get("q", 1.0)) * np.ones(n)
+    diff_cfg = c["diffusion"]
+    qkind = diff_cfg["kind"]
+    q = float(diff_cfg["q"]) * np.ones(n)
     if qkind == "diag":
         return simulator.make_coefficients(n, drift=drift, delay_drift=delay_drift,
                                            diag_noise=q, drift_sup=drift_sup)
@@ -170,7 +167,7 @@ def default_initial_segment(spec: Spectrum, delay: float, grid_step: float) -> S
 
 
 def build_test_function(cfg: ExperimentConfig, n_modes: int) -> harnack.TestFunction:
-    name = cfg.section("harnack").get("test_function", "exp_head")
+    name = cfg.section("harnack")["test_function"]
     v = np.zeros(n_modes)
     v[0] = 1.0
     if name == "exp_head":
@@ -210,20 +207,9 @@ def random_segment_pairs(spec: Spectrum, delay: float, grid_step: float, count: 
     return pairs
 
 
-def _timed(fn):
-    def wrapper(cfg: ExperimentConfig) -> ExperimentResult:
-        start = time.perf_counter()
-        result = fn(cfg)
-        result.wall_clock = time.perf_counter() - start
-        return result
-
-    return wrapper
-
-
 # ---------------------------------------------------------------------------
 # classcheck
 
-@_timed
 def run_classcheck(cfg: ExperimentConfig) -> ExperimentResult:
     spec = build_spectrum(cfg)
     seed = int(cfg.section("montecarlo")["seed"])
@@ -273,7 +259,6 @@ def run_classcheck(cfg: ExperimentConfig) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 # simulate
 
-@_timed
 def run_simulate(cfg: ExperimentConfig) -> ExperimentResult:
     spec = build_spectrum(cfg)
     t = cfg.section("time")
@@ -306,17 +291,12 @@ def _solve_fields(cfg: ExperimentConfig, spec: Spectrum, coeffs: CoefficientSet,
                   horizon: float, *, ascending: bool = False):
     """Solve u lazily, one field per lam of the config grid (in its order, or ascending)."""
     z = cfg.section("zvonkin")
-    grid = zvonkin.ZvonkinGrid(
-        time_steps=int(z.get("time_steps", 12)),
-        nodes_per_dim=int(z.get("nodes_per_dim", 11)),
-        halfwidth=float(z.get("halfwidth", 3.0)),
-        quad_panels=int(z.get("quad_panels", 8)),
-        quad_order=int(z.get("quad_order", 6)))
+    grid = zvonkin.ZvonkinGrid(z["time_steps"], z["nodes_per_dim"], float(z["halfwidth"]),
+                               z["quad_panels"], z["quad_order"])
     if coeffs.diag_noise is None:
         raise ConfigError("the regularizing solve requires a constant diagonal diffusion")
-    ref = zvonkin.ReferenceSemigroup(spec, coeffs.diag_noise,
-                                     int(z.get("hermite_order", 7)))
-    lams = [float(lam) for lam in z.get("lambda_grid", [40.0, 80.0, 160.0])]
+    ref = zvonkin.ReferenceSemigroup(spec, coeffs.diag_noise, z["hermite_order"])
+    lams = [float(lam) for lam in z["lambda_grid"]]
     for lam in sorted(lams) if ascending else lams:
         yield zvonkin.solve_u(ref, coeffs.drift, lam, horizon, grid)
 
@@ -338,7 +318,6 @@ def _first_certified(fields, horizon: float):
     return zvonkin.lambda_threshold(solved, horizon)
 
 
-@_timed
 def run_solve_u(cfg: ExperimentConfig) -> ExperimentResult:
     spec = build_spectrum(cfg)
     t = cfg.section("time")
@@ -352,7 +331,7 @@ def run_solve_u(cfg: ExperimentConfig) -> ExperimentResult:
     try:
         chosen = zvonkin.lambda_threshold(fields, horizon)
         threshold_ok, chosen_lam = True, chosen.lam
-        out_dir = Path(cfg.section("output").get("directory", "out"))
+        out_dir = Path(cfg.section("output")["directory"])
         out_dir.mkdir(parents=True, exist_ok=True)
         chosen.save(str(out_dir / "field"))
     except CertificationError:
@@ -370,23 +349,22 @@ def run_solve_u(cfg: ExperimentConfig) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 # uniqueness
 
-@_timed
 def run_uniqueness(cfg: ExperimentConfig) -> ExperimentResult:
     spec = build_spectrum(cfg)
     t = cfg.section("time")
     delay, horizon = float(t["delay"]), float(t["horizon"])
     seed = int(cfg.section("montecarlo")["seed"])
     u = cfg.section("uniqueness")
-    level = float(u.get("level", 5.0))
-    exponents = [int(e) for e in u.get("dt_exponents", [6, 7, 8, 9, 10])]
+    level = float(u["level"])
+    exponents = u["dt_exponents"]
     if len(exponents) < 2:
         raise ConfigError("uniqueness.dt_exponents must list at least two exponents: "
                           "an order is fitted across step sizes")
-    ref_exp = int(u.get("reference_exponent", max(exponents) + 1))
+    ref_exp = u["reference_exponent"]
     if any(e >= ref_exp for e in exponents):
         raise ConfigError("uniqueness.dt_exponents must all be below "
                           "uniqueness.reference_exponent")
-    paths = int(u.get("paths", 64))
+    paths = u["paths"]
     coeffs = build_coefficients(cfg, spec, delay)
     low = truncate_coeffs(coeffs, level)
     high = truncate_coeffs(coeffs, 2.0 * level)
@@ -410,21 +388,17 @@ def run_uniqueness(cfg: ExperimentConfig) -> ExperimentResult:
         lags = _steps(delay, dt)
 
         # stop each comparison at the first level crossing of the low run
-        mags = res_low.norms[lags:]
-        crossing = np.argmax(mags >= level, axis=0)
-        never = ~np.any(mags >= level, axis=0)
-        stop_steps = np.where(never, mags.shape[0] - 1,
-                              np.minimum(crossing, mags.shape[0] - 1))
+        crossed = res_low.norms[lags:] >= level
+        kept = crossed.shape[0]
+        stop_steps = np.where(crossed.any(axis=0), np.argmax(crossed, axis=0), kept - 1)
+        upto = np.arange(kept)[:, None] <= stop_steps
 
         gap = np.linalg.norm(res_low.states[lags:] - res_high.states[lags:], axis=-1)
-        err = np.linalg.norm(res_low.states[lags:]
-                             - ref.states[lags_ref::factor][: mags.shape[0]], axis=-1)
-        pair_gap, strong = 0.0, 0.0
-        for p in range(paths):
-            upto = stop_steps[p] + 1
-            pair_gap = max(pair_gap, float(np.max(gap[:upto, p])))
-            strong += float(np.max(err[:upto, p]))
-        strong /= paths
+        err = np.linalg.norm(res_low.states[lags:] - ref.states[lags_ref::factor][:kept],
+                             axis=-1)
+        pair_gap = float(np.max(gap, where=upto, initial=0.0))
+        # a left-to-right Python sum keeps the bits strong_errors is recorded with
+        strong = sum(np.max(err, axis=0, where=upto, initial=0.0).tolist()) / paths
         pair_gaps.append(pair_gap)
         dts.append(dt)
         strong_errors.append(strong)
@@ -444,16 +418,13 @@ def run_uniqueness(cfg: ExperimentConfig) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 # galerkin
 
-@_timed
 def run_galerkin(cfg: ExperimentConfig) -> ExperimentResult:
     spec = build_spectrum(cfg)
     t = cfg.section("time")
     delay, horizon, dt = float(t["delay"]), float(t["horizon"]), float(t["grid_step"])
     seed = int(cfg.section("montecarlo")["seed"])
     g = cfg.section("galerkin")
-    counts = [int(c) for c in g.get("mode_counts", [2, 4, 8, 16])]
-    n_ref = int(g.get("reference_modes", spec.n_modes))
-    paths = int(g.get("paths", 256))
+    counts, n_ref, paths = g["mode_counts"], g["reference_modes"], g["paths"]
     if n_ref != spec.n_modes:
         raise ConfigError("galerkin.reference_modes must equal spectrum.n_modes")
     if len(counts) < 2:
@@ -536,10 +507,10 @@ def _project_coefficients(coeffs: CoefficientSet, n_full: int, n: int) -> Coeffi
 
 def build_lyapunov(coeffs: CoefficientSet, cfg: ExperimentConfig) -> LyapunovSpec:
     """Comparison pair matched to the built-in dissipative drift pairing."""
-    margin = float(cfg.section("nonexplosion").get("comparison_margin", 0.5))
-    drift_cfg = cfg.section("coefficients").get("drift", {})
-    rate = float(drift_cfg.get("rate", 0.0)) if drift_cfg.get("kind") == "linear" else 0.0
-    beta = abs(float(cfg.section("coefficients").get("delay_drift", {}).get("beta", 0.0)))
+    margin = float(cfg.section("nonexplosion")["comparison_margin"])
+    drift_cfg = cfg.section("coefficients")["drift"]
+    rate = float(drift_cfg["rate"]) if drift_cfg["kind"] == "linear" else 0.0
+    beta = abs(float(cfg.section("coefficients")["delay_drift"]["beta"]))
     bound = coeffs.drift_sup
     c = rate + beta + bound + margin
     return LyapunovSpec(
@@ -547,14 +518,13 @@ def build_lyapunov(coeffs: CoefficientSet, cfg: ExperimentConfig) -> LyapunovSpe
         forcing=lambda t, s: c * (1.0 + np.asarray(s, dtype=float) ** 2))
 
 
-@_timed
 def run_nonexplosion(cfg: ExperimentConfig) -> ExperimentResult:
     spec = build_spectrum(cfg)
     t = cfg.section("time")
     delay, horizon, dt = float(t["delay"]), float(t["horizon"]), float(t["grid_step"])
     seed = int(cfg.section("montecarlo")["seed"])
     section = cfg.section("nonexplosion")
-    paths = int(section.get("paths", 1000))
+    paths = section["paths"]
     coeffs = build_coefficients(cfg, spec, delay)
     lyap = build_lyapunov(coeffs, cfg)
     xi = default_initial_segment(spec, delay, dt)
@@ -568,13 +538,13 @@ def run_nonexplosion(cfg: ExperimentConfig) -> ExperimentResult:
                 "comparison_dominates": min_margin >= -1e-8}
     metrics = {"paths": paths, "exploded": exploded, "min_margin": min_margin}
 
-    if section.get("negative_control", True):
+    if section["negative_control"]:
         ctrl_spec = Spectrum(1, spec.growth_coeff, spec.growth_power, spec.trace_exponent)
-        start = float(section.get("control_start", 2.0))
+        start = float(section["control_start"])
         ctrl = simulator.make_coefficients(
             1, drift=simulator.cubic_drift(1.0), diag_noise=np.array([0.1]))
         ctrl_xi = SegmentPath.constant(np.array([start]), delay, dt)
-        ctrl_res = simulate_ensemble(ctrl, ctrl_xi, float(section.get("control_horizon", 3.0)),
+        ctrl_res = simulate_ensemble(ctrl, ctrl_xi, float(section["control_horizon"]),
                                      dt, ctrl_spec, n_paths=min(paths, 100), seed=seed + 1)
         ctrl_exploded = int(np.count_nonzero(ctrl_res.exploded))
         verdicts["negative_control_explodes"] = ctrl_exploded > 0
@@ -588,14 +558,13 @@ def run_nonexplosion(cfg: ExperimentConfig) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 # harnack campaign
 
-@_timed
 def run_harnack_campaign(cfg: ExperimentConfig) -> ExperimentResult:
     spec = build_spectrum(cfg)
     t = cfg.section("time")
     delay, horizon, dt = float(t["delay"]), float(t["horizon"]), float(t["grid_step"])
     seed = int(cfg.section("montecarlo")["seed"])
     section = cfg.section("harnack")
-    samples = int(section.get("samples", cfg.section("montecarlo")["samples"]))
+    samples = section.get("samples", cfg.section("montecarlo")["samples"])
     coeffs = build_coefficients(cfg, spec, delay)
     f = build_test_function(cfg, spec.n_modes)
 
@@ -605,11 +574,10 @@ def run_harnack_campaign(cfg: ExperimentConfig) -> ExperimentResult:
                                     seed=seed + 11)
     gain = tsys.bounds["K2"] * tsys.bounds["K3"]
     floor = (1.0 + gain) ** 2
-    powers = [floor * float(fac) for fac in section.get("power_factors", [1.1, 1.5, 2.0])]
+    powers = [floor * float(fac) for fac in section["power_factors"]]
 
-    n_train = int(section.get("train_pairs", 10))
-    n_hold = int(section.get("holdout_pairs", 10))
-    scale = float(section.get("pair_scale", 0.4))
+    n_train, n_hold = section["train_pairs"], section["holdout_pairs"]
+    scale = float(section["pair_scale"])
     pairs = random_segment_pairs(spec, delay, dt, n_train + n_hold, scale, seed + 23)
     train, hold = pairs[:n_train], pairs[n_train:]
 

@@ -193,16 +193,11 @@ def log_residual_from_estimates(est: PairEstimates, horizon: float,
     return residual, stderr
 
 
-def _power_rhs(est: PairEstimates, horizon: float, power: float,
-               constant: float) -> tuple[float, float]:
-    """(Psi_p, (P_T f^p(xi))^{1/p} exp(Psi_p)) for one pair."""
-    psi = constant * harnack_distance(est.xi, est.eta, horizon, 1.0)
-    return psi, est.power_means[power] ** (1.0 / power) * math.exp(psi)
-
-
 def power_residual_from_estimates(est: PairEstimates, horizon: float, power: float,
                                   constant: float) -> tuple[float, float]:
-    _, lhs_val = _power_rhs(est, horizon, power, constant)
+    # (P_T f^p(xi))^{1/p} exp(Psi_p) with Psi_p = C(p) * distance
+    psi = constant * harnack_distance(est.xi, est.eta, horizon, 1.0)
+    lhs_val = est.power_means[power] ** (1.0 / power) * math.exp(psi)
     residual = lhs_val - est.mean_f_eta
     # delta method for the p-th root factor
     se_root = lhs_val * est.power_ses[power] / (power * est.power_means[power])
@@ -232,14 +227,14 @@ def conjugation_check(coeffs: CoefficientSet, field: RegularizingField, xi: Segm
     here advances only the transformed path Y and, next to it, the
     inverse image Z = theta^{-1}(Y), so the pullback of f needs no extra
     inversions and the TransformedSystem coefficients are read on Z.  Both
-    sides apply the noise with the same rule, which makes the trivial field
-    an exact identity and leaves only the transform-consistency gap
-    otherwise.
+    sides apply the noise by one rule, decay * Qbar dW with Qbar read at
+    the step's start: Q(t, X) on the direct side, which is run without its
+    diagonal shortcut, and grad theta(t, Z) Q(t, Z) for Y.  A zero field
+    is then an exact identity, and any other field leaves only the
+    transform-consistency gap.
     """
     if horizon <= xi.delay:
         raise InputError("the conjugation identity is checked for T > r")
-    if abs(xi.grid_step - grid_step) > 1e-12:
-        raise InputError("initial segment grid step must match the simulation grid")
     steps = _steps(horizon, grid_step)
     lags = _steps(xi.delay, grid_step)
     n = xi.n_modes
@@ -248,12 +243,8 @@ def conjugation_check(coeffs: CoefficientSet, field: RegularizingField, xi: Segm
     drift_fac = (1.0 - decay) / lam
     noise = NoisePath.generate(seed, steps, coeffs.noise_dim, grid_step, samples)
 
-    use_exact = field.trivial and coeffs.diag_noise is not None
-    if use_exact:
-        conv_scale = coeffs.diag_noise[:n] * np.sqrt(
-            (1.0 - decay**2) / (2.0 * lam)) / math.sqrt(grid_step)
-    direct = simulate_ensemble(coeffs if use_exact else replace(coeffs, diag_noise=None),
-                               xi, horizon, grid_step, spec, noise)
+    direct = simulate_ensemble(replace(coeffs, diag_noise=None), xi, horizon, grid_step,
+                               spec, noise)
     _require_alive(direct)
 
     # transformed start: theta with the frozen extension, one time per row;
@@ -273,11 +264,8 @@ def conjugation_check(coeffs: CoefficientSet, field: RegularizingField, xi: Segm
         z_norms[lags + k] = np.linalg.norm(z, axis=-1)
         jac = field.grad_theta(t, z)
         drift_bar = sys.drift_at(t, z) + sys.delay_drift_at(t, jac, zview)
-        if use_exact:
-            gain_bar = conv_scale * noise.increments[k]
-        else:
-            gain_bar = decay * np.einsum("pnm,pm->pn", sys.diffusion_at(t, z, jac),
-                                         noise.increments[k])
+        gain_bar = decay * np.einsum("pnm,pm->pn", sys.diffusion_at(t, z, jac),
+                                     noise.increments[k])
         y_states[lags + k + 1] = decay * y + drift_fac * drift_bar + gain_bar
 
     z_states[-1] = field.invert_theta(horizon, y_states[-1])

@@ -468,14 +468,11 @@ def delay_tanh_drift(beta: float, direction: np.ndarray):
 
 
 def constant_diagonal_diffusion(q: np.ndarray):
+    """Q(t, x) = diag(q), one (n, n) matrix that diffusion_matrix broadcasts over x."""
     q = np.asarray(q, dtype=float)
 
     def fn(t, x):
-        x = np.asarray(x, dtype=float)
-        eye = np.diag(q)
-        if x.ndim == 1:
-            return eye
-        return np.broadcast_to(eye, x.shape[:-1] + eye.shape)
+        return np.diag(q)
 
     return fn
 

@@ -132,7 +132,7 @@ def _axis_stencil(axis: np.ndarray, coords: np.ndarray):
     Points beyond the axis fall in the first or last cell with an offset
     outside [0, 1], i.e. they are extrapolated linearly.  Searching only the
     interior breakpoints yields that cell index without a clip, which is
-    cheap enough for the scalar time lookups of every field evaluation.
+    cheap enough for the time lookups of every field evaluation.
     """
     lo = np.searchsorted(axis[1:-1], coords, side="right")
     return lo, (coords - axis[lo]) / (axis[lo + 1] - axis[lo])
@@ -287,10 +287,6 @@ class RegularizingField:
     def halfwidth(self) -> float:
         return float(self.axes[0][-1])
 
-    @property
-    def trivial(self) -> bool:
-        return float(np.max(np.abs(self.u))) == 0.0
-
     def cap_checks(self) -> dict:
         """The derivative caps that make theta = id + u a diffeomorphism, by name."""
         lam1 = float(self.spec.eigenvalues[0])
@@ -352,32 +348,28 @@ class RegularizingField:
     def _eval(self, kind: str, t, x: np.ndarray) -> np.ndarray:
         """A table at states x, time-interpolated linearly between slices.
 
-        t is a scalar, which holds for all of x, or an array of per-row
-        times, one for each entry along the leading axis of x.  Each time is
-        clamped to [0, T]; a row at slice lo and offset frac reads
-        (1 - frac) * A_lo(x) + frac * A_{lo+1}(x), the second term only when
-        frac > 0.  Each run of consecutive rows that share the slice and the
-        frac > 0 test is blended as one batch, as a scalar t blends all of
-        x, and the cubic spatial interpolation treats every point on its
-        own, so a row's values are bitwise those of a scalar call at its time.
+        t is an array of per-row times, one for each entry along the leading
+        axis of x, or a scalar, which is read as one row holding all of x.
+        Each time is clamped to [0, T]; a row at slice lo and offset frac
+        reads (1 - frac) * A_lo(x) + frac * A_{lo+1}(x), the second term only
+        when frac > 0.  Each run of consecutive rows that share the slice and
+        the frac > 0 test is blended as one batch, and the cubic spatial
+        interpolation treats every point on its own, so a row's values are
+        bitwise those of a one-row call at its time.
         """
         x = np.asarray(x, dtype=float)
         n = self.n_modes
         trailing = {"u": (n,), "grad": (n, n), "hess": (n, n, n)}[kind]
         xb = np.clip(x, -self.halfwidth, self.halfwidth)
-        if np.ndim(t) == 0:
-            lo, frac = _axis_stencil(self.times, min(max(t, 0.0), self.horizon))
-            out = self._blend(kind, int(lo), frac, bool(frac > 0.0), xb)
-        else:
-            lo, frac = _axis_stencil(self.times, np.clip(np.asarray(t, dtype=float), 0.0,
-                                                         self.horizon))
-            rows, weights = xb.reshape(frac.size, -1, n), frac.reshape(-1, 1, 1)
-            parts, a = [], 0
-            for (j, up), run in itertools.groupby(zip(lo.tolist(), (frac > 0.0).tolist())):
-                b = a + len(list(run))
-                parts.append(self._blend(kind, j, weights[a:b], up, rows[a:b]))
-                a = b
-            out = np.concatenate(parts)
+        lo, frac = _axis_stencil(self.times,
+                                 np.asarray(t, dtype=float).reshape(-1).clip(0.0, self.horizon))
+        rows, weights = xb.reshape(frac.size, -1, n), frac.reshape(-1, 1, 1)
+        parts, a = [], 0
+        for (j, up), run in itertools.groupby(zip(lo.tolist(), (frac > 0.0).tolist())):
+            b = a + len(list(run))
+            parts.append(self._blend(kind, j, weights[a:b], up, rows[a:b]))
+            a = b
+        out = parts[0] if len(parts) == 1 else np.concatenate(parts)
         return out.reshape(x.shape[:-1] + trailing)
 
     def u_at(self, t, x: np.ndarray) -> np.ndarray:

@@ -58,6 +58,19 @@ class TestConfig:
         b = ExperimentConfig.defaults("simulate", {"montecarlo": {"seed": 1}})
         assert a.hash() != b.hash()
 
+    @pytest.mark.parametrize("experiment, digest", [
+        ("classcheck", "a246fca281171206f80a6b2ac8f3b212ec2b454490e0faf62b21a380529cb66d"),
+        ("simulate", "790a1e19eeec156448e4c761ed6661c7511a8685e54970eb29be6b1b6513e0ee"),
+        ("solve-u", "eadc14f16bc001c79e587c45caa472f9212fd5d3958209f009d6b43433dedfce"),
+        ("uniqueness", "1038fe745886a8545512e3f4996ff3882c5f042c357a77bbe9a390e3ecbaa9bf"),
+        ("galerkin", "2ecab8a415081d5e7570f6a0ed41aad79b3f56b1044b5e8f09d1ce29394cb6a7"),
+        ("nonexplosion", "6bd8277d698309b26f02988454bc6995efffb6970c13885a38f865a96f05c011"),
+        ("harnack", "19e2645232b86f582d46b231460bb0ceeee65b2b438af3e7c51faab6bb5d8d13"),
+    ])
+    def test_default_config_hashes_are_pinned(self, experiment, digest):
+        # every report records this hash: an edit to the defaults moves them all
+        assert ExperimentConfig.defaults(experiment).hash() == digest
+
 
 class TestClasscheckExperiment:
     def test_all_verdicts_pass(self):
@@ -420,9 +433,41 @@ class TestCli:
         ("simulate", {"coefficients": {"drift": {"kind": "linear"}}},
          "coefficients.drift.rate must be a number for a linear drift"),
         ("simulate", {"coefficients": {"drift": "dini"}}, "coefficients.drift must be an object"),
+        ("uniqueness", {"uniqueness": {"dt_exponents": [6.5, 7]}},
+         "uniqueness.dt_exponents entries must be an integer"),
+        ("uniqueness", {"uniqueness": {"dt_exponents": [6, "7"]}},
+         "uniqueness.dt_exponents entries must be an integer"),
+        ("uniqueness", {"uniqueness": {"reference_exponent": 11.0}},
+         "uniqueness.reference_exponent must be an integer"),
+        ("harnack", {"harnack": {"power_factors": ["x"]}},
+         "harnack.power_factors must be a non-empty list of factors above 1 "
+         "(powers above the floor (1+K)^2)"),
+        ("simulate", {"coefficients": {"drift": {"kind": "dini", "scale": "abc"}}},
+         "coefficients.drift.scale must be a number"),
+        ("simulate", {"coefficients": {"drift": {"kind": "cubic", "coeff": True}}},
+         "coefficients.drift.coeff must be a number"),
+        ("simulate", {"coefficients": {"delay_drift": {"kind": "shift", "beta": "abc"}}},
+         "coefficients.delay_drift.beta must be a number"),
+        ("simulate", {"coefficients": {"diffusion": {"kind": "state_diag", "q": 1.0,
+                                                     "frequency": "3"}}},
+         "coefficients.diffusion.frequency must be a number"),
+        ("nonexplosion", {"nonexplosion": {"comparison_margin": "abc"}},
+         "nonexplosion.comparison_margin must be a number"),
+        ("nonexplosion", {"nonexplosion": {"control_start": None}},
+         "nonexplosion.control_start must be a number"),
+        ("nonexplosion", {"nonexplosion": {"control_horizon": "abc"}},
+         "nonexplosion.control_horizon must be a positive number"),
+        ("nonexplosion", {"nonexplosion": {"control_horizon": 0}},
+         "nonexplosion.control_horizon must be a positive number"),
+        ("nonexplosion", {"nonexplosion": {"negative_control": "no"}},
+         "nonexplosion.negative_control must be true or false"),
     ], ids=["samples-string", "seed-fraction", "seed-negative", "delay-bool",
             "train-pairs-fraction", "level-negative", "uniqueness-paths-0",
-            "nonexplosion-paths-0", "mode-count-0", "linear-without-rate", "drift-string"])
+            "nonexplosion-paths-0", "mode-count-0", "linear-without-rate", "drift-string",
+            "dt-exponent-fraction", "dt-exponent-string", "reference-exponent-float",
+            "power-factor-string", "drift-scale-string", "cubic-coeff-bool",
+            "beta-string", "frequency-string", "margin-string", "control-start-null",
+            "control-horizon-string", "control-horizon-0", "negative-control-string"])
     def test_invalid_section_value_exit_two(self, tmp_path, capsys, experiment, config,
                                             message):
         bad = tmp_path / "bad.json"

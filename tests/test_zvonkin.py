@@ -203,7 +203,6 @@ class TestResolventSolve:
                          50.0, 1.0, SMALL_GRID)
         assert fld.iterations == 1
         assert np.max(np.abs(fld.u)) == 0.0
-        assert fld.trivial
         assert fld.contraction_factor == 0.0
 
     def test_constant_drift_closed_form(self, ref):
