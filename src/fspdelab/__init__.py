@@ -16,7 +16,7 @@ from .simulator import (CoefficientSet, LyapunovSpec, NoisePath, make_coefficien
                         maximal_inequality_check, simulate_ensemble, truncate_coeffs)
 from .zvonkin import (ReferenceSemigroup, RegularizingField, TransformedSystem,
                       ZvonkinGrid, lambda_threshold, solve_u, transform_coeffs)
-from .harnack import ConjugationResult, TestFunction, conjugation_check
+from .harnack import ConjugationResult, conjugation_check
 
 __version__ = "0.1.0"
 

@@ -98,10 +98,8 @@ class WeightFunction:
 class ClassReport:
     """Outcome of a membership or inequality check."""
 
-    check: str
     verdict: str
     integral_value: float
-    tail_bound: float = float("nan")
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -159,10 +157,8 @@ def dini_check(phi: ModulusFunction) -> ClassReport:
     value, status, windows = halfline_windowed(integrand)
     verdict, integral = _windowed_verdict(status, value, monotone and concave)
     return ClassReport(
-        check="dini",
         verdict=verdict,
         integral_value=integral,
-        tail_bound=windows[-1] if windows else 0.0,
         diagnostics={
             "monotone": monotone,
             "square_concave": concave,
@@ -176,12 +172,12 @@ def dini_check(phi: ModulusFunction) -> ClassReport:
 def _candidate_eigenvalues(spec: Spectrum, lam_max: float):
     """Eigenvalue candidates up to lam_max plus one beyond.
 
-    Stored modes are used as far as they reach; the growth law supplies
-    256 log-spaced virtual modes for the tail.
+    Stored modes are used as far as they reach; a rising growth law
+    supplies 256 log-spaced virtual modes for the tail, a flat one none.
     """
     stored = spec.eigenvalues[spec.eigenvalues <= lam_max]
     beyond = spec.eigenvalues[spec.eigenvalues > lam_max]
-    if beyond.size:
+    if beyond.size or spec.growth_power == 0.0:
         return np.concatenate([stored, beyond[:1]])
     # virtual indices are log-spaced floats: only the eigenvalue scale matters
     with np.errstate(over="ignore"):
@@ -239,10 +235,8 @@ def _a_prime_check(a: WeightFunction) -> ClassReport:
     value, status, windows = halfline_windowed(integrand)
     verdict, integral = _windowed_verdict(status, value, a_monotone and ratio_monotone)
     return ClassReport(
-        check="weight_Aprime",
         verdict=verdict,
         integral_value=integral,
-        tail_bound=windows[-1] if windows else 0.0,
         diagnostics={
             "a_monotone": a_monotone,
             "x_over_a_monotone": ratio_monotone,
@@ -268,10 +262,8 @@ def _a_check(a: WeightFunction, spec: Spectrum) -> ClassReport:
     value, status, windows = halfline_windowed(integrand, domain_limit=700.0)
     verdict, integral = _windowed_verdict(status, value, True)
     return ClassReport(
-        check="weight_A",
         verdict=verdict,
         integral_value=integral,
-        tail_bound=windows[-1] if windows else 0.0,
         diagnostics={"status": status, "windows": len(windows)},
     )
 
@@ -296,10 +288,8 @@ def _dominated_check(a: WeightFunction, spec: Spectrum) -> ClassReport:
     if verdict == FAIL and base.verdict == INDETERMINATE:
         verdict = INDETERMINATE
     return ClassReport(
-        check="weight_dominated",
         verdict=verdict,
         integral_value=base.integral_value,
-        tail_bound=base.tail_bound,
         diagnostics={
             "dominated_from": threshold,
             "dominating": a.dominating.name,
@@ -345,10 +335,8 @@ def trace_class_check(spec: Spectrum) -> ClassReport:
     else:
         tail = float("inf")
     return ClassReport(
-        check="trace_class",
         verdict=PASS if summable else FAIL,
         integral_value=partial + tail if summable else float("inf"),
-        tail_bound=tail,
         diagnostics={
             "partial_sum": partial,
             "hs_integral": hs_integral,

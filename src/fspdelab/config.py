@@ -10,6 +10,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,14 +167,20 @@ class ExperimentConfig:
                 node = node[key]
             return (node,)
 
+        def divides(step, span):
+            # a step that underflows to 0, or a ratio past the float range, divides nothing
+            ratio = span / step if step > 0 else math.inf
+            return math.isfinite(ratio) and abs(ratio - round(ratio)) <= 1e-9 * max(1.0, ratio)
+
         time = self.section("time")
         for key in ("delay", "horizon", "grid_step"):
             if not positive(time[key]):
                 raise ConfigError(f"time.{key} must be a positive number")
         for key in ("delay", "horizon"):
-            ratio = time[key] / time["grid_step"]
-            if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
+            if not divides(time["grid_step"], time[key]):
                 raise ConfigError(f"time.grid_step must divide time.{key}")
+        if not isinstance(self.section("output")["directory"], str):
+            raise ConfigError("output.directory must be a string")
         # every other value is checked wherever the config gives it;
         # 5 nodes is the least count whose axis reaches +-halfwidth
         for dotted, least in (("montecarlo.samples", 100), ("montecarlo.seed", 0),
@@ -192,13 +199,24 @@ class ExperimentConfig:
                     raise ConfigError(f"{dotted} must be a list")
                 for entry in entries:
                     integer(f"{dotted} entries", entry, least)
-        for dotted in ("uniqueness.level", "zvonkin.halfwidth", "nonexplosion.control_horizon"):
+        # the uniqueness steps 2^-e run on the time grid of delay and horizon
+        steps = [e for entries in given("uniqueness.dt_exponents") for e in entries]
+        for e in steps + list(given("uniqueness.reference_exponent")):
+            step = math.ldexp(1.0, -e)
+            if not (divides(step, time["delay"]) and divides(step, time["horizon"])):
+                raise ConfigError(f"uniqueness step 2^-{e} must divide time.delay and "
+                                  "time.horizon")
+        for dotted in ("uniqueness.level", "zvonkin.halfwidth", "nonexplosion.control_horizon",
+                       "coefficients.diffusion.q", "harnack.pair_scale"):
             if not all(map(positive, given(dotted))):
                 raise ConfigError(f"{dotted} must be a positive number")
+        for horizon in given("nonexplosion.control_horizon"):
+            if not divides(time["grid_step"], horizon):
+                raise ConfigError("time.grid_step must divide nonexplosion.control_horizon")
         for dotted in ("coefficients.drift.scale", "coefficients.drift.delta",
                        "coefficients.drift.coeff", "coefficients.drift.rate",
-                       "coefficients.delay_drift.beta", "coefficients.diffusion.q",
-                       "coefficients.diffusion.amplitude", "coefficients.diffusion.frequency",
+                       "coefficients.delay_drift.beta", "coefficients.diffusion.amplitude",
+                       "coefficients.diffusion.frequency",
                        "nonexplosion.comparison_margin", "nonexplosion.control_start"):
             if not all(map(number, given(dotted))):
                 raise ConfigError(f"{dotted} must be a number")
@@ -206,7 +224,8 @@ class ExperimentConfig:
             raise ConfigError("nonexplosion.negative_control must be true or false")
         spec = self.section("spectrum")
         for key in ("n_modes", "coeff", "power", "trace_exponent"):
-            if not isinstance(spec[key], (int, float)):
+            # a bool n_modes is left to the integer rule below
+            if not (number(spec[key]) or key == "n_modes" and isinstance(spec[key], bool)):
                 raise ConfigError(f"spectrum.{key} must be a number")
         integer("spectrum.n_modes", spec["n_modes"], 1)
         if not 0.0 < spec["trace_exponent"] < 1.0:

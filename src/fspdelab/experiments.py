@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -155,6 +156,15 @@ def build_coefficients(cfg: ExperimentConfig, spec: Spectrum, delay: float) -> C
     raise ConfigError(f"coefficients.diffusion.kind {qkind!r} is not a built-in")
 
 
+def _inputs(cfg: ExperimentConfig):
+    """(spec, delay, horizon, grid_step, seed, coeffs): the set-up every model runner reads."""
+    spec = build_spectrum(cfg)
+    t = cfg.section("time")
+    delay, horizon, dt = float(t["delay"]), float(t["horizon"]), float(t["grid_step"])
+    seed = int(cfg.section("montecarlo")["seed"])
+    return spec, delay, horizon, dt, seed, build_coefficients(cfg, spec, delay)
+
+
 def default_initial_segment(spec: Spectrum, delay: float, grid_step: float) -> SegmentPath:
     """Smooth seeded history with energy spread over every mode, amplitude 0.8 / i."""
     n = spec.n_modes
@@ -166,7 +176,7 @@ def default_initial_segment(spec: Spectrum, delay: float, grid_step: float) -> S
     return SegmentPath.from_function(fn, delay, grid_step)
 
 
-def build_test_function(cfg: ExperimentConfig, n_modes: int) -> harnack.TestFunction:
+def build_test_function(cfg: ExperimentConfig, n_modes: int) -> Callable:
     name = cfg.section("harnack")["test_function"]
     v = np.zeros(n_modes)
     v[0] = 1.0
@@ -260,11 +270,7 @@ def run_classcheck(cfg: ExperimentConfig) -> ExperimentResult:
 # simulate
 
 def run_simulate(cfg: ExperimentConfig) -> ExperimentResult:
-    spec = build_spectrum(cfg)
-    t = cfg.section("time")
-    delay, horizon, dt = float(t["delay"]), float(t["horizon"]), float(t["grid_step"])
-    seed = int(cfg.section("montecarlo")["seed"])
-    coeffs = build_coefficients(cfg, spec, delay)
+    spec, delay, horizon, dt, seed, coeffs = _inputs(cfg)
     xi = default_initial_segment(spec, delay, dt)
     res = simulate_ensemble(coeffs, xi, horizon, dt, spec, seed=seed)
     life, lags = float(res.life_times[0]), _steps(delay, dt)
@@ -287,43 +293,20 @@ def run_simulate(cfg: ExperimentConfig) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 # solve-u
 
-def _solve_fields(cfg: ExperimentConfig, spec: Spectrum, coeffs: CoefficientSet,
-                  horizon: float, *, ascending: bool = False):
-    """Solve u lazily, one field per lam of the config grid (in its order, or ascending)."""
+def _solve_fields(cfg: ExperimentConfig, spec: Spectrum, coeffs: CoefficientSet, horizon: float):
+    """Solve u lazily, one field per lam of the config grid, in ascending lam."""
     z = cfg.section("zvonkin")
     grid = zvonkin.ZvonkinGrid(z["time_steps"], z["nodes_per_dim"], float(z["halfwidth"]),
                                z["quad_panels"], z["quad_order"])
     if coeffs.diag_noise is None:
         raise ConfigError("the regularizing solve requires a constant diagonal diffusion")
     ref = zvonkin.ReferenceSemigroup(spec, coeffs.diag_noise, z["hermite_order"])
-    lams = [float(lam) for lam in z["lambda_grid"]]
-    for lam in sorted(lams) if ascending else lams:
+    for lam in sorted(float(lam) for lam in z["lambda_grid"]):
         yield zvonkin.solve_u(ref, coeffs.drift, lam, horizon, grid)
 
 
-def _first_certified(fields, horizon: float):
-    """The field `lambda_threshold` picks, solving only up to it.
-
-    `fields` yields ascending lam.  Each call re-checks every field solved
-    so far, so the pick equals the full grid's; when no lam certifies, the
-    final call raises with every lam's failed checks.
-    """
-    solved = []
-    for field in fields:
-        solved.append(field)
-        try:
-            return zvonkin.lambda_threshold(solved, horizon)
-        except CertificationError:
-            pass
-    return zvonkin.lambda_threshold(solved, horizon)
-
-
 def run_solve_u(cfg: ExperimentConfig) -> ExperimentResult:
-    spec = build_spectrum(cfg)
-    t = cfg.section("time")
-    delay, horizon, dt = float(t["delay"]), float(t["horizon"]), float(t["grid_step"])
-    seed = int(cfg.section("montecarlo")["seed"])
-    coeffs = build_coefficients(cfg, spec, delay)
+    spec, _, horizon, _, seed, coeffs = _inputs(cfg)
     fields = list(_solve_fields(cfg, spec, coeffs, horizon))
     rows = [(f.lam, f.contraction_factor, f.iterations, f.norms["u_a"],
              f.norms["grad_a"], f.norms["hess"], f.norms["sqrtA_grad"])
@@ -350,10 +333,7 @@ def run_solve_u(cfg: ExperimentConfig) -> ExperimentResult:
 # uniqueness
 
 def run_uniqueness(cfg: ExperimentConfig) -> ExperimentResult:
-    spec = build_spectrum(cfg)
-    t = cfg.section("time")
-    delay, horizon = float(t["delay"]), float(t["horizon"])
-    seed = int(cfg.section("montecarlo")["seed"])
+    spec, delay, horizon, _, seed, coeffs = _inputs(cfg)
     u = cfg.section("uniqueness")
     level = float(u["level"])
     exponents = u["dt_exponents"]
@@ -365,7 +345,6 @@ def run_uniqueness(cfg: ExperimentConfig) -> ExperimentResult:
         raise ConfigError("uniqueness.dt_exponents must all be below "
                           "uniqueness.reference_exponent")
     paths = u["paths"]
-    coeffs = build_coefficients(cfg, spec, delay)
     low = truncate_coeffs(coeffs, level)
     high = truncate_coeffs(coeffs, 2.0 * level)
 
@@ -419,10 +398,7 @@ def run_uniqueness(cfg: ExperimentConfig) -> ExperimentResult:
 # galerkin
 
 def run_galerkin(cfg: ExperimentConfig) -> ExperimentResult:
-    spec = build_spectrum(cfg)
-    t = cfg.section("time")
-    delay, horizon, dt = float(t["delay"]), float(t["horizon"]), float(t["grid_step"])
-    seed = int(cfg.section("montecarlo")["seed"])
+    spec, delay, horizon, dt, seed, coeffs = _inputs(cfg)
     g = cfg.section("galerkin")
     counts, n_ref, paths = g["mode_counts"], g["reference_modes"], g["paths"]
     if n_ref != spec.n_modes:
@@ -433,7 +409,6 @@ def run_galerkin(cfg: ExperimentConfig) -> ExperimentResult:
     if any(c > n_ref for c in counts):
         raise ConfigError("galerkin.mode_counts must not exceed the reference")
 
-    coeffs = build_coefficients(cfg, spec, delay)
     xi = default_initial_segment(spec, delay, dt)
     steps = _steps(horizon, dt)
     lags = _steps(delay, dt)
@@ -519,13 +494,9 @@ def build_lyapunov(coeffs: CoefficientSet, cfg: ExperimentConfig) -> LyapunovSpe
 
 
 def run_nonexplosion(cfg: ExperimentConfig) -> ExperimentResult:
-    spec = build_spectrum(cfg)
-    t = cfg.section("time")
-    delay, horizon, dt = float(t["delay"]), float(t["horizon"]), float(t["grid_step"])
-    seed = int(cfg.section("montecarlo")["seed"])
+    spec, delay, horizon, dt, seed, coeffs = _inputs(cfg)
     section = cfg.section("nonexplosion")
     paths = section["paths"]
-    coeffs = build_coefficients(cfg, spec, delay)
     lyap = build_lyapunov(coeffs, cfg)
     xi = default_initial_segment(spec, delay, dt)
     result = simulate_ensemble(coeffs, xi, horizon, dt, spec, n_paths=paths, seed=seed,
@@ -559,17 +530,13 @@ def run_nonexplosion(cfg: ExperimentConfig) -> ExperimentResult:
 # harnack campaign
 
 def run_harnack_campaign(cfg: ExperimentConfig) -> ExperimentResult:
-    spec = build_spectrum(cfg)
-    t = cfg.section("time")
-    delay, horizon, dt = float(t["delay"]), float(t["horizon"]), float(t["grid_step"])
-    seed = int(cfg.section("montecarlo")["seed"])
+    spec, delay, horizon, dt, seed, coeffs = _inputs(cfg)
     section = cfg.section("harnack")
     samples = section.get("samples", cfg.section("montecarlo")["samples"])
-    coeffs = build_coefficients(cfg, spec, delay)
     f = build_test_function(cfg, spec.n_modes)
 
-    field = _first_certified(_solve_fields(cfg, spec, coeffs, horizon, ascending=True),
-                             horizon)
+    # the walk stops solving at the first lam that certifies
+    field = zvonkin.lambda_threshold(_solve_fields(cfg, spec, coeffs, horizon), horizon)
     tsys = zvonkin.transform_coeffs(field, coeffs, delay=delay, grid_step=dt,
                                     seed=seed + 11)
     gain = tsys.bounds["K2"] * tsys.bounds["K3"]

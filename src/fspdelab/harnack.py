@@ -24,40 +24,31 @@ from .simulator import (CoefficientSet, EnsembleResult, NoisePath, SegmentView,
 from .zvonkin import RegularizingField, TransformedSystem
 
 
-@dataclass(frozen=True)
-class TestFunction:
-    """Strictly positive bounded functional on segments."""
+# A test function maps a segment view to one strictly positive, bounded
+# float per path; the built-ins below return such plain functions.
 
-    fn: Callable
-    name: str
-    cap: float
-
-    def __call__(self, view):
-        return np.asarray(self.fn(view), dtype=float)
-
-
-def exp_head_function(direction: np.ndarray) -> TestFunction:
-    """f(xi) = exp(min(<v, xi(0)>, 2)); the capped exponent keeps f bounded."""
+def exp_head_function(direction: np.ndarray) -> Callable:
+    """f(xi) = exp(min(<v, xi(0)>, 2)); the capped exponent bounds f by e^2."""
     v = np.asarray(direction, dtype=float)
 
     def fn(view):
         head = np.asarray(view.value_at(0.0), dtype=float)
         return np.exp(np.minimum(head @ v, 2.0))
 
-    return TestFunction(fn, "exp_head(cap=2.0)", math.exp(2.0))
+    return fn
 
 
-def tanh_norm_function() -> TestFunction:
-    """f(xi) = 1 + tanh(|xi|_inf)."""
+def tanh_norm_function() -> Callable:
+    """f(xi) = 1 + tanh(|xi|_inf), bounded by 2."""
 
     def fn(view):
         return 1.0 + np.tanh(np.asarray(view.sup_norm(), dtype=float))
 
-    return TestFunction(fn, "one_plus_tanh_norm", 2.0)
+    return fn
 
 
-def bump_function(center: np.ndarray) -> TestFunction:
-    """Smoothed indicator of the unit ball around `center`, lifted by a floor of 0.05."""
+def bump_function(center: np.ndarray) -> Callable:
+    """Smoothed indicator of the unit ball around `center` plus a floor of 0.05; at most 1.05."""
     c = np.asarray(center, dtype=float)
 
     def fn(view):
@@ -65,7 +56,7 @@ def bump_function(center: np.ndarray) -> TestFunction:
         d2 = np.sum((head - c) ** 2, axis=-1)
         return 0.05 + np.exp(-0.5 * d2)
 
-    return TestFunction(fn, "bump(width=1.0)", 1.05)
+    return fn
 
 
 def _require_alive(result: EnsembleResult) -> None:
@@ -128,7 +119,7 @@ class PairEstimates:
 
 
 def _pair_estimates(coeffs: CoefficientSet, xi: SegmentPath, eta: SegmentPath,
-                    f: TestFunction, horizon: float, powers, *, grid_step: float,
+                    f: Callable, horizon: float, powers, *, grid_step: float,
                     spec: Spectrum, samples: int, seed: int) -> PairEstimates:
     """One simulation per endpoint, both driven by one noise array drawn from `seed`.
 
@@ -154,7 +145,7 @@ def _pair_estimates(coeffs: CoefficientSet, xi: SegmentPath, eta: SegmentPath,
 # ---------------------------------------------------------------------------
 # Constant fitting on training pairs.
 
-def collect_pair_estimates(coeffs: CoefficientSet, pairs, f: TestFunction,
+def collect_pair_estimates(coeffs: CoefficientSet, pairs, f: Callable,
                            horizon: float, powers, *, grid_step: float,
                            spec: Spectrum, samples: int, seed: int) -> list[PairEstimates]:
     """Shared-noise estimates for every pair, each pair on its own seed drawn from `seed`."""
@@ -219,7 +210,7 @@ class ConjugationResult:
 
 
 def conjugation_check(coeffs: CoefficientSet, field: RegularizingField, xi: SegmentPath,
-                      f: TestFunction, horizon: float, samples: int, *,
+                      f: Callable, horizon: float, samples: int, *,
                       grid_step: float, spec: Spectrum, seed: int) -> ConjugationResult:
     """Estimate P_T f(xi) directly and through the conjugated system, same noise.
 

@@ -61,9 +61,6 @@ class SegmentPath:
     def n_modes(self) -> int:
         return self.values.shape[1]
 
-    def times(self) -> np.ndarray:
-        return -self.delay + self.grid_step * np.arange(self.values.shape[0])
-
     def value_at(self, s: float) -> np.ndarray:
         return self.values[_lag_row(s, self.delay, self.grid_step, self.values.shape[0])]
 

@@ -398,8 +398,7 @@ def maximal_inequality_check(spec: Spectrum, phi_proc: Callable, q: float,
     bracket = hs_kernel_integral(spec, horizon, alpha)
     rhs = bracket**q * phi_integral
     fitted = lhs / rhs if rhs > 0.0 else 0.0
-    return ClassReport(check="maximal_inequality", verdict=PASS,
-                       integral_value=fitted, tail_bound=rhs,
+    return ClassReport(verdict=PASS, integral_value=fitted,
                        diagnostics={"lhs": lhs, "bracket": bracket,
                                     "phi_integral": phi_integral, "q": q,
                                     "samples": samples, "seed": seed})

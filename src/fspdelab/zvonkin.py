@@ -750,11 +750,19 @@ def solve_u(ref: ReferenceSemigroup, drift: Callable, lam: float, horizon: float
         weight_name=weight.name, norms=norms)
 
 
-def lambda_threshold(fields: list[RegularizingField], horizon: float) -> RegularizingField:
-    """Smallest-lam field meeting the derivative caps and the sqrt-weight smallness functional."""
+def lambda_threshold(fields, horizon: float) -> RegularizingField:
+    """Smallest-lam field meeting the derivative caps and the sqrt-weight smallness functional.
+
+    `fields` is any iterable in ascending lam, read in its order up to the
+    first field that passes, so a lazy solve stops there.  A field whose lam
+    lies below one already read raises InputError.
+    """
     weight = sqrt_weight()
     failures = {}
-    for field in sorted(fields, key=lambda f: f.lam):
+    for field in fields:
+        # every field read before this one failed, so failures holds each lam
+        if failures and field.lam < max(failures):
+            raise InputError(f"lam {field.lam} follows {max(failures)}; lams must ascend")
         checks = {**field.cap_checks(),
                   "smallness<=0.2": composite_smallness(field, weight) <= 0.2}
         if all(checks.values()):

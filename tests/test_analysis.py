@@ -210,9 +210,16 @@ class TestInvariants:
             spec.eigenvalues[0] = 50.0
         assert spec.eigenvalues[0] == 1.0
 
+    def test_flat_spectrum_weight_check_reports(self):
+        # a flat law has no virtual modes above the stored ones
+        report = an.weight_class_check(an.power_weight(1.0), an.Spectrum(3, 2.5, 0.0),
+                                       as_class=an.CLASS_A)
+        assert report.passed
+        assert np.isfinite(report.integral_value)
+
     def test_passing_report_requires_finite_integral(self):
         with pytest.raises(InputError):
-            an.ClassReport(check="x", verdict=an.PASS, integral_value=math.inf)
+            an.ClassReport(verdict=an.PASS, integral_value=math.inf)
 
     def test_windowed_rule_statuses(self):
         value, status, _ = halfline_windowed(lambda u: np.exp(-u))

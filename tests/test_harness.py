@@ -276,9 +276,8 @@ class TestHarnackLambdaEarlyStop:
         assert early.metrics["threshold_lambda"] == 40.0
 
         # selection from the full grid: every lam solved, then one threshold pick
-        monkeypatch.setattr(experiments, "_first_certified",
-                            lambda fields, horizon: zvonkin.lambda_threshold(list(fields),
-                                                                             horizon))
+        lazy = experiments._solve_fields
+        monkeypatch.setattr(experiments, "_solve_fields", lambda *args: list(lazy(*args)))
         full = experiments.run_harnack_campaign(cfg)
         assert solved == [40.0, 40.0, 80.0, 160.0]
         assert full.report_hash() == early.report_hash()
@@ -461,13 +460,25 @@ class TestCli:
          "nonexplosion.control_horizon must be a positive number"),
         ("nonexplosion", {"nonexplosion": {"negative_control": "no"}},
          "nonexplosion.negative_control must be true or false"),
+        ("uniqueness", {"uniqueness": {"dt_exponents": [0, 1], "reference_exponent": 2,
+                                       "paths": 4}},
+         "uniqueness step 2^-0 must divide time.delay and time.horizon"),
+        ("nonexplosion", {"nonexplosion": {"paths": 4, "control_horizon": 0.3}},
+         "time.grid_step must divide nonexplosion.control_horizon"),
+        ("solve-u", {"coefficients": {"diffusion": {"kind": "diag", "q": 0}}},
+         "coefficients.diffusion.q must be a positive number"),
+        ("harnack", {"harnack": {"pair_scale": "abc"}},
+         "harnack.pair_scale must be a positive number"),
+        ("classcheck", {"spectrum": {"coeff": True}}, "spectrum.coeff must be a number"),
     ], ids=["samples-string", "seed-fraction", "seed-negative", "delay-bool",
             "train-pairs-fraction", "level-negative", "uniqueness-paths-0",
             "nonexplosion-paths-0", "mode-count-0", "linear-without-rate", "drift-string",
             "dt-exponent-fraction", "dt-exponent-string", "reference-exponent-float",
             "power-factor-string", "drift-scale-string", "cubic-coeff-bool",
             "beta-string", "frequency-string", "margin-string", "control-start-null",
-            "control-horizon-string", "control-horizon-0", "negative-control-string"])
+            "control-horizon-string", "control-horizon-0", "negative-control-string",
+            "uniqueness-step-off-grid", "control-horizon-off-grid", "diffusion-q-0",
+            "pair-scale-string", "spectrum-coeff-bool"])
     def test_invalid_section_value_exit_two(self, tmp_path, capsys, experiment, config,
                                             message):
         bad = tmp_path / "bad.json"
@@ -475,6 +486,15 @@ class TestCli:
         code = main([experiment, "--config", str(bad), "--out", str(tmp_path)])
         assert code == 2
         assert f"message=ConfigError('{message}')" in capsys.readouterr().out
+
+    def test_non_string_output_directory_exit_two(self, tmp_path, capsys):
+        # no --out, which would replace the directory the config gives
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"output": {"directory": 5}}))
+        code = main(["simulate", "--config", str(bad)])
+        assert code == 2
+        assert "message=ConfigError('output.directory must be a string')" in \
+            capsys.readouterr().out
 
     def test_seed_override_changes_hash(self, tmp_path):
         main(["simulate", "--out", str(tmp_path / "a"), "--seed", "1"])
@@ -569,3 +589,30 @@ def test_every_parameter_is_read_by_its_function():
             unread += [f"{path.name}:{qualified}.{name}" for name in params
                        if name not in read and f"{path.name}:{qualified}.{name}" not in exempt]
     assert not unread, f"parameters their function never reads: {unread}"
+
+
+def test_every_dataclass_field_is_read_in_the_package():
+    """A dataclass field whose name no package code reads as an attribute is dead data.
+
+    A read of that name on any object counts.  ConjugationResult is exempt:
+    the benchmark hashes its asdict and acceptance criterion 5 reads its fields.
+    """
+    import ast
+    from pathlib import Path
+
+    import fspdelab
+
+    exempt = {"ConjugationResult"}
+    fields, read = [], set()
+    for path in sorted(Path(fspdelab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and cls.name not in exempt and any(
+                    "dataclass" in ast.unparse(d) for d in cls.decorator_list):
+                fields += [f"{path.name}:{cls.name}.{stmt.target.id}" for stmt in cls.body
+                           if isinstance(stmt, ast.AnnAssign)
+                           and isinstance(stmt.target, ast.Name)]
+    unread = [name for name in fields if name.rsplit(".", 1)[1] not in read]
+    assert not unread, f"dataclass fields no package code reads: {unread}"

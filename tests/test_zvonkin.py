@@ -378,6 +378,13 @@ class TestThreshold:
         with pytest.raises(CertificationError, match="hess"):
             zv.lambda_threshold(fields, 1.0)
 
+    def test_descending_lams_raise(self, ref):
+        # the walk reads fields in the order given; a failing 50 then a 40 is out of order
+        big = sim.dini_drift(an.log_dini_modulus(scale=30.0), np.array([1.0, 0.0]))
+        failing = zv.solve_u(ref, big, 50.0, 1.0, SMALL_GRID)
+        with pytest.raises(InputError, match="must ascend"):
+            zv.lambda_threshold([failing, replace(failing, lam=40.0)], 1.0)
+
 
 class TestDiffeomorphism:
     def test_trivial_field_inverts_to_identity(self, ref):
@@ -409,10 +416,11 @@ class TestDiffeomorphism:
         delay, step = 0.25, 1.0 / 32.0
         xi = SegmentPath.from_function(lambda s: np.array([0.4 * math.cos(s), 0.2]),
                                        delay, step)
-        times = 0.1 + xi.times()
+        lags = -delay + step * np.arange(xi.values.shape[0])
+        times = 0.1 + lags
         fwd = np.stack([field.theta(t, v) for t, v in zip(times, xi.values)])
         back = sim.SegmentView(field.invert_theta(times, fwd[:, None]), step, delay)
-        vals = np.stack([back.value_at(s)[0] for s in xi.times()])
+        vals = np.stack([back.value_at(s)[0] for s in lags])
         assert np.max(np.abs(vals - xi.values)) <= 1e-9
         assert back.sup_norm()[0] == pytest.approx(segment_norm(xi), abs=1e-9)
 
