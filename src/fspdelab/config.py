@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .zvonkin import GH_DIM_CAP
 
 EXPERIMENTS = ("classcheck", "simulate", "solve-u", "uniqueness", "galerkin",
                "nonexplosion", "harnack")
@@ -172,6 +173,9 @@ class ExperimentConfig:
             ratio = span / step if step > 0 else math.inf
             return math.isfinite(ratio) and abs(ratio - round(ratio)) <= 1e-9 * max(1.0, ratio)
 
+        for name, section in self.data.items():
+            if not isinstance(section, dict):
+                raise ConfigError(f"{name} must be an object")
         time = self.section("time")
         for key in ("delay", "horizon", "grid_step"):
             if not positive(time[key]):
@@ -228,6 +232,10 @@ class ExperimentConfig:
             if not (number(spec[key]) or key == "n_modes" and isinstance(spec[key], bool)):
                 raise ConfigError(f"spectrum.{key} must be a number")
         integer("spectrum.n_modes", spec["n_modes"], 1)
+        # the experiments with a zvonkin grid tabulate u over every mode
+        if "zvonkin" in _PER_EXPERIMENT[self.experiment] and spec["n_modes"] > GH_DIM_CAP:
+            raise ConfigError(f"spectrum.n_modes must be at most {GH_DIM_CAP} for a "
+                              "tabulated field")
         if not 0.0 < spec["trace_exponent"] < 1.0:
             raise ConfigError("spectrum.trace_exponent must lie in (0, 1)")
         for lams in given("zvonkin.lambda_grid"):

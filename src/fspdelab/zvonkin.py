@@ -24,17 +24,18 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-from scipy.interpolate import NdBSpline
-from scipy.sparse.linalg import gcrotmk
 
 from .analysis import Spectrum, WeightFunction, sqrt_weight
 from .errors import CertificationError, InputError
 from .quadrature import hermite_tensor, panel_integral
 from .segment import sine_segment_values
 from .simulator import CoefficientSet, SegmentView
+
+if TYPE_CHECKING:
+    from scipy.interpolate import NdBSpline
 
 GH_DIM_CAP = 3
 # solve_u's sweep reads a time slice's quadrature points in chunks of whole
@@ -307,6 +308,10 @@ class RegularizingField:
         """
         key = (kind, j)
         if key not in self._coefs:
+            # scipy loads at a field's first fit, so a run that reads no field never pays for it
+            from scipy.interpolate import NdBSpline
+            from scipy.sparse.linalg import gcrotmk
+
             table = getattr(self, kind)[j]
             shape = table.shape[: len(self.axes)]
             vals = table.reshape(math.prod(shape), -1)
@@ -327,6 +332,8 @@ class RegularizingField:
         """Slice j's spline of a table, with slice j+1's components after its own when up."""
         key = (kind, j, up)
         if key not in self._splines:
+            from scipy.interpolate import NdBSpline
+
             coef = [self._coefficients(kind, i) for i in ((j, j + 1) if up else (j,))]
             self._splines[key] = NdBSpline(tuple(map(_cubic_knots, self.axes)),
                                            np.concatenate(coef, axis=-1), 3)

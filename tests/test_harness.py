@@ -470,6 +470,16 @@ class TestCli:
         ("harnack", {"harnack": {"pair_scale": "abc"}},
          "harnack.pair_scale must be a positive number"),
         ("classcheck", {"spectrum": {"coeff": True}}, "spectrum.coeff must be a number"),
+        ("solve-u", {"spectrum": {"n_modes": 4}},
+         "spectrum.n_modes must be at most 3 for a tabulated field"),
+        ("harnack", {"spectrum": {"n_modes": 4}},
+         "spectrum.n_modes must be at most 3 for a tabulated field"),
+        ("classcheck", {"time": 5}, "time must be an object"),
+        ("classcheck", {"spectrum": 5}, "spectrum must be an object"),
+        ("uniqueness", {"uniqueness": []}, "uniqueness must be an object"),
+        ("simulate", {"coefficients": 5}, "coefficients must be an object"),
+        ("simulate", {"montecarlo": "x"}, "montecarlo must be an object"),
+        ("solve-u", {"zvonkin": 3}, "zvonkin must be an object"),
     ], ids=["samples-string", "seed-fraction", "seed-negative", "delay-bool",
             "train-pairs-fraction", "level-negative", "uniqueness-paths-0",
             "nonexplosion-paths-0", "mode-count-0", "linear-without-rate", "drift-string",
@@ -478,7 +488,9 @@ class TestCli:
             "beta-string", "frequency-string", "margin-string", "control-start-null",
             "control-horizon-string", "control-horizon-0", "negative-control-string",
             "uniqueness-step-off-grid", "control-horizon-off-grid", "diffusion-q-0",
-            "pair-scale-string", "spectrum-coeff-bool"])
+            "pair-scale-string", "spectrum-coeff-bool", "solve-u-modes-above-cap",
+            "harnack-modes-above-cap", "time-number", "spectrum-number", "uniqueness-list",
+            "coefficients-number", "montecarlo-string", "zvonkin-number"])
     def test_invalid_section_value_exit_two(self, tmp_path, capsys, experiment, config,
                                             message):
         bad = tmp_path / "bad.json"
@@ -495,6 +507,14 @@ class TestCli:
         assert code == 2
         assert "message=ConfigError('output.directory must be a string')" in \
             capsys.readouterr().out
+
+    def test_non_object_output_section_exit_two(self, tmp_path, capsys):
+        # no --out, which would replace the section the config gives
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"output": 5}))
+        code = main(["simulate", "--config", str(bad)])
+        assert code == 2
+        assert "message=ConfigError('output must be an object')" in capsys.readouterr().out
 
     def test_seed_override_changes_hash(self, tmp_path):
         main(["simulate", "--out", str(tmp_path / "a"), "--seed", "1"])
@@ -616,3 +636,44 @@ def test_every_dataclass_field_is_read_in_the_package():
                            and isinstance(stmt.target, ast.Name)]
     unread = [name for name in fields if name.rsplit(".", 1)[1] not in read]
     assert not unread, f"dataclass fields no package code reads: {unread}"
+
+
+COLD_START = """
+import importlib, pkgutil, sys
+import numpy as np
+import fspdelab
+from fspdelab import analysis, experiments, simulator, zvonkin
+from fspdelab.config import ExperimentConfig
+
+for mod in pkgutil.iter_modules(fspdelab.__path__):
+    importlib.import_module(f"fspdelab.{mod.name}")
+experiments.run_uniqueness(ExperimentConfig.defaults("uniqueness", {
+    "uniqueness": {"dt_exponents": [6, 7], "reference_exponent": 8, "paths": 4}}))
+print(sorted(m for m in ("scipy.interpolate", "scipy.sparse") if m in sys.modules))
+spec = analysis.Spectrum(1)
+coeffs = simulator.make_coefficients(1, diag_noise=np.ones(1))
+ref = zvonkin.ReferenceSemigroup(spec, np.ones(1), quad_order=5)
+field = zvonkin.solve_u(ref, coeffs.drift, 40.0, 0.5,
+                        zvonkin.ZvonkinGrid(time_steps=2, nodes_per_dim=5, halfwidth=3.0))
+field.u_at(0.1, np.array([[0.3]]))
+print(sorted(m for m in ("scipy.interpolate", "scipy.sparse") if m in sys.modules))
+"""
+
+
+def test_scipy_loads_only_at_a_field_read():
+    """A fresh interpreter that imports every module and runs no field read loads no scipy."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import fspdelab
+
+    src = str(Path(fspdelab.__file__).parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", COLD_START], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    before, after = proc.stdout.splitlines()[-2:]
+    assert before == "[]"
+    assert after == "['scipy.interpolate', 'scipy.sparse']"
