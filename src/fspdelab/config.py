@@ -78,6 +78,31 @@ _PER_EXPERIMENT = {
 }
 
 
+# the values checked wherever the config gives them, by rule;
+# 5 nodes is the least count whose axis reaches +-halfwidth
+_INTEGERS = (("montecarlo.samples", 100), ("montecarlo.seed", 0), ("harnack.samples", 100),
+             ("harnack.train_pairs", 1), ("harnack.holdout_pairs", 1), ("uniqueness.paths", 1),
+             ("uniqueness.reference_exponent", 0), ("galerkin.paths", 1),
+             ("galerkin.reference_modes", 1), ("nonexplosion.paths", 1),
+             ("zvonkin.time_steps", 1), ("zvonkin.nodes_per_dim", 5), ("zvonkin.quad_panels", 1),
+             ("zvonkin.quad_order", 1), ("zvonkin.hermite_order", 1))
+_INTEGER_LISTS = (("galerkin.mode_counts", 1), ("uniqueness.dt_exponents", 0))
+_POSITIVE = ("uniqueness.level", "zvonkin.halfwidth", "nonexplosion.control_horizon",
+             "coefficients.diffusion.q", "harnack.pair_scale")
+_NUMBERS = ("coefficients.drift.scale", "coefficients.drift.delta", "coefficients.drift.coeff",
+            "coefficients.drift.rate", "coefficients.delay_drift.beta",
+            "coefficients.diffusion.amplitude", "coefficients.diffusion.frequency",
+            "nonexplosion.comparison_margin", "nonexplosion.control_start")
+
+
+def _dotted_keys(tree: dict, prefix: str = ""):
+    """Every key of a nested config, sections and their entries alike, as a dotted name."""
+    for key, val in tree.items():
+        yield prefix + key
+        if isinstance(val, dict):
+            yield from _dotted_keys(val, f"{prefix}{key}.")
+
+
 def _merge(base: dict, extra: dict) -> dict:
     out = copy.deepcopy(base)
     for key, val in extra.items():
@@ -86,6 +111,12 @@ def _merge(base: dict, extra: dict) -> dict:
         else:
             out[key] = copy.deepcopy(val)
     return out
+
+
+# a key no experiment's defaults define and no rule checks is a misspelling
+_KNOWN_KEYS = frozenset(
+    [key for extra in _PER_EXPERIMENT.values() for key in _dotted_keys(_merge(_BASE, extra))]
+    + [dotted for dotted, _ in _INTEGERS + _INTEGER_LISTS] + list(_POSITIVE + _NUMBERS))
 
 
 def to_jsonable(obj):
@@ -176,6 +207,9 @@ class ExperimentConfig:
         for name, section in self.data.items():
             if not isinstance(section, dict):
                 raise ConfigError(f"{name} must be an object")
+        for dotted in _dotted_keys(self.data):
+            if dotted not in _KNOWN_KEYS:
+                raise ConfigError(f"{dotted} is not a config key")
         time = self.section("time")
         for key in ("delay", "horizon", "grid_step"):
             if not positive(time[key]):
@@ -185,19 +219,10 @@ class ExperimentConfig:
                 raise ConfigError(f"time.grid_step must divide time.{key}")
         if not isinstance(self.section("output")["directory"], str):
             raise ConfigError("output.directory must be a string")
-        # every other value is checked wherever the config gives it;
-        # 5 nodes is the least count whose axis reaches +-halfwidth
-        for dotted, least in (("montecarlo.samples", 100), ("montecarlo.seed", 0),
-                              ("harnack.samples", 100), ("harnack.train_pairs", 1),
-                              ("harnack.holdout_pairs", 1), ("uniqueness.paths", 1),
-                              ("uniqueness.reference_exponent", 0), ("galerkin.paths", 1),
-                              ("galerkin.reference_modes", 1), ("nonexplosion.paths", 1),
-                              ("zvonkin.time_steps", 1), ("zvonkin.nodes_per_dim", 5),
-                              ("zvonkin.quad_panels", 1), ("zvonkin.quad_order", 1),
-                              ("zvonkin.hermite_order", 1)):
+        for dotted, least in _INTEGERS:
             for val in given(dotted):
                 integer(dotted, val, least)
-        for dotted, least in (("galerkin.mode_counts", 1), ("uniqueness.dt_exponents", 0)):
+        for dotted, least in _INTEGER_LISTS:
             for entries in given(dotted):
                 if not isinstance(entries, list):
                     raise ConfigError(f"{dotted} must be a list")
@@ -210,18 +235,13 @@ class ExperimentConfig:
             if not (divides(step, time["delay"]) and divides(step, time["horizon"])):
                 raise ConfigError(f"uniqueness step 2^-{e} must divide time.delay and "
                                   "time.horizon")
-        for dotted in ("uniqueness.level", "zvonkin.halfwidth", "nonexplosion.control_horizon",
-                       "coefficients.diffusion.q", "harnack.pair_scale"):
+        for dotted in _POSITIVE:
             if not all(map(positive, given(dotted))):
                 raise ConfigError(f"{dotted} must be a positive number")
         for horizon in given("nonexplosion.control_horizon"):
             if not divides(time["grid_step"], horizon):
                 raise ConfigError("time.grid_step must divide nonexplosion.control_horizon")
-        for dotted in ("coefficients.drift.scale", "coefficients.drift.delta",
-                       "coefficients.drift.coeff", "coefficients.drift.rate",
-                       "coefficients.delay_drift.beta", "coefficients.diffusion.amplitude",
-                       "coefficients.diffusion.frequency",
-                       "nonexplosion.comparison_margin", "nonexplosion.control_start"):
+        for dotted in _NUMBERS:
             if not all(map(number, given(dotted))):
                 raise ConfigError(f"{dotted} must be a number")
         if not all(isinstance(val, bool) for val in given("nonexplosion.negative_control")):

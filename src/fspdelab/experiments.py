@@ -333,6 +333,15 @@ def run_solve_u(cfg: ExperimentConfig) -> ExperimentResult:
 # uniqueness
 
 def run_uniqueness(cfg: ExperimentConfig) -> ExperimentResult:
+    """Check that the runs truncated at levels m and 2m agree up to the exit from level m.
+
+    For each step 2^-e the low (m) and high (2m) runs are one ensemble of
+    2 * paths rows on the reference noise coarsened to that step: rows
+    [0, paths) carry level m, rows [paths, 2 * paths) level 2m, and both
+    halves read the same increments.  Each comparison stops at the first
+    crossing of level m by the low run, and the strong error is measured
+    against the finest-step low run.
+    """
     spec, delay, horizon, _, seed, coeffs = _inputs(cfg)
     u = cfg.section("uniqueness")
     level = float(u["level"])
@@ -345,11 +354,15 @@ def run_uniqueness(cfg: ExperimentConfig) -> ExperimentResult:
         raise ConfigError("uniqueness.dt_exponents must all be below "
                           "uniqueness.reference_exponent")
     paths = u["paths"]
-    low = truncate_coeffs(coeffs, level)
-    high = truncate_coeffs(coeffs, 2.0 * level)
 
     dt_ref = 2.0 ** (-ref_exp)
     xi_ref = default_initial_segment(spec, delay, dt_ref)
+    start = float(np.linalg.norm(xi_ref.values[-1]))
+    if level <= start:
+        # every comparison would stop at t = 0 and compare nothing
+        raise ConfigError(f"uniqueness.level must exceed |xi(0)| = {start:.6g}")
+    low = truncate_coeffs(coeffs, level)
+    both = truncate_coeffs(coeffs, np.repeat([level, 2.0 * level], paths))
     steps_ref = _steps(horizon, dt_ref)
     noise_ref = NoisePath.generate(seed, steps_ref, coeffs.noise_dim, dt_ref, paths)
     ref = simulate_ensemble(low, xi_ref, horizon, dt_ref, spec, noise_ref)
@@ -360,21 +373,21 @@ def run_uniqueness(cfg: ExperimentConfig) -> ExperimentResult:
     for e in exponents:
         dt = 2.0 ** (-e)
         factor = round(dt / dt_ref)
-        noise = noise_ref.coarsen(factor)
         xi = default_initial_segment(spec, delay, dt)
-        res_low = simulate_ensemble(low, xi, horizon, dt, spec, noise)
-        res_high = simulate_ensemble(high, xi, horizon, dt, spec, noise)
+        # both halves read the coarsened increments; no copy outlives the run
+        res = simulate_ensemble(both, xi, horizon, dt, spec, NoisePath(
+            np.tile(noise_ref.coarsen(factor).increments, (1, 2, 1)), dt))
         lags = _steps(delay, dt)
+        states_low, states_high = res.states[lags:, :paths], res.states[lags:, paths:]
 
         # stop each comparison at the first level crossing of the low run
-        crossed = res_low.norms[lags:] >= level
+        crossed = res.norms[lags:, :paths] >= level
         kept = crossed.shape[0]
         stop_steps = np.where(crossed.any(axis=0), np.argmax(crossed, axis=0), kept - 1)
         upto = np.arange(kept)[:, None] <= stop_steps
 
-        gap = np.linalg.norm(res_low.states[lags:] - res_high.states[lags:], axis=-1)
-        err = np.linalg.norm(res_low.states[lags:] - ref.states[lags_ref::factor][:kept],
-                             axis=-1)
+        gap = np.linalg.norm(states_low - states_high, axis=-1)
+        err = np.linalg.norm(states_low - ref.states[lags_ref::factor][:kept], axis=-1)
         pair_gap = float(np.max(gap, where=upto, initial=0.0))
         # a left-to-right Python sum keeps the bits strong_errors is recorded with
         strong = sum(np.max(err, axis=0, where=upto, initial=0.0).tolist()) / paths

@@ -255,20 +255,42 @@ def smooth_cutoff(u):
     return np.where(u <= 1.0, 1.0, np.where(u >= 2.0, 0.0, out))
 
 
-def truncate_coeffs(coeffs: CoefficientSet, m: float) -> CoefficientSet:
-    """Coefficients that agree with the originals for |z| <= m, t <= m and vanish for |z| >= 2m."""
+def truncate_coeffs(coeffs: CoefficientSet, m) -> CoefficientSet:
+    """Coefficients that agree with the originals for |z| <= m, t <= m and vanish for |z| >= 2m.
+
+    `m` is one level, or a 1-D array of per-path levels: row i of the batch
+    is then cut off at |z| / m_i and reads the original coefficients at time
+    min(t, m_i), so one ensemble runs several levels on shared noise and each
+    row gets the bits of a run at its own scalar level.  While t <= min(m)
+    one call on the whole batch serves every row; past it there is one
+    whole-batch call per distinct truncated time, with rows picked by
+    `np.where`.
+    """
+    levels = np.asarray(m, dtype=float)
+    earliest = float(levels.min())
+
+    def at_truncated_time(fn, t, arg):
+        if t <= earliest:
+            return np.asarray(fn(t, arg), dtype=float)
+        times = np.minimum(t, levels)
+        out = None
+        for s in np.unique(times):
+            val = np.asarray(fn(float(s), arg), dtype=float)
+            rows = (times == s).reshape(times.shape + (1,) * (val.ndim - times.ndim))
+            out = val if out is None else np.where(rows, val, out)
+        return out
 
     def b_m(t, x):
-        factor = smooth_cutoff(_row_norms(np.asarray(x, dtype=float)) / m)[..., None]
-        return np.asarray(coeffs.drift(min(t, m), x), dtype=float) * factor
+        factor = smooth_cutoff(_row_norms(np.asarray(x, dtype=float)) / levels)[..., None]
+        return at_truncated_time(coeffs.drift, t, x) * factor
 
     def delay_m(t, view):
-        factor = np.asarray(smooth_cutoff(view.sup_norm() / m))[..., None]
-        return np.asarray(coeffs.delay_drift(min(t, m), view), dtype=float) * factor
+        factor = np.asarray(smooth_cutoff(view.sup_norm() / levels))[..., None]
+        return at_truncated_time(coeffs.delay_drift, t, view) * factor
 
     def q_m(t, x):
-        factor = smooth_cutoff(_row_norms(np.asarray(x, dtype=float)) / m)[..., None, None]
-        return np.asarray(coeffs.diffusion_matrix(min(t, m), x), dtype=float) * factor
+        factor = smooth_cutoff(_row_norms(np.asarray(x, dtype=float)) / levels)[..., None, None]
+        return at_truncated_time(coeffs.diffusion_matrix, t, x) * factor
 
     return replace(coeffs, drift=b_m, delay_drift=delay_m, diffusion=q_m,
                    diag_noise=None)

@@ -53,6 +53,40 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_file("simulate", str(path))
 
+    def test_rule_named_and_benchmark_keys_accepted(self, tmp_path, monkeypatch):
+        import importlib.util
+        import sys
+        from pathlib import Path
+
+        # keys no default defines but a rule checks
+        ExperimentConfig.defaults("simulate", {"coefficients": {"drift": {"kind": "cubic",
+                                                                          "coeff": 2.0}}})
+        ExperimentConfig.defaults("simulate", {"harnack": {"samples": 2000}})
+        # every override the benchmark's workloads pass
+        path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        runners = [wl for wl in (*workloads.WORKLOADS.values(),
+                                 *workloads.DEFAULT_CONFIGS.values())
+                   if isinstance(wl, workloads.RunnerWorkload)]
+        assert len(runners) == 6
+        for wl in runners:
+            wl.config(4242, tmp_path)
+        workloads.ConjugationWorkload._coefficients()
+
+    @pytest.mark.parametrize("config, name", [
+        ({"montecarol": {"samples": 5}}, "montecarol"),
+        ({"montecarlo": {"sampels": 5}}, "montecarlo.sampels"),
+        ({"coefficients": {"drift": {"kind": "linear", "rate": 1.0, "rat": 2.0}}},
+         "coefficients.drift.rat"),
+        ({"time": {"horizon": {"value": 1.0}}}, "time.horizon.value"),
+    ], ids=["section", "key", "coefficient-key", "key-below-a-value"])
+    def test_unknown_key_rejected(self, config, name):
+        with pytest.raises(ConfigError, match=f"^{name} is not a config key$"):
+            ExperimentConfig.defaults("simulate", config)
+
     def test_hash_changes_with_content(self):
         a = ExperimentConfig.defaults("simulate")
         b = ExperimentConfig.defaults("simulate", {"montecarlo": {"seed": 1}})
@@ -127,6 +161,27 @@ class TestUniquenessExperiment:
         assert result.metrics["pair_gaps"] == [0.0, 0.0]
         assert result.verdicts["truncation_agreement"]
         assert result.verdicts["order_in_band"]  # degenerate exact regime
+
+    def test_time_cutoff_binding_report_hash_is_pinned(self, monkeypatch):
+        # level 1.5 lies below the horizon 2, so the truncated coefficients clamp
+        # time; the hash was recorded when each level ran as its own ensemble
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return sim.simulate_ensemble(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "simulate_ensemble", counted)
+        cfg = ExperimentConfig.defaults("uniqueness", {
+            "time": {"horizon": 2.0},
+            "uniqueness": {"level": 1.5, "dt_exponents": [6, 7], "reference_exponent": 8,
+                           "paths": 8},
+        })
+        result = run_uniqueness(cfg)
+        assert result.report_hash() == \
+            "6537da8117bc3fb0e56b86df9ca70284411b8b7715fb8305ed676bbdb3a4ec47"
+        # the reference run, then one ensemble holding both levels per step size
+        assert len(calls) == 1 + len(cfg.section("uniqueness")["dt_exponents"])
 
     def test_linear_coefficients_distance_roundoff(self):
         cfg = ExperimentConfig.defaults("uniqueness", {
@@ -353,6 +408,18 @@ class TestCli:
         code = main([experiment, "--config", str(bad), "--out", str(tmp_path)])
         assert code == 2
         assert "config_error" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("level", [0.5, 1e-9])
+    def test_uniqueness_level_not_above_start_exit_two(self, tmp_path, capsys, level):
+        # the default |xi(0)| is 0.83: every comparison would stop at t = 0,
+        # and both verdicts would pass on gaps and errors of exactly 0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"uniqueness": {"level": level, "dt_exponents": [6, 7],
+                                                  "reference_exponent": 8}}))
+        code = main(["uniqueness", "--config", str(bad), "--out", str(tmp_path)])
+        assert code == 2
+        assert "message=ConfigError('uniqueness.level must exceed |xi(0)| = 0.828" in \
+            capsys.readouterr().out
 
     @pytest.mark.parametrize("experiment, config, section", [
         ("classcheck", {"spectrum": {"coeff": -1.0}}, "spectrum"),

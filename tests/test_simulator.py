@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -196,6 +196,13 @@ class TestTruncation:
         trunc = sim.truncate_coeffs(coeffs, 2.0)
         trunc.drift(5.0, np.zeros((1, 1)))
         assert calls == [2.0]
+        # per-path levels: one whole-batch call per distinct truncated time
+        calls.clear()
+        sim.truncate_coeffs(coeffs, np.array([2.0, 4.0])).drift(3.0, np.zeros((2, 1)))
+        assert calls == [2.0, 3.0]
+        calls.clear()
+        sim.truncate_coeffs(coeffs, np.array([2.0, 4.0])).drift(1.5, np.zeros((2, 1)))
+        assert calls == [1.5]
 
     def test_pathwise_agreement_up_to_stopping_level(self, dini_coeffs, spec2):
         low = sim.truncate_coeffs(dini_coeffs, 4.0)
@@ -205,6 +212,37 @@ class TestTruncation:
         a = sim.simulate_ensemble(low, xi, 1.0, DT, spec2, noise)
         b = sim.simulate_ensemble(high, xi, 1.0, DT, spec2, noise)
         assert np.max(np.abs(a.states - b.states)) <= 1e-12
+
+    @given(paths=st.integers(1, 4), n=st.integers(1, 2),
+           level=st.sampled_from([0.25, 0.75, 3.0, 1e9]), cubic=st.sampled_from([0.0, 4.0]),
+           amplitude=st.floats(0.1, 1.5), seed=st.integers(0, 2**16))
+    @example(paths=3, n=2, level=1e9, cubic=4.0, amplitude=0.5, seed=1)
+    def test_per_path_levels_equal_scalar_runs_bytes(self, paths, n, level, cubic, amplitude,
+                                                     seed):
+        # levels below the horizon 1 clamp time; a cubic drift with level 1e9
+        # explodes some paths and so runs the dead-path freeze
+        dt = 1.0 / 32.0
+        q = sim.state_diagonal_diffusion(np.full(n, 0.8), 0.5, 3.0)
+        shift = sim.delay_shift_drift(0.4, DELAY)
+        coeffs = sim.make_coefficients(
+            n, drift=lambda t, x: (1.0 + t) * cubic * np.asarray(x, dtype=float) ** 3,
+            delay_drift=lambda t, view: (1.0 - t) * shift(t, view),
+            diffusion=lambda t, x: (1.0 + 0.5 * t) * q(t, x), noise_dim=n)
+        xi = SegmentPath.from_function(
+            lambda s: amplitude * np.cos(2.0 * s + np.arange(n)), DELAY, dt)
+        spec = an.Spectrum(n)
+        noise = sim.NoisePath.generate(seed, 32, n, dt, n_paths=paths)
+        both = sim.simulate_ensemble(
+            sim.truncate_coeffs(coeffs, np.repeat([level, 2.0 * level], paths)), xi, 1.0, dt,
+            spec, sim.NoisePath(np.tile(noise.increments, (1, 2, 1)), dt))
+        for half, m in ((slice(None, paths), level), (slice(paths, None), 2.0 * level)):
+            single = sim.simulate_ensemble(sim.truncate_coeffs(coeffs, m), xi, 1.0, dt, spec,
+                                           noise)
+            assert both.states[:, half].tobytes() == single.states.tobytes()
+            assert both.norms[:, half].tobytes() == single.norms.tobytes()
+            assert both.life_times[half].tobytes() == single.life_times.tobytes()
+        if (paths, level, cubic, amplitude, seed) == (3, 1e9, 4.0, 0.5, 1):
+            assert both.exploded.any() and not both.exploded.all()
 
     @given(hnp.arrays(np.float64, st.integers(1, 12), elements=st.one_of(
         st.floats(0.0, 1.0), st.floats(1.0, 2.0, exclude_min=True, exclude_max=True),
