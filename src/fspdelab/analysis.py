@@ -368,10 +368,15 @@ def log_dini_modulus(scale: float = 1.0, delta: float = 1.0) -> ModulusFunction:
 
     def phi(s):
         s = np.asarray(s, dtype=float)
-        with np.errstate(divide="ignore", over="ignore"):
-            inv = np.where(s > 0.0, 1.0 / np.maximum(s, 1e-300), np.inf)
+        positive = s > 0.0
+        with np.errstate(divide="ignore", over="ignore", under="ignore"):
+            if positive.all():
+                # both np.where below would pick their first branch everywhere
+                return np.asarray(scale / np.log(_LOG_SHIFT + 1.0 / np.maximum(s, 1e-300))
+                                  ** (1.0 + delta))
+            inv = np.where(positive, 1.0 / np.maximum(s, 1e-300), np.inf)
             out = scale / np.log(_LOG_SHIFT + inv) ** (1.0 + delta)
-        return np.where(s > 0.0, out, 0.0)
+        return np.where(positive, out, 0.0)
 
     return ModulusFunction(phi, f"log_dini(K={scale},delta={delta})")
 

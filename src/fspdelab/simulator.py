@@ -224,11 +224,13 @@ def simulate_ensemble(coeffs: CoefficientSet, xi: SegmentPath, horizon: float,
                 if conv is not None:
                     conv[base + 1][dead] = conv[base][dead]
             mags = _row_norms(nxt)
-            bad = alive & (~np.isfinite(mags) | (mags > EXPLOSION_THRESHOLD))
-            if np.any(bad):
-                life[bad] = (k + 1) * grid_step
-                alive &= ~bad
-                dead = ~alive
+            # every row finite and at most the threshold: no path explodes here
+            if not (mags <= EXPLOSION_THRESHOLD).all():
+                bad = alive & (~np.isfinite(mags) | (mags > EXPLOSION_THRESHOLD))
+                if np.any(bad):
+                    life[bad] = (k + 1) * grid_step
+                    alive &= ~bad
+                    dead = ~alive
             states[base + 1] = nxt
             norms[base + 1] = mags
 
@@ -265,9 +267,17 @@ def truncate_coeffs(coeffs: CoefficientSet, m) -> CoefficientSet:
     one call on the whole batch serves every row; past it there is one
     whole-batch call per distinct truncated time, with rows picked by
     `np.where`.
+
+    When every row has |z| <= its level, the original value is returned as
+    it is: division rounds monotonically, so |z| / m <= m / m = 1 there,
+    the cutoff is exactly 1.0, and val * 1.0 is val bit for bit.  A level
+    of 0 or inf would break that (0 / 0 and inf / inf are NaN), so such
+    levels always multiply by the cutoff, as does any batch with a row
+    beyond its level or a NaN norm.
     """
     levels = np.asarray(m, dtype=float)
     earliest = float(levels.min())
+    finite_positive = bool(np.all((levels > 0.0) & (levels < math.inf)))
 
     def at_truncated_time(fn, t, arg):
         if t <= earliest:
@@ -280,17 +290,21 @@ def truncate_coeffs(coeffs: CoefficientSet, m) -> CoefficientSet:
             out = val if out is None else np.where(rows, val, out)
         return out
 
+    def cut_off(val, norms, trailing):
+        if finite_positive and (norms <= levels).all():
+            return val
+        return val * smooth_cutoff(norms / levels)[(...,) + (None,) * trailing]
+
     def b_m(t, x):
-        factor = smooth_cutoff(_row_norms(np.asarray(x, dtype=float)) / levels)[..., None]
-        return at_truncated_time(coeffs.drift, t, x) * factor
+        return cut_off(at_truncated_time(coeffs.drift, t, x),
+                       _row_norms(np.asarray(x, dtype=float)), 1)
 
     def delay_m(t, view):
-        factor = np.asarray(smooth_cutoff(view.sup_norm() / levels))[..., None]
-        return at_truncated_time(coeffs.delay_drift, t, view) * factor
+        return cut_off(at_truncated_time(coeffs.delay_drift, t, view), view.sup_norm(), 1)
 
     def q_m(t, x):
-        factor = smooth_cutoff(_row_norms(np.asarray(x, dtype=float)) / levels)[..., None, None]
-        return at_truncated_time(coeffs.diffusion_matrix, t, x) * factor
+        return cut_off(at_truncated_time(coeffs.diffusion_matrix, t, x),
+                       _row_norms(np.asarray(x, dtype=float)), 2)
 
     return replace(coeffs, drift=b_m, delay_drift=delay_m, diffusion=q_m,
                    diag_noise=None)
@@ -508,8 +522,8 @@ def state_diagonal_diffusion(q: np.ndarray, amplitude: float = 0.5, frequency: f
         x = np.asarray(x, dtype=float)
         diag = q * (1.0 + amplitude * np.sin(frequency * x))
         out = np.zeros(x.shape + (q.size,))
-        idx = np.arange(q.size)
-        out[..., idx, idx] = diag
+        # the diagonal of each (n, n) block is every (n + 1)-th entry of its row
+        out.reshape(x.shape[:-1] + (-1,))[..., :: q.size + 1] = diag
         return out
 
     return fn

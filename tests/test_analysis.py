@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fspdelab import analysis as an
 from fspdelab.errors import InputError
@@ -82,6 +85,34 @@ class TestDiniCheck:
 
         report = an.dini_check(an.ModulusFunction(phi))
         assert report.verdict == an.INDETERMINATE
+
+
+def _two_where_log_dini(s, scale, delta):
+    """phi(s) = scale / log(e^2 + 1/s)**(1+delta) and 0 for s <= 0, by two np.where."""
+    s = np.asarray(s, dtype=float)
+    with np.errstate(all="ignore"):
+        inv = np.where(s > 0.0, 1.0 / np.maximum(s, 1e-300), np.inf)
+        out = scale / np.log(math.e**2 + inv) ** (1.0 + delta)
+    return np.where(s > 0.0, out, 0.0)
+
+
+class TestLogDiniModulus:
+    @given(s=hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2, max_side=5),
+                        elements=st.one_of(st.floats(1e-20, 1e3), st.floats(0.0, 1e-300),
+                                           st.floats(allow_nan=True, allow_infinity=True),
+                                           st.sampled_from([0.0, -0.0, math.nan, math.inf]))),
+           scale=st.floats(0.1, 10.0), delta=st.sampled_from([0.5, 1.0, 200.0]))
+    @example(s=np.array([1.7e-15, 1e-300, 0.5]), scale=1.0, delta=200.0)
+    @example(s=np.array(0.25), scale=1.0, delta=1.0)
+    @example(s=np.array(0.0), scale=1.0, delta=1.0)
+    def test_equals_two_where_formula_bytes(self, s, scale, delta):
+        # delta = 200 overflows the power and leaves subnormal quotients: the
+        # modulus masks those flags even when the caller raises on every one
+        with np.errstate(all="raise"):
+            got = an.log_dini_modulus(scale, delta)(s)
+        want = _two_where_log_dini(s, scale, delta)
+        assert type(got) is type(want) and got.dtype == want.dtype
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestWeightClasses:

@@ -1,6 +1,7 @@
 """Property tests of the path engine's grid bookkeeping and stored norms."""
 
 import functools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -87,6 +88,35 @@ class TestStoredNorms:
         assert np.array_equal(res.norms, recomputed, equal_nan=True)
         assert np.array_equal(res.terminal_view().sup_norm(),
                               recomputed[-lags - 1:].max(axis=0), equal_nan=True)
+
+    @given(st.integers(1, 32).flatmap(lambda n: hnp.arrays(
+        np.float64, st.tuples(st.integers(0, 3), st.integers(1, 4), st.just(n)),
+        elements=st.one_of(ANY_FLOAT, st.sampled_from([1e154, -1e200, 1e308])))))
+    def test_row_norms_are_linalg_norm_bytes(self, x):
+        # n up to 32, the galerkin reference spectrum; squares of huge rows overflow to inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert sim._row_norms(x).tobytes() == np.linalg.norm(x, axis=-1).tobytes()
+
+    @pytest.mark.parametrize("above", [False, True])
+    @pytest.mark.parametrize("neighbour", [False, True])
+    def test_explosion_threshold_is_inclusive(self, above, neighbour):
+        # X(dt) = decay * x0 exactly when dW = 0; a one-mode norm sqrt(v * v) is |v|.
+        # A neighbour whose huge increment kills it makes the step build its mask.
+        target = sim.EXPLOSION_THRESHOLD
+        if above:
+            target = np.nextafter(target, np.inf)
+        dt = 1.0 / 64.0
+        spec = an.Spectrum(1)
+        decay = np.exp(-spec.eigenvalues[:1] * dt)
+        x0 = np.array([target]) / decay
+        while (decay * x0)[0] != target:
+            x0 = np.nextafter(x0, np.inf if (decay * x0)[0] < target else -np.inf)
+        coeffs = sim.make_coefficients(1, diag_noise=np.ones(1))
+        noise = sim.NoisePath(np.array([[[0.0], [1e300]]])[:, : 1 + neighbour], dt)
+        res = sim.simulate_ensemble(coeffs, SegmentPath.constant(x0, 0.0, dt), dt, dt, spec,
+                                    noise)
+        assert res.norms[-1, 0] == target
+        assert res.life_times.tolist() == [dt if above else math.inf] + [dt] * neighbour
 
     @given(_histories(max_rows=12), st.integers(0, 11))
     def test_window_sup_norms_equal_the_step_loop(self, states, lags):

@@ -244,6 +244,49 @@ class TestTruncation:
         if (paths, level, cubic, amplitude, seed) == (3, 1e9, 4.0, 0.5, 1):
             assert both.exploded.any() and not both.exploded.all()
 
+    @given(n=st.integers(1, 3), per_path=st.booleans(), diag=st.booleans(),
+           rows=st.lists(st.sampled_from(["inside", "at", "above", "between", "beyond", "inf",
+                                          "nan"]),
+                         min_size=1, max_size=6),
+           levels=st.lists(st.one_of(st.floats(1e-3, 1e3), st.sampled_from([0.0, math.inf])),
+                           min_size=6, max_size=6))
+    @example(n=2, per_path=True, diag=False, rows=["inside", "at", "inside"],
+             levels=[0.5, 2.0, 3.0, 1.0, 1.0, 1.0])
+    @example(n=1, per_path=False, diag=True, rows=["at", "above"], levels=[1.5] * 6)
+    def test_truncated_values_equal_cutoff_product_bytes(self, n, per_path, diag, rows,
+                                                         levels):
+        # the reference is the product the shortcut skips when every row is
+        # within its level; a level of 0 or inf never takes the shortcut
+        m = np.array(levels[: len(rows)]) if per_path else levels[0]
+        x = np.zeros((len(rows), n))
+        for i, (kind, lvl) in enumerate(zip(rows, np.broadcast_to(m, (len(rows),)))):
+            if kind == "inside":
+                x[i] = 0.5 * lvl * np.cos(np.arange(n) + i) / math.sqrt(n)
+            else:
+                x[i, i % n] = (-1.0) ** i * {
+                    "at": lvl, "above": np.nextafter(lvl, math.inf), "between": 1.5 * lvl,
+                    "beyond": 3.0 * lvl + 1.0, "inf": math.inf, "nan": math.nan}[kind]
+        shift = sim.delay_shift_drift(0.4, DT)
+        coeffs = sim.make_coefficients(
+            n, drift=lambda t, x: np.tanh(x) - 0.25,
+            delay_drift=lambda t, view: shift(t, view) + view.sup_norm()[:, None],
+            diag_noise=np.linspace(1.0, 0.5, n) if diag else None,
+            diffusion=None if diag else sim.state_diagonal_diffusion(np.full(n, 0.8)))
+        view = sim.SegmentView(np.stack([0.5 * x, x]), DT, DT)
+        trunc = sim.truncate_coeffs(coeffs, m)
+        with np.errstate(all="ignore"):
+            norms = np.linalg.norm(x, axis=-1)
+            cases = [(trunc.drift(0.0, x), coeffs.drift(0.0, x),
+                      sim.smooth_cutoff(norms / m)[..., None]),
+                     (trunc.delay_drift(0.0, view), coeffs.delay_drift(0.0, view),
+                      sim.smooth_cutoff(view.sup_norm() / m)[..., None]),
+                     (trunc.diffusion_matrix(0.0, x), coeffs.diffusion_matrix(0.0, x),
+                      sim.smooth_cutoff(norms / m)[..., None, None])]
+            for got, base, factor in cases:
+                want = base * factor
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
     @given(hnp.arrays(np.float64, st.integers(1, 12), elements=st.one_of(
         st.floats(0.0, 1.0), st.floats(1.0, 2.0, exclude_min=True, exclude_max=True),
         st.floats(2.0, 1e300), st.sampled_from([1.0, 2.0, -0.0, math.nan, math.inf]))))
@@ -349,6 +392,9 @@ class TestCoefficientValidation:
         # the smallest singular value of Q stays at or above min(q) (1 - |amp|) > 0
         xs = data.draw(hnp.arrays(np.float64, (16, q.size), elements=COORD))
         qm = sim.state_diagonal_diffusion(q, amp, freq)(0.0, xs)
+        diag = np.zeros_like(qm)
+        diag[..., np.arange(q.size), np.arange(q.size)] = q * (1.0 + amp * np.sin(freq * xs))
+        assert qm.tobytes() == diag.tobytes()
         smallest = np.linalg.svd(qm, compute_uv=False)[..., -1]
         bound = np.min(q) * (1.0 - abs(amp))
         assert bound > 0.0
