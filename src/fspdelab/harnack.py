@@ -20,7 +20,7 @@ from .analysis import Spectrum
 from .errors import ExplosionError, InputError
 from .segment import SegmentPath, _steps
 from .simulator import (CoefficientSet, EnsembleResult, NoisePath, SegmentView,
-                        _history_windows, simulate_ensemble)
+                        _history_windows, _row_norms, _step_factors, simulate_ensemble)
 from .zvonkin import RegularizingField, TransformedSystem
 
 
@@ -229,9 +229,8 @@ def conjugation_check(coeffs: CoefficientSet, field: RegularizingField, xi: Segm
     steps = _steps(horizon, grid_step)
     lags = _steps(xi.delay, grid_step)
     n = xi.n_modes
-    lam = spec.eigenvalues[:n]
-    decay = np.exp(-lam * grid_step)
-    drift_fac = (1.0 - decay) / lam
+    # full-width factors, as simulate_ensemble steps with them
+    decay, drift_fac = _step_factors(spec.eigenvalues[:n], grid_step, samples)
     noise = NoisePath.generate(seed, steps, coeffs.noise_dim, grid_step, samples)
 
     direct = simulate_ensemble(replace(coeffs, diag_noise=None), xi, horizon, grid_step,
@@ -252,15 +251,18 @@ def conjugation_check(coeffs: CoefficientSet, field: RegularizingField, xi: Segm
                                                        grid_step, steps)):
         y = y_states[lags + k]
         z[...] = field.invert_theta(t, y)
-        z_norms[lags + k] = np.linalg.norm(z, axis=-1)
+        z_norms[lags + k] = _row_norms(z)
         jac = field.grad_theta(t, z)
         drift_bar = sys.drift_at(t, z) + sys.delay_drift_at(t, jac, zview)
         gain_bar = decay * np.einsum("pnm,pm->pn", sys.diffusion_at(t, z, jac),
                                      noise.increments[k])
-        y_states[lags + k + 1] = decay * y + drift_fac * drift_bar + gain_bar
+        # decay * y + drift_fac * drift_bar + gain_bar, added left to right
+        nxt = np.multiply(decay, y, out=y_states[lags + k + 1])
+        nxt += drift_fac * drift_bar
+        nxt += gain_bar
 
     z_states[-1] = field.invert_theta(horizon, y_states[-1])
-    z_norms[-1] = np.linalg.norm(z_states[-1], axis=-1)
+    z_norms[-1] = _row_norms(z_states[-1])
 
     direct_vals = f(direct.terminal_view())
     pulled_vals = f(SegmentView(z_states[-lags - 1:], grid_step, xi.delay, z_norms[-lags - 1:]))

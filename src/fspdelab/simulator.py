@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .analysis import ModulusFunction, Spectrum, ClassReport, PASS, hs_kernel_integral
 from .errors import InputError
@@ -27,26 +26,38 @@ from .segment import SegmentPath, _lag_row, _steps, segment_norm
 EXPLOSION_THRESHOLD = 1e12
 
 
+# Below this many modes a per-mode product or norm is written one mode column
+# at a time: numpy's inner loop then runs over the paths, not over a mode
+# axis of a few entries.  From here on the broadcast form is as fast or faster.
+_SHORT_MODES = 8
+
+
 class SegmentView:
     """Grid-aligned window [t-r, t] over a batched state history.
 
     `norms`, when given, is the matching (lags+1, n_paths) slice of the
     history's per-step norms, norms[k] = |window[k]| row by row; sup_norm
     then takes a max over it instead of recomputing every row's norm.
-    Without it the norms are recomputed from the window.
+    Without it the norms are recomputed from the window.  A view built by
+    `_history_windows` carries (walker, k) in `running`, and sup_norm asks
+    the walker for the max of its window (see `_WindowMax`).
     """
 
     def __init__(self, window: np.ndarray, grid_step: float, delay: float,
-                 norms: np.ndarray | None = None):
+                 norms: np.ndarray | None = None, running: tuple | None = None):
         self.window = window  # (lags+1, n_paths, n_modes)
         self.grid_step = grid_step
         self.delay = delay
         self.norms = norms
+        self.running = running
 
     def value_at(self, s: float) -> np.ndarray:
         return self.window[_lag_row(s, self.delay, self.grid_step, self.window.shape[0])]
 
     def sup_norm(self) -> np.ndarray:
+        if self.running is not None:
+            walker, k = self.running
+            return walker(k)
         norms = np.linalg.norm(self.window, axis=-1) if self.norms is None else self.norms
         return norms.max(axis=0)
 
@@ -132,6 +143,68 @@ class EnsembleResult:
                            self.norms[-lags - 1:])
 
 
+def _running_max(rows: np.ndarray, out: np.ndarray) -> None:
+    """out[j] = max(rows[0..j]) along axis 0, by one row-wise np.maximum per row.
+
+    np.maximum.accumulate along axis 0 gives the same values, but runs its
+    inner loop down the short axis: 465 us on a 33 x 2000 block, against
+    96 us for this loop (2-core VM, numpy 2.4).
+    """
+    np.copyto(out[0], rows[0])
+    for j in range(1, len(rows)):
+        np.maximum(out[j - 1], rows[j], out=out[j])
+
+
+class _WindowMax:
+    """max(rows[k : k + width]) along axis 0 for each k, O(1) amortised per k.
+
+    The van Herk / Gil-Werman scheme: the rows are cut into blocks of
+    `width`, so the window starting at row i of block b is the tail of b
+    from row i and the head of block b + 1 up to row i - 1, and its max is
+    max(suffix_b[i], prefix_(b+1)[i - 1]); a window with i = 0 is block b.
+    The suffix maxima of block b come from one backward pass when the first
+    window in b is asked for.  The prefix max of block b + 1 is one row
+    that grows by one np.maximum per row as far as the windows asked for
+    reach.  Max is exact and np.maximum propagates NaN as ndarray.max does,
+    so every value equals the plain max.
+
+    Rows are read when a window is asked for, never before, and each row at
+    most twice (once for each kind of maxima).  A window asked for after
+    the walker has moved past it gets the plain max instead.
+    """
+
+    def __init__(self, rows: np.ndarray, width: int):
+        self.rows = rows
+        self.width = width
+        self.suffix = np.empty((width,) + rows.shape[1:])
+        self.prefix = np.empty(rows.shape[1:])
+        self.suffix_block = -1
+        self.prefix_block = -1
+        self.prefix_rows = 0
+
+    def __call__(self, k: int) -> np.ndarray:
+        w, rows = self.width, self.rows
+        b, i = divmod(k, w)
+        # a block's suffix maxima are overwritten by a later block's, and the
+        # prefix row may already hold rows past this window
+        if b < self.suffix_block or (0 < i < self.prefix_rows and b + 1 == self.prefix_block):
+            return rows[k: k + w].max(axis=0)
+        if b > self.suffix_block:
+            # suffix maxima are the running maxima of the block read backwards
+            _running_max(rows[b * w: (b + 1) * w][::-1], self.suffix[::-1])
+            self.suffix_block = b
+        if i == 0:
+            return self.suffix[0].copy()
+        head = (b + 1) * w
+        if self.prefix_block != b + 1:
+            self.prefix_block, self.prefix_rows = b + 1, 1
+            np.copyto(self.prefix, rows[head])
+        for j in range(head + self.prefix_rows, head + i):
+            np.maximum(self.prefix, rows[j], out=self.prefix)
+        self.prefix_rows = i
+        return np.maximum(self.suffix[i], self.prefix)
+
+
 def _history_windows(states: np.ndarray, norms: np.ndarray, delay: float,
                      grid_step: float, steps: int):
     """Walk a history buffer: (t_k, X(t_k), window [t_k - r, t_k]) for k < steps.
@@ -140,16 +213,68 @@ def _history_windows(states: np.ndarray, norms: np.ndarray, delay: float,
     of `norms` is the norm of row k of `states`.  The state and the window
     are views into both buffers, so a row written after a yield is seen by
     the next window.
+
+    The windows' sup norms share one `_WindowMax` over `norms`, which reads
+    a norm row only when a sup_norm asks for it: rows k .. k + lags must
+    hold their final values when window k's sup_norm is called, and must
+    not change afterwards.  Row lags + k may thus be written after window
+    k is yielded, as long as that is before its sup_norm call.
     """
     lags = _steps(delay, grid_step)
+    walker = _WindowMax(norms, lags + 1)
     for k in range(steps):
         yield (k * grid_step, states[lags + k],
-               SegmentView(states[k: k + lags + 1], grid_step, delay, norms[k: k + lags + 1]))
+               SegmentView(states[k: k + lags + 1], grid_step, delay, norms[k: k + lags + 1],
+                           (walker, k)))
+
+
+def _mode_order_squares(x: np.ndarray) -> np.ndarray:
+    """Sum of the squares over the last axis of x, added left to right in mode order."""
+    sq = x * x
+    if x.shape[-1] == 1:
+        return sq[..., 0]
+    total = np.add(sq[..., 0], sq[..., 1])
+    for i in range(2, x.shape[-1]):
+        total += sq[..., i]
+    return total
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
-    """|x| over the last axis, bit for bit `np.linalg.norm(x, axis=-1)` on real x."""
+    """|x| over the last axis, bit for bit `np.linalg.norm(x, axis=-1)` on real x.
+
+    That is the square root of np.add.reduce over the squares, which adds
+    fewer than eight terms left to right and sums pairwise from eight on.
+    Below `_SHORT_MODES` the squares are added a mode column at a time in
+    that order, which is faster than the reduction over a short mode axis.
+    """
+    if 0 < x.shape[-1] < _SHORT_MODES:
+        return np.sqrt(_mode_order_squares(x))
     return np.sqrt(np.add.reduce(x * x, axis=-1))
+
+
+def _times_modes(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a * v for a per-mode vector v, a of shape (..., 1) or (..., len(v)), bit for bit.
+
+    Below `_SHORT_MODES` modes the product is written one mode column at a time.
+    """
+    if v.size >= _SHORT_MODES:
+        return a * v
+    out = np.empty(a.shape[:-1] + v.shape)
+    per_mode = a.shape[-1] > 1
+    for j, vj in enumerate(v):
+        np.multiply(a[..., j if per_mode else 0], vj, out=out[..., j])
+    return out
+
+
+def _full_width(a: np.ndarray, paths: int) -> np.ndarray:
+    """A per-mode (n,) array repeated over `paths` rows, as one C-ordered (paths, n) array."""
+    return np.ascontiguousarray(np.broadcast_to(a, (paths,) + a.shape))
+
+
+def _step_factors(lam: np.ndarray, grid_step: float, paths: int):
+    """The exponential-Euler factors exp(-lam dt) and (1 - exp(-lam dt)) / lam at full width."""
+    decay = np.exp(-lam * grid_step)
+    return _full_width(decay, paths), _full_width((1.0 - decay) / lam, paths)
 
 
 def _full_drift(coeffs: CoefficientSet, t: float, x: np.ndarray,
@@ -165,10 +290,16 @@ def simulate_ensemble(coeffs: CoefficientSet, xi: SegmentPath, horizon: float,
                       record_convolution: bool = False) -> EnsembleResult:
     """Integrate the mild equation for a batch of paths sharing one noise array.
 
-    The per-step norms come from `_row_norms`, which is the expression
-    `np.linalg.norm(x, axis=-1)` evaluates for real input (the square root
-    of `np.add.reduce` over the squares), so `norms` holds its bits for
+    The per-step norms come from `_row_norms`, which gives the bits of
+    `np.linalg.norm(x, axis=-1)` for real input, so `norms` holds them for
     every mode count.  Dead paths are frozen only once one has exploded.
+
+    Every array op of a step runs on full-width operands: the per-mode
+    factors (decay, drift factor, noise scale) are broadcast once per
+    ensemble to (paths, n) arrays, and the new row is built in place in
+    `states`.  Multiplying by an (n,) factor would make numpy's inner loop
+    run over the few modes of each path instead of over the whole row.
+    The elementwise values, and so every bit, are those of the broadcast.
     """
     if xi.grid_step != grid_step and abs(xi.grid_step - grid_step) > 1e-12:
         raise InputError("initial segment grid step must match the simulation grid")
@@ -189,8 +320,7 @@ def simulate_ensemble(coeffs: CoefficientSet, xi: SegmentPath, horizon: float,
         raise InputError("noise grid step must match the simulation grid")
     paths = noise.n_paths
 
-    decay = np.exp(-lam * grid_step)
-    drift_fac = (1.0 - decay) / lam
+    decay, drift_fac = _step_factors(lam, grid_step, paths)
     use_diag = coeffs.diag_noise is not None
     if use_diag:
         q = np.asarray(coeffs.diag_noise, dtype=float)[:n]
@@ -216,9 +346,13 @@ def simulate_ensemble(coeffs: CoefficientSet, xi: SegmentPath, horizon: float,
             else:
                 qm = coeffs.diffusion_matrix(t, x)
                 gain = decay * np.einsum("...nm,...m->...n", qm, dw)
-            nxt = decay * x + drift_fac * drift + gain
+            # decay * x + drift_fac * drift + gain, added left to right
+            nxt = np.multiply(decay, x, out=states[base + 1])
+            nxt += drift_fac * drift
+            nxt += gain
             if conv is not None:
-                conv[base + 1] = decay * conv[base] + gain
+                np.multiply(decay, conv[base], out=conv[base + 1])
+                conv[base + 1] += gain
             if dead is not None:
                 nxt[dead] = x[dead]
                 if conv is not None:
@@ -231,7 +365,6 @@ def simulate_ensemble(coeffs: CoefficientSet, xi: SegmentPath, horizon: float,
                     life[bad] = (k + 1) * grid_step
                     alive &= ~bad
                     dead = ~alive
-            states[base + 1] = nxt
             norms[base + 1] = mags
 
     return EnsembleResult(xi.delay, grid_step, horizon, states, life, norms, conv)
@@ -268,16 +401,18 @@ def truncate_coeffs(coeffs: CoefficientSet, m) -> CoefficientSet:
     whole-batch call per distinct truncated time, with rows picked by
     `np.where`.
 
-    When every row has |z| <= its level, the original value is returned as
-    it is: division rounds monotonically, so |z| / m <= m / m = 1 there,
-    the cutoff is exactly 1.0, and val * 1.0 is val bit for bit.  A level
-    of 0 or inf would break that (0 / 0 and inf / inf are NaN), so such
-    levels always multiply by the cutoff, as does any batch with a row
-    beyond its level or a NaN norm.
+    Every level must be positive and finite: at 0 every ratio |z| / m is
+    inf or NaN and every coefficient would vanish, at a negative level
+    nothing would be cut off.  When every row has |z| <= its level, the
+    original value is returned as it is: division rounds monotonically, so
+    |z| / m <= m / m = 1 there, the cutoff is exactly 1.0, and val * 1.0 is
+    val bit for bit.  A batch with a row beyond its level or a NaN norm
+    multiplies by the cutoff.
     """
     levels = np.asarray(m, dtype=float)
+    if not np.all((levels > 0.0) & (levels < math.inf)):
+        raise InputError("truncation levels must be positive and finite")
     earliest = float(levels.min())
-    finite_positive = bool(np.all((levels > 0.0) & (levels < math.inf)))
 
     def at_truncated_time(fn, t, arg):
         if t <= earliest:
@@ -291,7 +426,7 @@ def truncate_coeffs(coeffs: CoefficientSet, m) -> CoefficientSet:
         return out
 
     def cut_off(val, norms, trailing):
-        if finite_positive and (norms <= levels).all():
+        if (norms <= levels).all():
             return val
         return val * smooth_cutoff(norms / levels)[(...,) + (None,) * trailing]
 
@@ -360,8 +495,12 @@ class PsiTransform:
 
 def _window_sup_norms(states: np.ndarray, lags: int) -> np.ndarray:
     """Segment sup norms |M_s|_inf for every grid time s >= 0."""
-    mags = np.linalg.norm(states, axis=-1)  # (k_total+1, ...) path norms
-    return sliding_window_view(mags, lags + 1, axis=0).max(axis=-1)
+    mags = _row_norms(states)  # (k_total+1, ...) path norms
+    walker = _WindowMax(mags, lags + 1)
+    out = np.empty((mags.shape[0] - lags,) + mags.shape[1:])
+    for k in range(out.shape[0]):
+        out[k] = walker(k)
+    return out
 
 
 def bihari_alpha(lyap: LyapunovSpec, xi: SegmentPath, conv_states: np.ndarray,
@@ -387,8 +526,10 @@ def bihari_margin(lyap: LyapunovSpec, xi: SegmentPath, result: EnsembleResult) -
         raise InputError("comparison function fails the divergent-reciprocal requirement")
     y = result.states - result.convolution
     lags = _steps(result.delay, result.grid_step)
-    sq = np.linalg.norm(y, axis=-1) ** 2
-    running = np.maximum.accumulate(sq, axis=0)[lags:]
+    sq = _row_norms(y) ** 2
+    running = np.empty_like(sq)
+    _running_max(sq, running)
+    running = running[lags:]
     alpha = bihari_alpha(lyap, xi, result.convolution, result.horizon, result.grid_step)
     phi_T = lambda s: lyap.comparison(result.horizon, s)
     s_hi = max(float(running.max()), float(alpha.max()))
@@ -464,13 +605,10 @@ def dini_drift(phi: ModulusFunction, direction: np.ndarray):
     v = v / np.linalg.norm(v)
 
     def fn(t, x):
-        x = np.asarray(x, dtype=float)
-        # the squares added left to right in mode order, as np.linalg.norm
-        # adds them, without its slow reduction over the short mode axis
-        sq = x[..., 0] * x[..., 0]
-        for i in range(1, x.shape[-1]):
-            sq = sq + x[..., i] * x[..., i]
-        return phi(np.minimum(np.sqrt(sq), 1.0))[..., None] * v
+        # the squares added in mode order for every mode count, as this
+        # drift always has; np.linalg.norm adds them so below eight modes
+        sq = _mode_order_squares(np.asarray(x, dtype=float))
+        return _times_modes(phi(np.minimum(np.sqrt(sq), 1.0))[..., None], v)
 
     return fn
 
@@ -497,7 +635,7 @@ def delay_tanh_drift(beta: float, direction: np.ndarray):
 
     def fn(t, view):
         mag = np.tanh(np.asarray(view.sup_norm(), dtype=float))
-        return beta * mag[..., None] * v
+        return _times_modes(beta * mag[..., None], v)
 
     return fn
 

@@ -32,7 +32,7 @@ from .analysis import Spectrum, WeightFunction, sqrt_weight
 from .errors import CertificationError, InputError
 from .quadrature import hermite_tensor, panel_integral
 from .segment import sine_segment_values
-from .simulator import CoefficientSet, SegmentView
+from .simulator import CoefficientSet, SegmentView, _times_modes
 
 if TYPE_CHECKING:
     from scipy.interpolate import NdBSpline
@@ -650,20 +650,26 @@ def solve_u(ref: ReferenceSemigroup, drift: Callable, lam: float, horizon: float
 
     def sweep(g_in, with_hess=False):
         # the map integrates grad u . b + b, so only grad u is interpolated,
-        # component-major: (n*n, slice, node)
-        tab = g_in.reshape(n_t + 1, m_nodes, n * n).transpose(2, 0, 1)
+        # component-major: (n*n, slice, node); g_in None is the all-zero seed,
+        # which interpolates to +0.0 everywhere and is not read
+        if g_in is not None:
+            tab = g_in.reshape(n_t + 1, m_nodes, n * n).transpose(2, 0, 1)
         u_out = np.zeros((n_t + 1, m_nodes, n))
-        g_out = np.zeros_like(g_in)
+        g_out = np.zeros((n_t + 1, m_nodes, n, n))
         h_out = np.zeros((n_t + 1, m_nodes, n, n, n)) if with_hess else None
         for chunk, (j, sl) in enumerate(chunks):
             k_slots = sl.stop - sl.start
-            lo, frac = t_lo[sl], t_frac[sl, None]
-            table = (1.0 - frac) * tab[:, lo] + frac * tab[:, lo + 1]
-            # linear between nodes: grad u is already differentiated through
-            # the kernel, and nonnegative weights add no ringing between the
-            # coarse outer nodes
-            g_y = _multilinear(table.reshape(n * n, -1, *shape), [c[sl] for c, _ in stencils],
-                               [y[sl] for _, y in stencils], work).reshape(n, n, -1)
+            if g_in is None:
+                g_y = None
+            else:
+                lo, frac = t_lo[sl], t_frac[sl, None]
+                table = (1.0 - frac) * tab[:, lo] + frac * tab[:, lo + 1]
+                # linear between nodes: grad u is already differentiated
+                # through the kernel, and nonnegative weights add no ringing
+                # between the coarse outer nodes
+                g_y = _multilinear(table.reshape(n * n, -1, *shape),
+                                   [c[sl] for c, _ in stencils],
+                                   [y[sl] for _, y in stencils], work).reshape(n, n, -1)
             # drift samples, component-major (n, slot * point), one slot at a
             # time, into an array of their own if the chunk is kept
             b_y = kept.get(chunk)
@@ -681,13 +687,15 @@ def solve_u(ref: ReferenceSemigroup, drift: Callable, lam: float, horizon: float
             # sum_j g_ij b_j in the order einsum("mgij,mgj->mgi") adds it in
             # two SIMD lanes: even j, odd j, then the two lanes (left to right
             # for n <= 2), which keeps the recorded field hashes at n = 3;
-            # n <= GH_DIM_CAP leaves one term in the odd lane
+            # n <= GH_DIM_CAP leaves one term in the odd lane; on the zero
+            # seed every g_ij is +0.0 and the products keep their signed zeros
             gvec = _work(work, "gvec", b_y.shape)
             term = _work(work, "gvec_term", b_y.shape[1:])
             for i in range(n):
-                np.multiply(g_y[i, 0], b_y[0], out=gvec[i])
+                np.multiply(0.0 if g_y is None else g_y[i, 0], b_y[0], out=gvec[i])
                 for jj in (*range(2, n, 2), *range(1, n, 2)):
-                    gvec[i] += np.multiply(g_y[i, jj], b_y[jj], out=term)
+                    gvec[i] += np.multiply(0.0 if g_y is None else g_y[i, jj], b_y[jj],
+                                           out=term)
                 gvec[i] += b_y[i]
             # the Hermite reductions run over (Hermite, i, slot * node) rows,
             # where einsum adds the terms of each point in Hermite order, as it
@@ -722,7 +730,7 @@ def solve_u(ref: ReferenceSemigroup, drift: Callable, lam: float, horizon: float
     converged = False
     iterations = 0
     for it in range(100):
-        u_new, g_new, _ = sweep(g_tab)
+        u_new, g_new, _ = sweep(g_tab if it else None)
         delta = joint_norm(u_new - u_tab, g_new - g_tab)
         u_tab, g_tab = u_new, g_new
         iterations = it + 1
@@ -793,7 +801,7 @@ class TransformedSystem:
 
     def drift_at(self, t, z):
         """The conjugated drift (lam + lam_i) u(t, z)."""
-        return (self.field.lam + self.field.spec.eigenvalues) * self.field.u_at(t, z)
+        return _times_modes(self.field.u_at(t, z), self.field.lam + self.field.spec.eigenvalues)
 
     def delay_drift_at(self, t, jac, zview):
         """The conjugated delay drift jac B(t, zview), zview a window of preimages."""

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -159,6 +159,147 @@ class TestHistoryWindows:
             assert np.all(view.window[-1] == k) and np.all(view.sup_norm() == k)
             states[lags + k + 1] = x + 1.0
             norms[lags + k + 1] = k + 1.0
+
+
+# a norm is >= 0, inf or NaN; SENTINEL marks a row not yet written
+NORM = st.one_of(st.floats(0.0, 1e300), st.sampled_from([0.0, math.inf, math.nan]))
+SENTINEL = 7e307
+
+
+def _same_max(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+class TestWindowWalker:
+    @given(lags=st.integers(0, 40), steps=st.integers(1, 100), paths=st.integers(1, 3),
+           data=st.data())
+    @example(lags=0, steps=6, paths=2, data=None)
+    @example(lags=40, steps=100, paths=2, data=None)  # block edges at k = 41 and 82
+    @example(lags=3, steps=13, paths=1, data=None)
+    def test_sup_norm_equals_the_plain_window_max(self, lags, steps, paths, data):
+        """sup_norm of walked views is norms[k:k+lags+1].max(axis=0), bit for bit.
+
+        Row lags + k is written only after window k is yielded, as the
+        conjugation loop writes it; a step calls sup_norm zero, one or two
+        times, and may then ask an earlier, possibly stale, view again.
+        """
+        rows = lags + steps + 1
+        if data is None:
+            final = np.abs(np.sin(np.arange(rows * paths, dtype=float))).reshape(rows, paths)
+            final[rows // 2, 0] = math.nan
+            final[rows // 3, -1] = math.inf
+            calls = [k % 3 for k in range(steps)]
+            stale = [k // 2 if k % 4 == 3 else None for k in range(steps)]
+        else:
+            final = data.draw(hnp.arrays(np.float64, (rows, paths), elements=NORM))
+            calls = data.draw(st.lists(st.integers(0, 2), min_size=steps, max_size=steps))
+            stale = [data.draw(st.none() | st.integers(0, k)) for k in range(steps)]
+        norms = np.full((rows, paths), SENTINEL)
+        norms[: lags] = final[: lags]
+        states = np.zeros((rows, paths, 1))
+        views = []
+        for k, (t, x, view) in enumerate(sim._history_windows(states, norms, lags * 0.125,
+                                                              0.125, steps)):
+            norms[lags + k] = final[lags + k]
+            views.append(view)
+            for _ in range(calls[k]):
+                _same_max(view.sup_norm(), final[k: k + lags + 1].max(axis=0))
+            if stale[k] is not None:
+                j = stale[k]
+                _same_max(views[j].sup_norm(), final[j: j + lags + 1].max(axis=0))
+
+    def test_walker_reads_each_norm_row_at_most_twice(self):
+        """Every ufunc input drawn from the norms is counted row by row.
+
+        The running max reads a row once for its block's suffix maxima and
+        once for its prefix maxima, so a sup_norm that reduced its whole
+        window at every step would read row r up to lags + 1 times.
+        """
+        lags, steps, paths = 32, 200, 4
+        reads = np.zeros(lags + steps + 1, dtype=int)
+
+        class CountedRows(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                plain = []
+                for a in inputs:
+                    if isinstance(a, CountedRows):
+                        first = (a.__array_interface__["data"][0] - base) // row_bytes
+                        reads[first: first + (a.shape[0] if a.ndim == 2 else 1)] += 1
+                        a = a.view(np.ndarray)
+                    plain.append(a)
+                if "out" in kwargs:
+                    kwargs["out"] = tuple(o.view(np.ndarray) if isinstance(o, CountedRows)
+                                          else o for o in kwargs["out"])
+                return getattr(ufunc, method)(*plain, **kwargs)
+
+        norms = np.abs(np.cos(np.arange(reads.size * paths))).reshape(-1, paths)
+        base, row_bytes = norms.__array_interface__["data"][0], norms.strides[0]
+        states = np.zeros(norms.shape + (1,))
+        for k, (t, x, view) in enumerate(sim._history_windows(
+                states, norms.view(CountedRows), lags / 64.0, 1.0 / 64.0, steps)):
+            _same_max(np.asarray(view.sup_norm()), norms[k: k + lags + 1].max(axis=0))
+        assert reads.sum() >= steps and reads.max() <= 2
+
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 4)),
+                      elements=NORM))
+    def test_running_max_is_the_accumulated_maximum(self, rows):
+        out = np.empty_like(rows)
+        sim._running_max(rows, out)
+        _same_max(out, np.maximum.accumulate(rows, axis=0))
+
+
+class TestColumnWrites:
+    """The drifts written one mode column at a time equal the broadcast products."""
+
+    @staticmethod
+    def _states(n):
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(3, 5, n)) * 10.0 ** rng.integers(-4, 4, size=(3, 5, 1))
+        x[0, 0] = 0.0
+        x[0, 1] = -0.0
+        x[1, 2, 0] = math.nan
+        x[2, 3, -1] = math.inf
+        return x, rng.normal(size=n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 32])
+    def test_dini_drift(self, n):
+        x, direction = self._states(n)
+        modulus = an.log_dini_modulus(0.4, 1.0)
+        v = direction / np.linalg.norm(direction)
+        with np.errstate(invalid="ignore"):
+            for states in (x, x[0], x[0, 0]):
+                sq = states[..., 0] * states[..., 0]
+                for i in range(1, n):
+                    sq = sq + states[..., i] * states[..., i]
+                want = modulus(np.minimum(np.sqrt(sq), 1.0))[..., None] * v
+                got = sim.dini_drift(modulus, direction)(0.0, states)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 32])
+    def test_delay_tanh_drift(self, n):
+        x, direction = self._states(n)
+        v = direction / np.linalg.norm(direction)
+        view = sim.SegmentView(x, 0.125, 0.25)
+        with np.errstate(invalid="ignore"):
+            want = 0.3 * np.tanh(view.sup_norm())[..., None] * v
+            got = sim.delay_tanh_drift(0.3, direction)(0.0, view)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 32])
+    def test_transformed_drift(self, n):
+        from types import SimpleNamespace
+
+        from fspdelab.zvonkin import TransformedSystem
+
+        x, _ = self._states(n)
+        spec = an.Spectrum(n)
+        field = SimpleNamespace(lam=60.0, spec=spec, u_at=lambda t, z: 0.37 * z - 0.1)
+        sys = TransformedSystem(field, None, {})
+        for z in (x, x[0], x[0, 0]):
+            want = (60.0 + spec.eigenvalues) * field.u_at(0.0, z)
+            got = sys.drift_at(0.0, z)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestGridBookkeeping:

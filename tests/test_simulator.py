@@ -248,16 +248,25 @@ class TestTruncation:
            rows=st.lists(st.sampled_from(["inside", "at", "above", "between", "beyond", "inf",
                                           "nan"]),
                          min_size=1, max_size=6),
-           levels=st.lists(st.one_of(st.floats(1e-3, 1e3), st.sampled_from([0.0, math.inf])),
+           levels=st.lists(st.one_of(st.floats(1e-3, 1e3),
+                                     st.sampled_from([0.0, -1.0, math.inf, math.nan])),
                            min_size=6, max_size=6))
+    @example(n=1, per_path=False, diag=True, rows=["inside"], levels=[-1.0] * 6)
+    @example(n=2, per_path=True, diag=False, rows=["inside", "at"],
+             levels=[2.0, math.nan, 1.0, 1.0, 1.0, 1.0])
     @example(n=2, per_path=True, diag=False, rows=["inside", "at", "inside"],
              levels=[0.5, 2.0, 3.0, 1.0, 1.0, 1.0])
     @example(n=1, per_path=False, diag=True, rows=["at", "above"], levels=[1.5] * 6)
     def test_truncated_values_equal_cutoff_product_bytes(self, n, per_path, diag, rows,
                                                          levels):
         # the reference is the product the shortcut skips when every row is
-        # within its level; a level of 0 or inf never takes the shortcut
+        # within its level; a level that is not positive and finite is rejected:
+        # at 0 every coefficient vanished, below 0 nothing was cut off
         m = np.array(levels[: len(rows)]) if per_path else levels[0]
+        if not np.all((np.asarray(m) > 0.0) & (np.asarray(m) < math.inf)):
+            with pytest.raises(InputError, match="positive and finite"):
+                sim.truncate_coeffs(sim.make_coefficients(n, diag_noise=np.ones(n)), m)
+            return
         x = np.zeros((len(rows), n))
         for i, (kind, lvl) in enumerate(zip(rows, np.broadcast_to(m, (len(rows),)))):
             if kind == "inside":
