@@ -24,6 +24,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -166,21 +167,33 @@ def _multilinear(table: np.ndarray, lo, frac, work: dict) -> np.ndarray:
     The value, the gathered corner term, the flat index and the corner
     weights live in `work` (see _work), and the result is a view into it,
     valid until the next call on the same `work`.
+
+    Each stencil is first copied dense over the trailing len(lo) axes of
+    the layout (solve_u's Hermite block), so the cell-index sum and the
+    corner-weight products run their inner loops over that whole block and
+    not over its last axis alone.  The index is that of the first corner;
+    every corner gathers from the view of the table shifted by its offset.
     """
     grid_shape = table.shape[2:]
     flat = table.reshape(table.shape[0], -1)
     strides = [math.prod(grid_shape[d + 1:]) for d in range(len(lo))]
     rows = np.arange(table.shape[1]).reshape((-1,) + (1,) * (lo[0].ndim - 1))
-    shape = np.broadcast_shapes(rows.shape, *(l.shape for l in lo))
-    index = np.multiply(rows, math.prod(grid_shape), out=_work(work, "index", shape, np.intp))
-    for l, st in zip(lo, strides):
+    shape = np.broadcast_shapes(rows.shape, *(l.shape for l in lo), *(y.shape for y in frac))
+    tail = max(1, len(shape) - len(lo))
+
+    def dense(a):
+        return np.broadcast_to(a, a.shape[:tail] + shape[tail:]).copy()
+
+    lo, frac = [dense(l) for l in lo], [dense(y) for y in frac]
+    index = np.add(rows * math.prod(grid_shape), lo[0] * strides[0],
+                   out=_work(work, "index", shape, np.intp))
+    for l, st in zip(lo[1:], strides[1:]):
         index += l * st
     sides = [(1.0 - y, y) for y in frac]
     value = _work(work, "value", (flat.shape[0],) + shape)
     term = _work(work, "term", value.shape)
     # summed onto zeros, not copied from the first term, so -0.0 reads 0.0
     value.fill(0.0)
-    shift = 0
     for corner in itertools.product((0, 1), repeat=len(lo)):
         weight = sides[0][corner[0]]
         for d in range(1, len(lo)):
@@ -188,10 +201,8 @@ def _multilinear(table: np.ndarray, lo, frac, work: dict) -> np.ndarray:
             weight = np.multiply(weight, side, out=_work(
                 work, ("weight", d % 2), np.broadcast_shapes(weight.shape, side.shape)))
         offset = sum(c * st for c, st in zip(corner, strides))
-        index += offset - shift
-        shift = offset
         # every index is inside the table, so "clip" only skips the bounds check
-        np.take(flat, index, axis=1, out=term, mode="clip")
+        np.take(flat[:, offset:], index, axis=1, out=term, mode="clip")
         term *= weight
         value += term
     return value
@@ -298,6 +309,18 @@ class RegularizingField:
     def certified(self) -> bool:
         return all(self.cap_checks().values())
 
+    @cached_property
+    def _design(self):
+        """The collocation matrix of the not-a-knot cubic B-splines at the grid nodes, every fit's."""
+        # scipy loads at a field's first fit, so a run that reads no field never pays for it
+        from scipy.interpolate import NdBSpline
+
+        nodes = np.stack(np.meshgrid(*self.axes, indexing="ij"), axis=-1)
+        matrix = NdBSpline.design_matrix(nodes.reshape(-1, len(self.axes)),
+                                         tuple(map(_cubic_knots, self.axes)), 3)
+        matrix.eliminate_zeros()
+        return matrix
+
     def _coefficients(self, kind: str, j: int) -> np.ndarray:
         """Cubic B-spline coefficients interpolating slice j of a table, (*grid, components).
 
@@ -308,20 +331,14 @@ class RegularizingField:
         """
         key = (kind, j)
         if key not in self._coefs:
-            # scipy loads at a field's first fit, so a run that reads no field never pays for it
-            from scipy.interpolate import NdBSpline
             from scipy.sparse.linalg import gcrotmk
 
             table = getattr(self, kind)[j]
             shape = table.shape[: len(self.axes)]
             vals = table.reshape(math.prod(shape), -1)
-            nodes = np.stack(np.meshgrid(*self.axes, indexing="ij"), axis=-1)
-            matrix = NdBSpline.design_matrix(nodes.reshape(vals.shape[0], -1),
-                                             tuple(map(_cubic_knots, self.axes)), 3)
-            matrix.eliminate_zeros()
             coef = np.empty_like(vals)
             for c in range(vals.shape[1]):
-                coef[:, c], info = gcrotmk(matrix, vals[:, c], atol=1e-6)
+                coef[:, c], info = gcrotmk(self._design, vals[:, c], atol=1e-6)
                 if info != 0:
                     raise CertificationError(
                         f"cubic fit of the {kind} table at slice {j} did not converge")
@@ -359,10 +376,10 @@ class RegularizingField:
         axis of x, or a scalar, which is read as one row holding all of x.
         Each time is clamped to [0, T]; a row at slice lo and offset frac
         reads (1 - frac) * A_lo(x) + frac * A_{lo+1}(x), the second term only
-        when frac > 0.  Each run of consecutive rows that share the slice and
-        the frac > 0 test is blended as one batch, and the cubic spatial
-        interpolation treats every point on its own, so a row's values are
-        bitwise those of a one-row call at its time.
+        when frac > 0.  The rows that share the slice and the frac > 0 test
+        are blended as one batch wherever they sit in x, and the cubic
+        spatial interpolation treats every point on its own, so a row's
+        values are bitwise those of a one-row call at its time.
         """
         x = np.asarray(x, dtype=float)
         n = self.n_modes
@@ -371,12 +388,14 @@ class RegularizingField:
         lo, frac = _axis_stencil(self.times,
                                  np.asarray(t, dtype=float).reshape(-1).clip(0.0, self.horizon))
         rows, weights = xb.reshape(frac.size, -1, n), frac.reshape(-1, 1, 1)
-        parts, a = [], 0
-        for (j, up), run in itertools.groupby(zip(lo.tolist(), (frac > 0.0).tolist())):
-            b = a + len(list(run))
-            parts.append(self._blend(kind, j, weights[a:b], up, rows[a:b]))
-            a = b
-        out = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        key = 2 * lo + (frac > 0.0)
+        if (key == key[0]).all():
+            out = self._blend(kind, int(lo[0]), weights, bool(frac[0] > 0.0), rows)
+        else:
+            out = np.empty(rows.shape[:2] + (math.prod(trailing),))
+            for k in np.unique(key).tolist():
+                sel = np.flatnonzero(key == k)
+                out[sel] = self._blend(kind, k // 2, weights[sel], k % 2 == 1, rows[sel])
         return out.reshape(x.shape[:-1] + trailing)
 
     def u_at(self, t, x: np.ndarray) -> np.ndarray:
@@ -539,6 +558,71 @@ def composite_smallness(field: RegularizingField, weight: WeightFunction) -> flo
     return lead * (field.norms["grad_a"] * j_int) ** (2.0 * p) + field.norms["grad"]
 
 
+def _live_rows(g_tab: np.ndarray):
+    """Rows i of a (..., n, n) grad u table holding a nonzero entry.
+
+    None when an entry is not finite or reaches 2**1000 in magnitude, which
+    selects every row: a linear blend or read of entries below that bound
+    stays finite, so the terms it skips are g * (+0.0) = +-0.0.
+    """
+    if not np.abs(g_tab).max() < 2.0**1000:
+        return None
+    return tuple(i for i in range(g_tab.shape[-1]) if g_tab[..., i, :].any())
+
+
+def _reached_modes(b_y: np.ndarray):
+    """Modes j whose component-major drift samples b_y[j] are not all +0.0.
+
+    None when a sample is -0.0 or not finite, which selects every mode.
+    """
+    lo, hi = b_y.min(axis=1), b_y.max(axis=1)
+    # -0.0 is the one float64 whose bits read as the least int64
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()) or (
+            b_y.view(np.int64) == np.iinfo(np.int64).min).any():
+        return None
+    return tuple(j for j in range(len(b_y)) if lo[j] or hi[j])
+
+
+def _drift_terms(live, reached, n: int) -> list:
+    """The rows of grad u . b + b a sweep builds, each as (i, modes j it keeps in adding order).
+
+    A row is built when it is live or reached, and it keeps the reached
+    modes when it is live and none otherwise.  When either input is None
+    every row is built with every mode.
+    """
+    # the order in which einsum("mgij,mgj->mgi") adds sum_j g_ij b_j in two
+    # SIMD lanes: even j, odd j, then the two lanes (left to right for
+    # n <= 2), which keeps the recorded field hashes at n = 3; n <= GH_DIM_CAP
+    # leaves one term in the odd lane
+    order = (0, *range(2, n, 2), *range(1, n, 2))
+    if live is None or reached is None:
+        return [(i, order) for i in range(n)]
+    return [(i, tuple(j for j in order if j in reached) if i in live else ())
+            for i in range(n) if i in live or i in reached]
+
+
+def _combine(terms: list, g, b: np.ndarray, out: np.ndarray, term: np.ndarray) -> None:
+    """out[a] = sum of g_ij * b[j] over the modes j that row a = (i, modes) keeps, then + b[i].
+
+    g holds the kept g_ij component-major, row by row and mode by mode in
+    the order of terms; None reads each as +0.0 (the zero seed).  A row that
+    keeps no mode is b[i] itself.
+    """
+    c = 0
+    for a, (i, modes) in enumerate(terms):
+        if not modes:
+            np.copyto(out[a], b[i])
+            continue
+        for k, j in enumerate(modes):
+            g_ij = 0.0 if g is None else g[c + k]
+            if k == 0:
+                np.multiply(g_ij, b[j], out=out[a])
+            else:
+                out[a] += np.multiply(g_ij, b[j], out=term)
+        c += len(modes)
+        out[a] += b[i]
+
+
 def solve_u(ref: ReferenceSemigroup, drift: Callable, lam: float, horizon: float,
             grid: ZvonkinGrid = ZvonkinGrid()) -> RegularizingField:
     """Picard-iterate the resolvent map until the tabulated fix point settles.
@@ -566,6 +650,22 @@ def solve_u(ref: ReferenceSemigroup, drift: Callable, lam: float, horizon: float
     array.  The drift must therefore be a deterministic function of (t, x);
     its result is copied, so it may return a view of its argument or reuse
     its output array.
+
+    A sweep computes only what can change a bit of the tables.  A chunk's
+    reached modes are those whose drift samples are not all +0.0 (kept with
+    the samples); a sweep's live rows are those of the grad u table that
+    hold a nonzero entry, none on the zero seed.  Only g_ij of a live row i
+    and a reached mode j is interpolated; a live row adds its kept terms in
+    the order of the full sum, then b_i, and any other row is b_i.  A
+    skipped term is g_ij * (+0.0) = +-0.0, which leaves a nonzero partial
+    sum unchanged, and the sign of a zero one shows only when b_i is -0.0.
+    So the selection is taken only when the table is finite (below 2**1000,
+    see _live_rows) and the chunk's samples are finite and hold no -0.0;
+    otherwise every row and mode is selected (the -0.0 of linear_drift at 0
+    does that).  The Hermite reductions run over the live or reached rows
+    alone: any other row of grad u . b + b is +0.0, and its +-0.0 terms
+    would leave the tables, which start at +0.0 and never hold -0.0,
+    unchanged.
 
     The iteration stops once a difference in the norm |u|_a + |grad u|_a
     falls below 1e-8, or after 100 sweeps.  The contraction factor is
@@ -651,28 +751,18 @@ def solve_u(ref: ReferenceSemigroup, drift: Callable, lam: float, horizon: float
     def sweep(g_in, with_hess=False):
         # the map integrates grad u . b + b, so only grad u is interpolated,
         # component-major: (n*n, slice, node); g_in None is the all-zero seed,
-        # which interpolates to +0.0 everywhere and is not read
+        # which interpolates to +0.0 everywhere, has no live row and is not read
         if g_in is not None:
             tab = g_in.reshape(n_t + 1, m_nodes, n * n).transpose(2, 0, 1)
+        live = () if g_in is None else _live_rows(g_in)
         u_out = np.zeros((n_t + 1, m_nodes, n))
         g_out = np.zeros((n_t + 1, m_nodes, n, n))
         h_out = np.zeros((n_t + 1, m_nodes, n, n, n)) if with_hess else None
         for chunk, (j, sl) in enumerate(chunks):
             k_slots = sl.stop - sl.start
-            if g_in is None:
-                g_y = None
-            else:
-                lo, frac = t_lo[sl], t_frac[sl, None]
-                table = (1.0 - frac) * tab[:, lo] + frac * tab[:, lo + 1]
-                # linear between nodes: grad u is already differentiated
-                # through the kernel, and nonnegative weights add no ringing
-                # between the coarse outer nodes
-                g_y = _multilinear(table.reshape(n * n, -1, *shape),
-                                   [c[sl] for c, _ in stencils],
-                                   [y[sl] for _, y in stencils], work).reshape(n, n, -1)
             # drift samples, component-major (n, slot * point), one slot at a
             # time, into an array of their own if the chunk is kept
-            b_y = kept.get(chunk)
+            b_y, reached = kept.get(chunk, (None, None))
             if b_y is None:
                 b_y = (np.empty((n, k_slots * per_slot)) if keep[chunk]
                        else _work(work, "b_y", (n, k_slots * per_slot)))
@@ -682,43 +772,58 @@ def solve_u(ref: ReferenceSemigroup, drift: Callable, lam: float, horizon: float
                     np.copyto(b_y[:, s * per_slot:(s + 1) * per_slot],
                               np.asarray(drift(t, pts.reshape(-1, n)),
                                          dtype=float).reshape(-1, n).T)
+                reached = _reached_modes(b_y)
                 if keep[chunk]:
-                    kept[chunk] = b_y
-            # sum_j g_ij b_j in the order einsum("mgij,mgj->mgi") adds it in
-            # two SIMD lanes: even j, odd j, then the two lanes (left to right
-            # for n <= 2), which keeps the recorded field hashes at n = 3;
-            # n <= GH_DIM_CAP leaves one term in the odd lane; on the zero
-            # seed every g_ij is +0.0 and the products keep their signed zeros
-            gvec = _work(work, "gvec", b_y.shape)
-            term = _work(work, "gvec_term", b_y.shape[1:])
-            for i in range(n):
-                np.multiply(0.0 if g_y is None else g_y[i, 0], b_y[0], out=gvec[i])
-                for jj in (*range(2, n, 2), *range(1, n, 2)):
-                    gvec[i] += np.multiply(0.0 if g_y is None else g_y[i, jj], b_y[jj],
-                                           out=term)
-                gvec[i] += b_y[i]
+                    kept[chunk] = b_y, reached
+            terms = _drift_terms(live, reached, n)
+            if not terms:
+                continue
+            comps = [i * n + jj for i, modes in terms for jj in modes]
+            if g_in is None or not comps:
+                g_y = None
+            else:
+                lo, frac = t_lo[sl], t_frac[sl, None]
+                sub = tab[comps]
+                table = (1.0 - frac) * sub[:, lo] + frac * sub[:, lo + 1]
+                # linear between nodes: grad u is already differentiated
+                # through the kernel, and nonnegative weights add no ringing
+                # between the coarse outer nodes
+                g_y = _multilinear(table.reshape(len(comps), -1, *shape),
+                                   [c[sl] for c, _ in stencils],
+                                   [y[sl] for _, y in stencils], work).reshape(len(comps), -1)
+            # grad u . b + b on the rows built; on the zero seed every g_ij is
+            # +0.0 and the products keep their signed zeros
+            rows = [i for i, _ in terms]
+            r = len(rows)
+            gvec = _work(work, "gvec", (r,) + b_y.shape[1:])
+            _combine(terms, g_y, b_y, gvec, _work(work, "gvec_term", b_y.shape[1:]))
             # the Hermite reductions run over (Hermite, i, slot * node) rows,
             # where einsum adds the terms of each point in Hermite order, as it
             # does in the per-point layout (node, Hermite, i); at n = 1 that
             # layout holds a point's terms contiguously and einsum adds them in
             # SIMD lanes instead, so u is reduced in it there
-            by_g = _work(work, "by_g", (w.size, n, k_slots * m_nodes))
-            np.copyto(by_g, gvec.reshape(n, -1, w.size).transpose(2, 0, 1))
+            by_g = _work(work, "by_g", (w.size, r, k_slots * m_nodes))
+            np.copyto(by_g, gvec.reshape(r, -1, w.size).transpose(2, 0, 1))
             if n == 1:
                 u_sum = np.einsum("g,smgi->ism", w, gvec.reshape(k_slots, m_nodes, -1, 1))
             else:
-                u_sum = np.einsum("g,gis->is", w, by_g).reshape(n, k_slots, m_nodes)
+                u_sum = np.einsum("g,gis->is", w, by_g).reshape(r, k_slots, m_nodes)
             u_part = wq[sl, None] * u_sum
             g_part = wq[sl, None] * np.einsum("g,gis,gj->ijs", w, by_g, z).reshape(
-                n, n, k_slots, m_nodes) * stein[sl].T[:, :, None]
+                r, n, k_slots, m_nodes) * stein[sl].T[:, :, None]
+            # each slot's part is added in slot order to the rows built here
+            u_acc, g_acc = u_out[j][:, rows], g_out[j][:, rows]
+            for k in range(k_slots):
+                u_acc += u_part[:, k].T
+                g_acc += g_part[:, :, k].transpose(2, 0, 1)
+            u_out[j][:, rows], g_out[j][:, rows] = u_acc, g_acc
             if with_hess:
                 h_part = wq[sl, None] * np.einsum("g,gis,gjk->ijks", w, by_g, pair).reshape(
-                    n, n, n, k_slots, m_nodes) * scale[sl].transpose(1, 2, 0)[..., None]
-            for k in range(k_slots):
-                u_out[j] += u_part[:, k].T
-                g_out[j] += g_part[:, :, k].transpose(2, 0, 1)
-                if with_hess:
-                    h_out[j] += h_part[:, :, :, k].transpose(3, 0, 1, 2)
+                    r, n, n, k_slots, m_nodes) * scale[sl].transpose(1, 2, 0)[..., None]
+                h_acc = h_out[j][:, rows]
+                for k in range(k_slots):
+                    h_acc += h_part[:, :, :, k].transpose(3, 0, 1, 2)
+                h_out[j][:, rows] = h_acc
         return u_out, g_out, h_out
 
     def joint_norm(du, dg):

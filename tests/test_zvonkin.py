@@ -276,22 +276,43 @@ class TestRecordedFields:
                        "{'u_a': 0.0023301484399715078, 'grad_a': 0.0022979182316714827, "
                        "'grad': 0.0014533310977816714, 'sqrtA_grad': 0.0022979182316714827, "
                        "'hess': 0.07130776963299462}"),
+        # the drift along e1, as every field of the lab has it: modes 2..n of
+        # b and rows 2..n of grad u are +0.0, so the sweep selects g_11 alone;
+        # recorded by the sweep that interpolated and reduced every entry
+        "n2-e1-chunked": (2, 60.0, 7, zv.ZvonkinGrid(time_steps=2, nodes_per_dim=9,
+                                                     quad_panels=4, quad_order=5),
+                          "3430ba52e432cee1e82d74eb3d73b8bf2b02e972f08d911cf18ea56f47e10553",
+                          "0.0025674223011270345",
+                          "{'u_a': 0.0014736988012174666, 'grad_a': 0.0014546778538851307, "
+                          "'grad': 0.0014546778538851307, 'sqrtA_grad': 0.0014546778538851307, "
+                          "'hess': 0.07130774079768555}"),
+        "n3-e1": (3, 80.0, 3, zv.ZvonkinGrid(time_steps=2, nodes_per_dim=5, quad_panels=2,
+                                             quad_order=3),
+                  "dc06ddbd300f85e7dcf22780a1358df0ea5bf21197ce4c1a530f60952576b582",
+                  "0.0011667645531708406",
+                  "{'u_a': 0.001105282216770025, 'grad_a': 0.0005082028208080981, "
+                  "'grad': 0.0005082028208080981, 'sqrtA_grad': 0.0005082028208080981, "
+                  "'hess': 0.06390768172103953}"),
     }
 
     @staticmethod
     def solve(name, wrap=lambda drift: drift):
-        """The recorded solve of case `name`, with its drift passed through `wrap`."""
+        """The recorded solve of case `name`, with its drift passed through `wrap`.
+
+        The drift points along e1 for an "-e1" case and along the diagonal
+        otherwise, where every component of b and every term of grad u . b
+        is nonzero.
+        """
         n, lam, order, grid = TestRecordedFields.CASES[name][:4]
         ref = zv.ReferenceSemigroup(an.Spectrum(n), np.ones(n), quad_order=order)
-        # along the diagonal, so every component of b and every term of
-        # grad u . b is nonzero
-        drift = sim.dini_drift(an.log_dini_modulus(scale=0.4), np.ones(n))
+        direction = np.eye(n)[0] if "-e1" in name else np.ones(n)
+        drift = sim.dini_drift(an.log_dini_modulus(scale=0.4), direction)
         return zv.solve_u(ref, wrap(drift), lam, 1.0, grid)
 
     @pytest.mark.parametrize("name", list(CASES))
     def test_field_matches_recorded_hash(self, name):
         n, lam, order, grid, content, factor, norms = self.CASES[name]
-        if name == "n2-chunked":
+        if name.endswith("-chunked"):
             slots = zv._warped_time_rule(lam, 1.0, grid)[0].size
             assert slots * grid.nodes_per_dim**n * order**n > zv.CHUNK_POINTS
         fld = self.solve(name)
@@ -333,15 +354,16 @@ class TestKeptDriftSamples:
         assert fld.content_hash() == TestRecordedFields.CASES[name][4]
 
     def test_solve_beyond_budget_keeps_a_prefix(self):
-        calls = []
-        fld = TestRecordedFields.solve("n2-chunked", self.counted(calls))
-        slots, floats = self.slots_and_floats("n2-chunked", fld)
-        assert floats > zv.KEPT_DRIFT_FLOATS
-        assert slots < len(calls) < slots * (fld.iterations + 1)
-        content, factor, norms = TestRecordedFields.CASES["n2-chunked"][4:]
-        assert fld.content_hash() == content
-        assert repr(fld.contraction_factor) == factor
-        assert repr(fld.norms) == norms
+        for name in ("n2-chunked", "n2-e1-chunked"):
+            calls = []
+            fld = TestRecordedFields.solve(name, self.counted(calls))
+            slots, floats = self.slots_and_floats(name, fld)
+            assert floats > zv.KEPT_DRIFT_FLOATS
+            assert slots < len(calls) < slots * (fld.iterations + 1)
+            content, factor, norms = TestRecordedFields.CASES[name][4:]
+            assert fld.content_hash() == content
+            assert repr(fld.contraction_factor) == factor
+            assert repr(fld.norms) == norms
 
     def test_kept_samples_do_not_alias_the_drift_result(self):
         # the identity drift returns a view of the point buffer the sweep
@@ -356,6 +378,117 @@ class TestKeptDriftSamples:
         hashes = {TestRecordedFields.solve("n2", lambda _: drift).content_hash()
                   for drift in (lambda t, x: x, lambda t, x: np.array(x), reused)}
         assert len(hashes) == 1
+
+
+_SPECIALS = (-0.0, math.inf, -math.inf, math.nan)
+
+
+@st.composite
+def _drift_products(draw):
+    """g (n, n, points) and component-major b (n, points) for grad u . b + b.
+
+    Some rows of g and some modes of b are +0.0 throughout; entries reach
+    the whole float range, and one entry of g or b may be -0.0, +-inf or NaN.
+    """
+    n, points = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    value = st.one_of(st.floats(-1e3, 1e3), st.floats(allow_nan=False, allow_infinity=False))
+    g = np.array(draw(st.lists(value, min_size=n * n * points,
+                               max_size=n * n * points))).reshape(n, n, points)
+    b = np.array(draw(st.lists(value, min_size=n * points, max_size=n * points))).reshape(n, points)
+    g[sorted(draw(st.sets(st.integers(0, n - 1))))] = 0.0
+    b[sorted(draw(st.sets(st.integers(0, n - 1))))] = 0.0
+    special = draw(st.none() | st.tuples(st.sampled_from(("g", "b")), st.sampled_from(_SPECIALS),
+                                         st.integers(0, n * n * points - 1)))
+    if special is not None:
+        target, v, at = special
+        arr = g if target == "g" else b
+        arr.reshape(-1)[at % arr.size] = v
+    return g, b
+
+
+def _full_sum(g, b):
+    """grad u . b + b with every term, in the sweep's adding order: j = 0, even j, odd j."""
+    n = len(b)
+    out, term = np.empty_like(b), np.empty_like(b[0])
+    for i in range(n):
+        np.multiply(g[i, 0], b[0], out=out[i])
+        for j in (*range(2, n, 2), *range(1, n, 2)):
+            out[i] += np.multiply(g[i, j], b[j], out=term)
+        out[i] += b[i]
+    return out
+
+
+class TestSweepSelection:
+    """The sweep builds and interpolates only what can change a bit of the tables."""
+
+    @given(_drift_products())
+    @example((np.array([[[1.0]]]), np.array([[-0.0]])))
+    @example((np.array([[[0.0, 0.0], [1.0, 2.0]]]).reshape(2, 2, 1), np.array([[0.0], [-0.0]])))
+    @example((np.array([[2.0, 0.0], [0.0, 0.0]]).reshape(2, 2, 1), np.array([[-1.0], [0.0]])))
+    @example((np.full((2, 2, 1), math.nan), np.array([[1.0], [0.0]])))
+    @example((np.full((3, 3, 1), 1e306), np.array([[1.0], [0.0], [0.0]])))
+    def test_selected_terms_equal_the_full_sum_bytes(self, case):
+        g, b = case
+        n = len(b)
+        terms = zv._drift_terms(zv._live_rows(np.moveaxis(g, -1, 0)), zv._reached_modes(b), n)
+        kept = np.array([g[i, j] for i, modes in terms for j in modes]).reshape(-1, b.shape[1])
+        got = np.empty((len(terms),) + b.shape[1:])
+        with np.errstate(all="ignore"):  # products may overflow and inf - inf is NaN
+            zv._combine(terms, kept, b, got, np.empty(b.shape[1:]))
+            full = _full_sum(g, b)
+        built = [i for i, _ in terms]
+        assert [row.tobytes() for row in got] == [full[i].tobytes() for i in built]
+        # a row left out is +0.0 throughout, so the reductions may skip it
+        for i in set(range(n)) - set(built):
+            assert full[i].tobytes() == np.zeros_like(full[i]).tobytes()
+        unsafe = (not np.isfinite(b).all() or not np.isfinite(g).all()
+                  or np.any((b == 0.0) & np.signbit(b)))
+        if unsafe:
+            order = (0, *range(2, n, 2), *range(1, n, 2))
+            assert terms == [(i, order) for i in range(n)]
+
+    @staticmethod
+    def components_per_call(monkeypatch, solve):
+        """The component count of every _multilinear call `solve` makes, and its field."""
+        real, calls = zv._multilinear, []
+
+        def spy(table, lo, frac, work):
+            calls.append(table.shape[0])
+            return real(table, lo, frac, work)
+
+        monkeypatch.setattr(zv, "_multilinear", spy)
+        return calls, solve()
+
+    @staticmethod
+    def chunk_count(name, fld):
+        """Chunks of one sweep of case `name`: runs of at most per_chunk slots per slice."""
+        n, lam, order, grid = TestRecordedFields.CASES[name][:4]
+        per_chunk = max(1, zv.CHUNK_POINTS // (grid.nodes_per_dim**n * order**n))
+        return sum(-(-zv._warped_time_rule(lam, fld.horizon - t, grid)[0].size // per_chunk)
+                   for t in fld.times[:-1])
+
+    @pytest.mark.parametrize("name, components", [
+        ("n2-e1-chunked", 1), ("n3-e1", 1), ("n2", 4), ("n3", 9)])
+    def test_sweeps_interpolate_the_live_reached_entries(self, monkeypatch, name, components):
+        calls, fld = self.components_per_call(
+            monkeypatch, lambda: TestRecordedFields.solve(name))
+        # the first sweep reads the zero seed; each later one, the final
+        # sweep too, interpolates once per chunk
+        assert calls == [components] * (fld.iterations * self.chunk_count(name, fld))
+        assert fld.content_hash() == TestRecordedFields.CASES[name][4]
+
+    def test_zero_drift_interpolates_nothing(self, monkeypatch):
+        calls, fld = self.components_per_call(monkeypatch, lambda: TestRecordedFields.solve(
+            "n2", lambda _: sim.zero_drift()))
+        assert calls == [] and fld.iterations == 1
+        assert not fld.u.any() and not fld.grad.any() and not fld.hess.any()
+
+    def test_negative_zero_drift_takes_the_full_selection(self, monkeypatch):
+        # -rate * 0.0 is -0.0 at the query points on the origin
+        calls, fld = self.components_per_call(monkeypatch, lambda: TestRecordedFields.solve(
+            "n2", lambda _: sim.linear_drift(0.5)))
+        assert fld.iterations >= 2
+        assert calls == [4] * (fld.iterations * self.chunk_count("n2", fld))
 
 
 class TestThreshold:
