@@ -272,7 +272,8 @@ def run_classcheck(cfg: ExperimentConfig) -> ExperimentResult:
 def run_simulate(cfg: ExperimentConfig) -> ExperimentResult:
     spec, delay, horizon, dt, seed, coeffs = _inputs(cfg)
     xi = default_initial_segment(spec, delay, dt)
-    res = simulate_ensemble(coeffs, xi, horizon, dt, spec, seed=seed)
+    res = simulate_ensemble(coeffs, xi, horizon, dt, spec,
+                            NoisePath.generate(seed, _steps(horizon, dt), coeffs.noise_dim, dt))
     life, lags = float(res.life_times[0]), _steps(delay, dt)
     # path 0 up to its life time: the history, then one row per step
     kept = res.states.shape[0] if math.isinf(life) else lags + round(life / dt) + 1
@@ -431,11 +432,9 @@ def run_galerkin(cfg: ExperimentConfig) -> ExperimentResult:
 
     def projected_error(n: int) -> float:
         sub_spec = Spectrum(n, spec.growth_coeff, spec.growth_power, spec.trace_exponent)
-        sub_cfg_coeffs = _project_coefficients(coeffs, spec.n_modes, n)
         sub_xi = SegmentPath(delay, dt, xi.values[:, :n])
-        sub_noise = NoisePath(noise.increments[:, :, :n], dt)
-        sub = simulate_ensemble(sub_cfg_coeffs, sub_xi, horizon, dt, spec=sub_spec,
-                                noise=sub_noise)
+        sub = simulate_ensemble(build_coefficients(cfg, sub_spec, delay), sub_xi, horizon,
+                                dt, sub_spec, NoisePath(noise.increments[:, :, :n], dt))
         diff = ref_tail.copy()
         diff[:, :, :n] -= sub.states[-lags - 1:]
         seg_sup = np.linalg.norm(diff, axis=-1).max(axis=0)
@@ -452,42 +451,6 @@ def run_galerkin(cfg: ExperimentConfig) -> ExperimentResult:
                 "reference_exact": errors[-1] == 0.0}
     return ExperimentResult("galerkin", cfg.hash(), seed, to_jsonable(metrics), verdicts,
                             tables={"sweep": (("modes", "mean_sq_segment_error"), rows)})
-
-
-def _project_coefficients(coeffs: CoefficientSet, n_full: int, n: int) -> CoefficientSet:
-    """Galerkin image of the coefficients: embed, evaluate, project."""
-
-    def pad(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1] + (n_full,))
-        out[..., :n] = x
-        return out
-
-    def drift(t, x):
-        return np.asarray(coeffs.drift(t, pad(x)), dtype=float)[..., :n]
-
-    class _PaddedView:
-        def __init__(self, view):
-            self._view = view
-
-        def value_at(self, s):
-            return pad(self._view.value_at(s))
-
-        def sup_norm(self):
-            return self._view.sup_norm()
-
-    def delay_drift(t, view):
-        return np.asarray(coeffs.delay_drift(t, _PaddedView(view)), dtype=float)[..., :n]
-
-    def diffusion(t, x):
-        full = np.asarray(coeffs.diffusion_matrix(t, pad(x)), dtype=float)
-        return full[..., :n, :n]
-
-    from dataclasses import replace
-
-    diag = None if coeffs.diag_noise is None else coeffs.diag_noise[:n]
-    return replace(coeffs, drift=drift, delay_drift=delay_drift, diffusion=diffusion,
-                   diag_noise=diag, noise_dim=n)
 
 
 # ---------------------------------------------------------------------------
@@ -512,8 +475,8 @@ def run_nonexplosion(cfg: ExperimentConfig) -> ExperimentResult:
     paths = section["paths"]
     lyap = build_lyapunov(coeffs, cfg)
     xi = default_initial_segment(spec, delay, dt)
-    result = simulate_ensemble(coeffs, xi, horizon, dt, spec, n_paths=paths, seed=seed,
-                               record_convolution=True)
+    noise = NoisePath.generate(seed, _steps(horizon, dt), coeffs.noise_dim, dt, paths)
+    result = simulate_ensemble(coeffs, xi, horizon, dt, spec, noise, record_convolution=True)
     exploded = int(np.count_nonzero(result.exploded))
     margins = simulator.bihari_margin(lyap, xi, result)
     min_margin = float(np.min(margins))
@@ -528,8 +491,10 @@ def run_nonexplosion(cfg: ExperimentConfig) -> ExperimentResult:
         ctrl = simulator.make_coefficients(
             1, drift=simulator.cubic_drift(1.0), diag_noise=np.array([0.1]))
         ctrl_xi = SegmentPath.constant(np.array([start]), delay, dt)
-        ctrl_res = simulate_ensemble(ctrl, ctrl_xi, float(section["control_horizon"]),
-                                     dt, ctrl_spec, n_paths=min(paths, 100), seed=seed + 1)
+        ctrl_horizon = float(section["control_horizon"])
+        ctrl_noise = NoisePath.generate(seed + 1, _steps(ctrl_horizon, dt), ctrl.noise_dim, dt,
+                                        min(paths, 100))
+        ctrl_res = simulate_ensemble(ctrl, ctrl_xi, ctrl_horizon, dt, ctrl_spec, ctrl_noise)
         ctrl_exploded = int(np.count_nonzero(ctrl_res.exploded))
         verdicts["negative_control_explodes"] = ctrl_exploded > 0
         metrics["control_exploded"] = ctrl_exploded

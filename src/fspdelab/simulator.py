@@ -285,10 +285,9 @@ def _full_drift(coeffs: CoefficientSet, t: float, x: np.ndarray,
 
 
 def simulate_ensemble(coeffs: CoefficientSet, xi: SegmentPath, horizon: float,
-                      grid_step: float, spec: Spectrum, noise: NoisePath | None = None,
-                      *, n_paths: int = 1, seed: int | None = None,
-                      record_convolution: bool = False) -> EnsembleResult:
-    """Integrate the mild equation for a batch of paths sharing one noise array.
+                      grid_step: float, spec: Spectrum, noise: NoisePath,
+                      *, record_convolution: bool = False) -> EnsembleResult:
+    """Integrate the mild equation for the paths of `noise`, one per noise row.
 
     The per-step norms come from `_row_norms`, which gives the bits of
     `np.linalg.norm(x, axis=-1)` for real input, so `norms` holds them for
@@ -310,10 +309,6 @@ def simulate_ensemble(coeffs: CoefficientSet, xi: SegmentPath, horizon: float,
         raise InputError("initial segment has more modes than the spectrum")
     lam = spec.eigenvalues[:n]
 
-    if noise is None:
-        if seed is None:
-            raise InputError("either a noise path or a seed is required")
-        noise = NoisePath.generate(seed, steps, coeffs.noise_dim, grid_step, n_paths)
     if noise.n_steps < steps:
         raise InputError("noise path shorter than the simulation horizon")
     if abs(noise.grid_step - grid_step) > 1e-12:
@@ -376,13 +371,11 @@ def simulate_ensemble(coeffs: CoefficientSet, xi: SegmentPath, horizon: float,
 def smooth_cutoff(u):
     """C-infinity cutoff: 1 on [0, 1], 0 on [2, inf), monotone between.
 
-    When every argument is <= 1 the result is all ones without evaluating
-    the formula: that is exactly what the outer `np.where` picks there.
-    NaN and inf fail `u <= 1`, so an array holding one takes the formula.
+    The formula is evaluated on every argument and the outer `np.where`
+    picks exactly 1.0 at u <= 1.  A batch whose every row is within its
+    level never gets here: `truncate_coeffs` returns its values first.
     """
     u = np.asarray(u, dtype=float)
-    if np.all(u <= 1.0):
-        return np.ones_like(u)
     with np.errstate(over="ignore", under="ignore"):
         lo = np.exp(np.where(u < 2.0, -1.0 / np.maximum(2.0 - u, 1e-300), -np.inf))
         hi = np.exp(np.where(u > 1.0, -1.0 / np.maximum(u - 1.0, 1e-300), -np.inf))

@@ -516,18 +516,25 @@ class RegularizingField:
         return field
 
 
+def _weighted_norms(u, grad, aw: np.ndarray) -> tuple:
+    """(|u|_a, |grad u|_a): the largest norm of a(-A) u and of a(-A) grad u over the points."""
+    n = aw.size
+    u_a = float(np.max(np.linalg.norm(u * aw, axis=-1))) if u.size else 0.0
+    svals_a = np.linalg.svd(grad.reshape(-1, n, n) * aw[None, :, None], compute_uv=False)[..., 0]
+    return u_a, float(np.max(svals_a))
+
+
 def _field_norms(spec: Spectrum, weight: WeightFunction, u, grad, hess) -> dict:
     aw = np.asarray(weight(spec.eigenvalues), dtype=float)
     sq = np.sqrt(spec.eigenvalues)
-    u_a = float(np.max(np.linalg.norm(u * aw, axis=-1))) if u.size else 0.0
+    u_a, grad_a = _weighted_norms(u, grad, aw)
     flat_grad = grad.reshape(-1, spec.n_modes, spec.n_modes)
     svals = np.linalg.svd(flat_grad, compute_uv=False)[..., 0]
-    svals_a = np.linalg.svd(flat_grad * aw[None, :, None], compute_uv=False)[..., 0]
     svals_sq = np.linalg.svd(flat_grad * sq[None, :, None], compute_uv=False)[..., 0]
     hess_norm = _bilinear_norm(hess.reshape(-1, *hess.shape[-3:]))
     return {
         "u_a": u_a,
-        "grad_a": float(np.max(svals_a)),
+        "grad_a": grad_a,
         "grad": float(np.max(svals)),
         "sqrtA_grad": float(np.max(svals_sq)),
         "hess": hess_norm,
@@ -605,8 +612,8 @@ def _combine(terms: list, g, b: np.ndarray, out: np.ndarray, term: np.ndarray) -
     """out[a] = sum of g_ij * b[j] over the modes j that row a = (i, modes) keeps, then + b[i].
 
     g holds the kept g_ij component-major, row by row and mode by mode in
-    the order of terms; None reads each as +0.0 (the zero seed).  A row that
-    keeps no mode is b[i] itself.
+    the order of terms.  A row that keeps no mode is b[i] itself, and g is
+    not read when no row keeps a mode.
     """
     c = 0
     for a, (i, modes) in enumerate(terms):
@@ -614,11 +621,10 @@ def _combine(terms: list, g, b: np.ndarray, out: np.ndarray, term: np.ndarray) -
             np.copyto(out[a], b[i])
             continue
         for k, j in enumerate(modes):
-            g_ij = 0.0 if g is None else g[c + k]
             if k == 0:
-                np.multiply(g_ij, b[j], out=out[a])
+                np.multiply(g[c + k], b[j], out=out[a])
             else:
-                out[a] += np.multiply(g_ij, b[j], out=term)
+                out[a] += np.multiply(g[c + k], b[j], out=term)
         c += len(modes)
         out[a] += b[i]
 
@@ -654,18 +660,20 @@ def solve_u(ref: ReferenceSemigroup, drift: Callable, lam: float, horizon: float
     A sweep computes only what can change a bit of the tables.  A chunk's
     reached modes are those whose drift samples are not all +0.0 (kept with
     the samples); a sweep's live rows are those of the grad u table that
-    hold a nonzero entry, none on the zero seed.  Only g_ij of a live row i
-    and a reached mode j is interpolated; a live row adds its kept terms in
-    the order of the full sum, then b_i, and any other row is b_i.  A
-    skipped term is g_ij * (+0.0) = +-0.0, which leaves a nonzero partial
-    sum unchanged, and the sign of a zero one shows only when b_i is -0.0.
+    hold a nonzero entry.  Only g_ij of a live row i and a reached mode j is
+    interpolated; a live row adds its kept terms in the order of the full
+    sum, then b_i, and any other row is b_i.  A skipped term is
+    g_ij * (+0.0) = +-0.0, which leaves a nonzero partial sum unchanged,
+    and the sign of a zero one shows only when b_i is -0.0.
     So the selection is taken only when the table is finite (below 2**1000,
     see _live_rows) and the chunk's samples are finite and hold no -0.0;
     otherwise every row and mode is selected (the -0.0 of linear_drift at 0
     does that).  The Hermite reductions run over the live or reached rows
     alone: any other row of grad u . b + b is +0.0, and its +-0.0 terms
     would leave the tables, which start at +0.0 and never hold -0.0,
-    unchanged.
+    unchanged.  The first sweep reads the all-zero seed table like any
+    other: it has no live row, so it interpolates nothing unless every row
+    and mode is selected, and then each read is +0.0.
 
     The iteration stops once a difference in the norm |u|_a + |grad u|_a
     falls below 1e-8, or after 100 sweeps.  The contraction factor is
@@ -750,11 +758,9 @@ def solve_u(ref: ReferenceSemigroup, drift: Callable, lam: float, horizon: float
 
     def sweep(g_in, with_hess=False):
         # the map integrates grad u . b + b, so only grad u is interpolated,
-        # component-major: (n*n, slice, node); g_in None is the all-zero seed,
-        # which interpolates to +0.0 everywhere, has no live row and is not read
-        if g_in is not None:
-            tab = g_in.reshape(n_t + 1, m_nodes, n * n).transpose(2, 0, 1)
-        live = () if g_in is None else _live_rows(g_in)
+        # component-major: (n*n, slice, node)
+        tab = g_in.reshape(n_t + 1, m_nodes, n * n).transpose(2, 0, 1)
+        live = _live_rows(g_in)
         u_out = np.zeros((n_t + 1, m_nodes, n))
         g_out = np.zeros((n_t + 1, m_nodes, n, n))
         h_out = np.zeros((n_t + 1, m_nodes, n, n, n)) if with_hess else None
@@ -779,7 +785,7 @@ def solve_u(ref: ReferenceSemigroup, drift: Callable, lam: float, horizon: float
             if not terms:
                 continue
             comps = [i * n + jj for i, modes in terms for jj in modes]
-            if g_in is None or not comps:
+            if not comps:
                 g_y = None
             else:
                 lo, frac = t_lo[sl], t_frac[sl, None]
@@ -791,8 +797,7 @@ def solve_u(ref: ReferenceSemigroup, drift: Callable, lam: float, horizon: float
                 g_y = _multilinear(table.reshape(len(comps), -1, *shape),
                                    [c[sl] for c, _ in stencils],
                                    [y[sl] for _, y in stencils], work).reshape(len(comps), -1)
-            # grad u . b + b on the rows built; on the zero seed every g_ij is
-            # +0.0 and the products keep their signed zeros
+            # grad u . b + b on the rows built
             rows = [i for i, _ in terms]
             r = len(rows)
             gvec = _work(work, "gvec", (r,) + b_y.shape[1:])
@@ -826,17 +831,13 @@ def solve_u(ref: ReferenceSemigroup, drift: Callable, lam: float, horizon: float
                 h_out[j][:, rows] = h_acc
         return u_out, g_out, h_out
 
-    def joint_norm(du, dg):
-        val = float(np.max(np.linalg.norm(du * aw, axis=-1))) if du.size else 0.0
-        sv = np.linalg.svd(dg.reshape(-1, n, n) * aw[None, :, None], compute_uv=False)[..., 0]
-        return val + float(np.max(sv))
-
     diffs = []
     converged = False
     iterations = 0
     for it in range(100):
-        u_new, g_new, _ = sweep(g_tab if it else None)
-        delta = joint_norm(u_new - u_tab, g_new - g_tab)
+        u_new, g_new, _ = sweep(g_tab)
+        du_a, dg_a = _weighted_norms(u_new - u_tab, g_new - g_tab, aw)
+        delta = du_a + dg_a
         u_tab, g_tab = u_new, g_new
         iterations = it + 1
         diffs.append(delta)

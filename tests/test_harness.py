@@ -138,10 +138,11 @@ class TestSimulateExperiment:
         # the same run again: its stored norms from t = 0 on, up to the horizon
         spec = experiments.build_spectrum(cfg)
         delay, dt = cfg.data["time"]["delay"], cfg.data["time"]["grid_step"]
+        coeffs = experiments.build_coefficients(cfg, spec, delay)
         res = sim.simulate_ensemble(
-            experiments.build_coefficients(cfg, spec, delay),
-            experiments.default_initial_segment(spec, delay, dt), 3.0, dt, spec,
-            seed=cfg.data["montecarlo"]["seed"])
+            coeffs, experiments.default_initial_segment(spec, delay, dt), 3.0, dt, spec,
+            sim.NoisePath.generate(cfg.data["montecarlo"]["seed"], _steps(3.0, dt),
+                                   coeffs.noise_dim, dt))
         assert res.life_times[0] == life
         norms = res.norms[_steps(delay, dt):, 0]
         assert result.metrics["stopping_times"] == {
@@ -195,7 +196,70 @@ class TestUniquenessExperiment:
         assert max(result.metrics["pair_gaps"]) <= 1e-12
 
 
+def _padded_projection(coeffs: sim.CoefficientSet, n_full: int, n: int) -> sim.CoefficientSet:
+    """Galerkin image of n_full-mode coefficients on the first n modes: embed, evaluate, project."""
+
+    def pad(x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape[:-1] + (n_full,))
+        out[..., :n] = x
+        return out
+
+    class PaddedView:
+        def __init__(self, view):
+            self._view = view
+
+        def value_at(self, s):
+            return pad(self._view.value_at(s))
+
+        def sup_norm(self):
+            return self._view.sup_norm()
+
+    diag = None if coeffs.diag_noise is None else coeffs.diag_noise[:n]
+    return replace(
+        coeffs, drift=lambda t, x: np.asarray(coeffs.drift(t, pad(x)), dtype=float)[..., :n],
+        delay_drift=lambda t, view: np.asarray(
+            coeffs.delay_drift(t, PaddedView(view)), dtype=float)[..., :n],
+        diffusion=lambda t, x: np.asarray(
+            coeffs.diffusion_matrix(t, pad(x)), dtype=float)[..., :n, :n],
+        diag_noise=diag, noise_dim=n)
+
+
 class TestGalerkinExperiment:
+    def test_default_report_hash_is_pinned(self):
+        # recorded when the sub-runs projected the 32-mode coefficients
+        result = run_galerkin(ExperimentConfig.defaults("galerkin"))
+        assert result.report_hash() == \
+            "45928fae296b149afbad1e32bf2dc3bed51f2a87695cd0404c3e6ee738e6a509"
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("diffusion", [
+        {"kind": "diag"}, {"kind": "state_diag", "amplitude": 0.8, "frequency": 3.0}])
+    @pytest.mark.parametrize("delay_drift", ["shift", "tanh", "zero"])
+    @pytest.mark.parametrize("drift", [
+        {"kind": "dini"}, {"kind": "linear", "rate": 1.0}, {"kind": "cubic"}, {"kind": "zero"}])
+    def test_sub_run_built_at_n_modes_equals_the_projection_bytes(self, drift, delay_drift,
+                                                                   diffusion, n):
+        # every built-in coefficient commutes with zero-padding, so the
+        # n-mode system of the config steps exactly as the projected one
+        cfg = ExperimentConfig.defaults("galerkin", {
+            "spectrum": {"n_modes": 8},
+            "coefficients": {"drift": drift, "delay_drift": {"kind": delay_drift},
+                             "diffusion": diffusion},
+            "galerkin": {"mode_counts": [1, 2, 5], "reference_modes": 8, "paths": 8},
+        })
+        spec, delay, horizon, dt, seed, coeffs = experiments._inputs(cfg)
+        xi = experiments.default_initial_segment(spec, delay, dt)
+        noise = sim.NoisePath.generate(seed, _steps(horizon, dt), coeffs.noise_dim, dt, 8)
+        sub_spec = an.Spectrum(n, spec.growth_coeff, spec.growth_power, spec.trace_exponent)
+        sub_xi = SegmentPath(delay, dt, xi.values[:, :n])
+        sub_noise = sim.NoisePath(noise.increments[:, :, :n], dt)
+        built, projected = (sim.simulate_ensemble(c, sub_xi, horizon, dt, sub_spec, sub_noise)
+                            for c in (experiments.build_coefficients(cfg, sub_spec, delay),
+                                      _padded_projection(coeffs, spec.n_modes, n)))
+        assert built.states.tobytes() == projected.states.tobytes()
+        assert np.isfinite(built.states).all() and built.states[-1].any()
+
     def test_reference_level_error_exactly_zero(self):
         cfg = ExperimentConfig.defaults("galerkin", {
             "spectrum": {"n_modes": 8},
@@ -251,8 +315,8 @@ class TestNonexplosionExperiment:
             forcing=lambda t, s: K * np.asarray(s, dtype=float) ** 2 + 1e-6)
         dt = 1.0 / 128.0
         xi = SegmentPath.constant(np.array([0.8, -0.5]), 0.25, dt)
-        result = sim.simulate_ensemble(coeffs, xi, 1.0, dt, spec, n_paths=200,
-                                       seed=13, record_convolution=True)
+        noise = sim.NoisePath.generate(13, _steps(1.0, dt), coeffs.noise_dim, dt, 200)
+        result = sim.simulate_ensemble(coeffs, xi, 1.0, dt, spec, noise, record_convolution=True)
         margins = sim.bihari_margin(lyap, xi, result)
         assert np.min(margins) >= -1e-8
         # direct comparison against the closed Gronwall form per path
@@ -607,10 +671,13 @@ UNREACHED_ON_PURPOSE = {"semigroup_apply", "maximal_inequality_check", "conjugat
 
 
 def test_every_public_definition_is_referenced_in_the_package():
-    """A public function, class, method or property nothing in the package reads is dead API.
+    """A definition nothing in the package reads is dead code.
 
-    Methods and properties count by their bare name: a reference to that name
-    anywhere in the package keeps every member of that name alive.
+    Every top-level function and class counts, private helpers too, so a
+    deleted caller cannot leave its helper behind; of a class, the public
+    methods and properties count.  These count by their bare name: a
+    reference to that name anywhere in the package keeps every member of
+    that name alive.
     """
     import ast
     from pathlib import Path
@@ -627,7 +694,8 @@ def test_every_public_definition_is_referenced_in_the_package():
                 defined.append((path.name, node.name, node.name))
             if isinstance(node, ast.ClassDef):
                 defined += [(path.name, f"{node.name}.{member.name}", member.name)
-                            for member in node.body if isinstance(member, ast.FunctionDef)]
+                            for member in node.body if isinstance(member, ast.FunctionDef)
+                            and not member.name.startswith("_")]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 referenced.add(node.id)
@@ -636,9 +704,8 @@ def test_every_public_definition_is_referenced_in_the_package():
             elif isinstance(node, ast.alias):
                 referenced.add(node.name)
     dead = sorted(f"{module}:{qualified}" for module, qualified, name in defined
-                  if not name.startswith("_") and name not in referenced
-                  and qualified not in UNREACHED_ON_PURPOSE)
-    assert not dead, f"public definitions no package code references: {dead}"
+                  if name not in referenced and qualified not in UNREACHED_ON_PURPOSE)
+    assert not dead, f"definitions no package code references: {dead}"
 
 
 def test_every_parameter_is_read_by_its_function():

@@ -81,8 +81,8 @@ class TestStoredNorms:
         with np.errstate(over="ignore", invalid="ignore"):
             if noise == "general":
                 coeffs = replace(coeffs, diag_noise=None)
-            res = sim.simulate_ensemble(coeffs, xi, steps * dt, dt, spec, n_paths=paths,
-                                        seed=seed)
+            res = sim.simulate_ensemble(coeffs, xi, steps * dt, dt, spec, sim.NoisePath.generate(
+                seed, _steps(steps * dt, dt), coeffs.noise_dim, dt, paths))
             recomputed = np.linalg.norm(res.states, axis=-1)
         assert len(checked) == steps
         assert np.array_equal(res.norms, recomputed, equal_nan=True)

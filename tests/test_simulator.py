@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 from fspdelab import analysis as an
 from fspdelab import simulator as sim
 from fspdelab.errors import InputError
-from fspdelab.segment import SegmentPath
+from fspdelab.segment import SegmentPath, _steps
 
 
 SPEC1 = an.Spectrum(1)
@@ -22,10 +22,16 @@ def near_zero_noise(n):
     return sim.make_coefficients(n, diag_noise=np.full(n, 1e-300))
 
 
+def seeded(coeffs, horizon, seed, paths=1, dt=DT):
+    """Seeded noise for `paths` paths of `coeffs` over [0, horizon] in steps of dt."""
+    return sim.NoisePath.generate(seed, _steps(horizon, dt), coeffs.noise_dim, dt, paths)
+
+
 class TestMildIntegrator:
     def test_pure_heat_flow_is_exact(self, spec2):
         xi = SegmentPath.constant(np.array([1.0, 2.0]), DELAY, DT)
-        res = sim.simulate_ensemble(near_zero_noise(2), xi, 1.0, DT, spec2, seed=1)
+        coeffs = near_zero_noise(2)
+        res = sim.simulate_ensemble(coeffs, xi, 1.0, DT, spec2, seeded(coeffs, 1.0, 1))
         exact = an.semigroup_apply(spec2, 1.0, xi.value_at(0.0))
         assert np.allclose(res.terminal_view().value_at(0.0)[0], exact, atol=1e-14)
 
@@ -34,7 +40,7 @@ class TestMildIntegrator:
         # one-mode linear equation, Monte Carlo within three stderr
         coeffs = sim.make_coefficients(1, diag_noise=np.array([1.0]))
         xi = SegmentPath.constant(np.array([0.0]), DELAY, DT)
-        res = sim.simulate_ensemble(coeffs, xi, 8.0, DT, SPEC1, n_paths=4000, seed=7)
+        res = sim.simulate_ensemble(coeffs, xi, 8.0, DT, SPEC1, seeded(coeffs, 8.0, 7, 4000))
         terminal = res.states[-1, :, 0]
         target = 1.0 / (2.0 * SPEC1.eigenvalues[0])
         stderr = np.std(terminal**2, ddof=1) / math.sqrt(terminal.size)
@@ -78,7 +84,8 @@ class TestMildIntegrator:
         for e in (6, 7):
             dt = 2.0**-e
             xi = SegmentPath.from_function(lambda s: np.array([1.0 + 0.5 * s]), DELAY, dt)
-            res = sim.simulate_ensemble(coeffs, xi, horizon, dt, SPEC1, seed=1)
+            res = sim.simulate_ensemble(coeffs, xi, horizon, dt, SPEC1,
+                                        seeded(coeffs, horizon, 1, dt=dt))
             sub = fine[:: round(dt * 1024)]
             errors[e] = float(np.max(np.abs(res.states[:, 0, 0] - sub[: res.states.shape[0]])))
         assert errors[6] < 5e-3
@@ -86,15 +93,15 @@ class TestMildIntegrator:
 
     def test_determinism_bit_identical(self, dini_coeffs, spec2):
         xi = SegmentPath.constant(np.array([0.3, -0.2]), DELAY, DT)
-        a = sim.simulate_ensemble(dini_coeffs, xi, 0.5, DT, spec2, n_paths=16, seed=9)
-        b = sim.simulate_ensemble(dini_coeffs, xi, 0.5, DT, spec2, n_paths=16, seed=9)
+        a, b = (sim.simulate_ensemble(dini_coeffs, xi, 0.5, DT, spec2,
+                                      seeded(dini_coeffs, 0.5, 9, 16)) for _ in range(2))
         assert np.array_equal(a.states, b.states)
 
     def test_explosion_flagging_and_truncation(self):
         coeffs = sim.make_coefficients(1, drift=sim.cubic_drift(1.0),
                                        diag_noise=np.array([0.1]))
         xi = SegmentPath.constant(np.array([2.0]), DELAY, DT)
-        res = sim.simulate_ensemble(coeffs, xi, 3.0, DT, SPEC1, n_paths=1, seed=5)
+        res = sim.simulate_ensemble(coeffs, xi, 3.0, DT, SPEC1, seeded(coeffs, 3.0, 5))
         assert res.exploded[0]
         assert res.life_times[0] < 3.0
         # the row at the life time is the first out of bounds, later rows are
@@ -115,7 +122,8 @@ class TestMildIntegrator:
         xi = SegmentPath(DELAY, DT, rng.normal(size=(round(DELAY / DT) + 1, n)))
         coeffs = sim.make_coefficients(n, drift=sim.linear_drift(0.5),
                                        diag_noise=np.linspace(1.0, 0.1, n))
-        res = sim.simulate_ensemble(coeffs, xi, 0.5, DT, an.Spectrum(n), n_paths=5, seed=n)
+        res = sim.simulate_ensemble(coeffs, xi, 0.5, DT, an.Spectrum(n),
+                                    seeded(coeffs, 0.5, n, 5))
         assert np.array_equal(res.norms, np.linalg.norm(res.states, axis=-1))
 
     def test_batch_with_explosions_matches_one_path_runs(self, spec2):
@@ -300,7 +308,7 @@ class TestTruncation:
         st.floats(0.0, 1.0), st.floats(1.0, 2.0, exclude_min=True, exclude_max=True),
         st.floats(2.0, 1e300), st.sampled_from([1.0, 2.0, -0.0, math.nan, math.inf]))))
     def test_cutoff_batch_equals_elementwise_bytes(self, u):
-        # a mixed array takes the formula, a single entry <= 1 the all-ones shortcut
+        # the formula runs on every entry, and np.where picks exactly 1.0 at u <= 1
         batch = sim.smooth_cutoff(u)
         single = np.array([sim.smooth_cutoff(v) for v in u])
         assert batch.dtype == single.dtype and batch.tobytes() == single.tobytes()
@@ -347,8 +355,9 @@ class TestBihari:
             comparison=lambda t, s: np.asarray(s, dtype=float) ** 2 + 1.0,
             forcing=lambda t, s: np.zeros_like(np.asarray(s, dtype=float)))
         xi = SegmentPath.constant(np.array([1.0, 0.0]), DELAY, DT)
-        res = sim.simulate_ensemble(near_zero_noise(2), xi, 1.0, DT, spec2, n_paths=4,
-                                    seed=2, record_convolution=True)
+        coeffs = near_zero_noise(2)
+        res = sim.simulate_ensemble(coeffs, xi, 1.0, DT, spec2, seeded(coeffs, 1.0, 2, 4),
+                                    record_convolution=True)
         with pytest.raises(InputError, match="divergent-reciprocal"):
             sim.bihari_margin(lyap, xi, res)
 

@@ -472,8 +472,8 @@ class TestSweepSelection:
     def test_sweeps_interpolate_the_live_reached_entries(self, monkeypatch, name, components):
         calls, fld = self.components_per_call(
             monkeypatch, lambda: TestRecordedFields.solve(name))
-        # the first sweep reads the zero seed; each later one, the final
-        # sweep too, interpolates once per chunk
+        # the zero seed of the first sweep has no live row; each later
+        # sweep, the final one too, interpolates once per chunk
         assert calls == [components] * (fld.iterations * self.chunk_count(name, fld))
         assert fld.content_hash() == TestRecordedFields.CASES[name][4]
 
@@ -484,11 +484,15 @@ class TestSweepSelection:
         assert not fld.u.any() and not fld.grad.any() and not fld.hess.any()
 
     def test_negative_zero_drift_takes_the_full_selection(self, monkeypatch):
-        # -rate * 0.0 is -0.0 at the query points on the origin
+        # -rate * 0.0 is -0.0 at the query points on the origin, so every
+        # sweep, the first on the zero seed too, interpolates all n * n entries
         calls, fld = self.components_per_call(monkeypatch, lambda: TestRecordedFields.solve(
             "n2", lambda _: sim.linear_drift(0.5)))
         assert fld.iterations >= 2
-        assert calls == [4] * (fld.iterations * self.chunk_count("n2", fld))
+        assert calls == [4] * ((fld.iterations + 1) * self.chunk_count("n2", fld))
+        # recorded by the sweep that read the zero seed as +0.0 without interpolating it
+        assert fld.content_hash() == (
+            "04aa552fab220ac55f73bf67329fd92bba984692fab2dc847bc32eeb060b9773")
 
 
 class TestThreshold:
