@@ -67,6 +67,11 @@ def _require_alive(result: EnsembleResult) -> None:
             "non-explosive configuration")
 
 
+def _require_samples(samples: int) -> None:
+    if samples < 2:
+        raise InputError(f"a standard error needs at least 2 samples, got {samples}")
+
+
 def _terminal_view(coeffs, xi, horizon, grid_step, spec, noise: NoisePath):
     if horizon <= xi.delay:
         raise InputError("semigroup estimates and the Harnack inequalities require T > r")
@@ -149,6 +154,7 @@ def collect_pair_estimates(coeffs: CoefficientSet, pairs, f: Callable,
                            horizon: float, powers, *, grid_step: float,
                            spec: Spectrum, samples: int, seed: int) -> list[PairEstimates]:
     """Shared-noise estimates for every pair, each pair on its own seed drawn from `seed`."""
+    _require_samples(samples)
     seeds = np.random.SeedSequence(seed).generate_state(2 * len(pairs))
     return [_pair_estimates(coeffs, xi, eta, f, horizon, powers, grid_step=grid_step,
                             spec=spec, samples=samples, seed=int(seeds[2 * k]))
@@ -216,8 +222,10 @@ def conjugation_check(coeffs: CoefficientSet, field: RegularizingField, xi: Segm
 
     The direct side is simulate_ensemble on one Brownian array; the loop
     here advances only the transformed path Y and, next to it, the
-    inverse image Z = theta^{-1}(Y), so the pullback of f needs no extra
-    inversions and the TransformedSystem coefficients are read on Z.  Both
+    inverse image Z = theta^{-1}(Y): each Z row is inverted as soon as its
+    Y row is written, so every row of a Z window is final when the window
+    is walked.  The pullback of f needs no extra inversions and the
+    TransformedSystem coefficients are read on Z.  Both
     sides apply the noise by one rule, decay * Qbar dW with Qbar read at
     the step's start: Q(t, X) on the direct side, which is run without its
     diagonal shortcut, and grad theta(t, Z) Q(t, Z) for Y.  A zero field
@@ -226,6 +234,7 @@ def conjugation_check(coeffs: CoefficientSet, field: RegularizingField, xi: Segm
     """
     if horizon <= xi.delay:
         raise InputError("the conjugation identity is checked for T > r")
+    _require_samples(samples)
     steps = _steps(horizon, grid_step)
     lags = _steps(xi.delay, grid_step)
     n = xi.n_modes
@@ -242,16 +251,16 @@ def conjugation_check(coeffs: CoefficientSet, field: RegularizingField, xi: Segm
     y_states = np.empty_like(direct.states)
     z_states = np.empty_like(direct.states)
     z_states[: lags + 1] = xi.values[:, None, :]
-    z_norms = direct.norms.copy()  # |xi| up to t = 0; later rows are rewritten from z
+    z_norms = direct.norms.copy()  # |xi| before t = 0; later rows are written from z
     y_states[: lags + 1] = field.theta(-xi.delay + np.arange(lags + 1) * grid_step,
                                        xi.values[:, None, :])
+    z_states[lags] = field.invert_theta(0.0, y_states[lags])
+    z_norms[lags] = _row_norms(z_states[lags])
 
     sys = TransformedSystem(field, coeffs, {})
     for k, (t, z, zview) in enumerate(_history_windows(z_states, z_norms, xi.delay,
                                                        grid_step, steps)):
         y = y_states[lags + k]
-        z[...] = field.invert_theta(t, y)
-        z_norms[lags + k] = _row_norms(z)
         jac = field.grad_theta(t, z)
         drift_bar = sys.drift_at(t, z) + sys.delay_drift_at(t, jac, zview)
         gain_bar = decay * np.einsum("pnm,pm->pn", sys.diffusion_at(t, z, jac),
@@ -260,12 +269,14 @@ def conjugation_check(coeffs: CoefficientSet, field: RegularizingField, xi: Segm
         nxt = np.multiply(decay, y, out=y_states[lags + k + 1])
         nxt += drift_fac * drift_bar
         nxt += gain_bar
-
-    z_states[-1] = field.invert_theta(horizon, y_states[-1])
-    z_norms[-1] = _row_norms(z_states[-1])
+        # steps * grid_step need not be the float horizon (1/196 on [0, 0.5])
+        t_next = horizon if k + 1 == steps else (k + 1) * grid_step
+        z_states[lags + k + 1] = field.invert_theta(t_next, nxt)
+        z_norms[lags + k + 1] = _row_norms(z_states[lags + k + 1])
 
     direct_vals = f(direct.terminal_view())
-    pulled_vals = f(SegmentView(z_states[-lags - 1:], grid_step, xi.delay, z_norms[-lags - 1:]))
+    pulled_vals = f(SegmentView(z_states[-lags - 1:], grid_step, xi.delay,
+                                z_norms[-lags - 1:].max(axis=0)))
     gaps = direct_vals - pulled_vals
     return ConjugationResult(
         direct_mean=float(np.mean(direct_vals)),

@@ -35,31 +35,28 @@ _SHORT_MODES = 8
 class SegmentView:
     """Grid-aligned window [t-r, t] over a batched state history.
 
-    `norms`, when given, is the matching (lags+1, n_paths) slice of the
-    history's per-step norms, norms[k] = |window[k]| row by row; sup_norm
-    then takes a max over it instead of recomputing every row's norm.
-    Without it the norms are recomputed from the window.  A view built by
-    `_history_windows` carries (walker, k) in `running`, and sup_norm asks
-    the walker for the max of its window (see `_WindowMax`).
+    `sup`, when given, is the window's sup norm per path, max over k of
+    |window[k]|; the view makes it read-only, so a delay drift cannot
+    change what the next reader of the same view sees.  Without it
+    sup_norm recomputes the norms from the window.
     """
 
     def __init__(self, window: np.ndarray, grid_step: float, delay: float,
-                 norms: np.ndarray | None = None, running: tuple | None = None):
+                 sup: np.ndarray | None = None):
         self.window = window  # (lags+1, n_paths, n_modes)
         self.grid_step = grid_step
         self.delay = delay
-        self.norms = norms
-        self.running = running
+        if sup is not None:
+            sup.flags.writeable = False
+        self.sup = sup
 
     def value_at(self, s: float) -> np.ndarray:
         return self.window[_lag_row(s, self.delay, self.grid_step, self.window.shape[0])]
 
     def sup_norm(self) -> np.ndarray:
-        if self.running is not None:
-            walker, k = self.running
-            return walker(k)
-        norms = np.linalg.norm(self.window, axis=-1) if self.norms is None else self.norms
-        return norms.max(axis=0)
+        if self.sup is not None:
+            return self.sup
+        return _row_norms(self.window).max(axis=0)
 
 
 @dataclass
@@ -140,7 +137,7 @@ class EnsembleResult:
     def terminal_view(self) -> SegmentView:
         lags = _steps(self.delay, self.grid_step)
         return SegmentView(self.states[-lags - 1:], self.grid_step, self.delay,
-                           self.norms[-lags - 1:])
+                           self.norms[-lags - 1:].max(axis=0))
 
 
 def _running_max(rows: np.ndarray, out: np.ndarray) -> None:
@@ -155,54 +152,33 @@ def _running_max(rows: np.ndarray, out: np.ndarray) -> None:
         np.maximum(out[j - 1], rows[j], out=out[j])
 
 
-class _WindowMax:
-    """max(rows[k : k + width]) along axis 0 for each k, O(1) amortised per k.
+def _window_maxima(rows: np.ndarray, width: int):
+    """Yield max(rows[k : k + width]) along axis 0 for k = 0, 1, ..., O(1) amortised per k.
 
     The van Herk / Gil-Werman scheme: the rows are cut into blocks of
     `width`, so the window starting at row i of block b is the tail of b
     from row i and the head of block b + 1 up to row i - 1, and its max is
-    max(suffix_b[i], prefix_(b+1)[i - 1]); a window with i = 0 is block b.
-    The suffix maxima of block b come from one backward pass when the first
-    window in b is asked for.  The prefix max of block b + 1 is one row
-    that grows by one np.maximum per row as far as the windows asked for
-    reach.  Max is exact and np.maximum propagates NaN as ndarray.max does,
-    so every value equals the plain max.
+    max(suffix_b[i], prefix_(b+1)[i - 1]).  The suffix maxima of block b
+    come from one backward pass at its first window, i = 0, where the
+    prefix is still empty (-inf).  The prefix max of block b + 1 then grows
+    by one np.maximum per window.  Max is exact and np.maximum propagates
+    NaN as ndarray.max does, so every value equals the plain max.
 
-    Rows are read when a window is asked for, never before, and each row at
-    most twice (once for each kind of maxima).  A window asked for after
-    the walker has moved past it gets the plain max instead.
+    Window k reads rows k .. k + width - 1 only, when it is asked for, and
+    each row is read at most twice: those rows must hold their final values
+    by then, and later rows may still be written.
     """
-
-    def __init__(self, rows: np.ndarray, width: int):
-        self.rows = rows
-        self.width = width
-        self.suffix = np.empty((width,) + rows.shape[1:])
-        self.prefix = np.empty(rows.shape[1:])
-        self.suffix_block = -1
-        self.prefix_block = -1
-        self.prefix_rows = 0
-
-    def __call__(self, k: int) -> np.ndarray:
-        w, rows = self.width, self.rows
-        b, i = divmod(k, w)
-        # a block's suffix maxima are overwritten by a later block's, and the
-        # prefix row may already hold rows past this window
-        if b < self.suffix_block or (0 < i < self.prefix_rows and b + 1 == self.prefix_block):
-            return rows[k: k + w].max(axis=0)
-        if b > self.suffix_block:
-            # suffix maxima are the running maxima of the block read backwards
-            _running_max(rows[b * w: (b + 1) * w][::-1], self.suffix[::-1])
-            self.suffix_block = b
+    suffix = np.empty((width,) + rows.shape[1:])
+    prefix = np.empty(rows.shape[1:])
+    for k in range(len(rows) - width + 1):
+        i = k % width
         if i == 0:
-            return self.suffix[0].copy()
-        head = (b + 1) * w
-        if self.prefix_block != b + 1:
-            self.prefix_block, self.prefix_rows = b + 1, 1
-            np.copyto(self.prefix, rows[head])
-        for j in range(head + self.prefix_rows, head + i):
-            np.maximum(self.prefix, rows[j], out=self.prefix)
-        self.prefix_rows = i
-        return np.maximum(self.suffix[i], self.prefix)
+            # suffix maxima are the running maxima of the block read backwards
+            _running_max(rows[k: k + width][::-1], suffix[::-1])
+            prefix.fill(-np.inf)
+        else:
+            np.maximum(prefix, rows[k + width - 1], out=prefix)
+        yield np.maximum(suffix[i], prefix)
 
 
 def _history_windows(states: np.ndarray, norms: np.ndarray, delay: float,
@@ -211,21 +187,17 @@ def _history_windows(states: np.ndarray, norms: np.ndarray, delay: float,
 
     Row lags + k of `states` holds X(t_k), t_k = k * grid_step, and row k
     of `norms` is the norm of row k of `states`.  The state and the window
-    are views into both buffers, so a row written after a yield is seen by
-    the next window.
+    are views into `states`, so a row written after a yield is seen by the
+    next window.
 
-    The windows' sup norms share one `_WindowMax` over `norms`, which reads
-    a norm row only when a sup_norm asks for it: rows k .. k + lags must
-    hold their final values when window k's sup_norm is called, and must
-    not change afterwards.  Row lags + k may thus be written after window
-    k is yielded, as long as that is before its sup_norm call.
+    Rows k .. k + lags of both buffers must be final when window k is
+    yielded: its sup norm is taken then, by one `_window_maxima` pass over
+    `norms`, and stored in the view.
     """
     lags = _steps(delay, grid_step)
-    walker = _WindowMax(norms, lags + 1)
-    for k in range(steps):
+    for k, sup in zip(range(steps), _window_maxima(norms, lags + 1)):
         yield (k * grid_step, states[lags + k],
-               SegmentView(states[k: k + lags + 1], grid_step, delay, norms[k: k + lags + 1],
-                           (walker, k)))
+               SegmentView(states[k: k + lags + 1], grid_step, delay, sup))
 
 
 def _mode_order_squares(x: np.ndarray) -> np.ndarray:
@@ -488,12 +460,7 @@ class PsiTransform:
 
 def _window_sup_norms(states: np.ndarray, lags: int) -> np.ndarray:
     """Segment sup norms |M_s|_inf for every grid time s >= 0."""
-    mags = _row_norms(states)  # (k_total+1, ...) path norms
-    walker = _WindowMax(mags, lags + 1)
-    out = np.empty((mags.shape[0] - lags,) + mags.shape[1:])
-    for k in range(out.shape[0]):
-        out[k] = walker(k)
-    return out
+    return np.stack(list(_window_maxima(_row_norms(states), lags + 1)))
 
 
 def bihari_alpha(lyap: LyapunovSpec, xi: SegmentPath, conv_states: np.ndarray,

@@ -8,7 +8,7 @@ from fspdelab import harnack as ha
 from fspdelab import simulator as sim
 from fspdelab.config import ExperimentConfig
 from fspdelab.errors import ConfigError, ExplosionError, InputError
-from fspdelab.segment import SegmentPath
+from fspdelab.segment import SegmentPath, _steps
 
 DT = 1.0 / 128.0
 DELAY = 0.25
@@ -68,6 +68,24 @@ class TestEstimates:
         with pytest.raises(InputError, match="T > r"):
             ha.collect_pair_estimates(dini_coeffs, [(xi, xi)], constant_function(), horizon,
                                       [], grid_step=DT, spec=spec2, samples=200, seed=1)
+
+    @staticmethod
+    def _no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before the sample count was checked")
+
+    def test_pair_estimates_need_two_samples(self, dini_coeffs, spec2, monkeypatch):
+        # one sample has no standard error: np.std(ddof=1) would be NaN
+        monkeypatch.setattr(ha, "simulate_ensemble", self._no_simulation)
+        xi = segment([0.1, 0.0])
+        with pytest.raises(InputError, match="at least 2 samples"):
+            ha.collect_pair_estimates(dini_coeffs, [(xi, xi)], constant_function(), HORIZON,
+                                      [], grid_step=DT, spec=spec2, samples=1, seed=1)
+
+    def test_conjugation_needs_two_samples(self, field, dini_coeffs, spec2, monkeypatch):
+        monkeypatch.setattr(ha, "simulate_ensemble", self._no_simulation)
+        with pytest.raises(InputError, match="at least 2 samples"):
+            ha.conjugation_check(dini_coeffs, field, segment([0.1, 0.0]), constant_function(),
+                                 HORIZON, 1, grid_step=DT, spec=spec2, seed=1)
 
     def test_explosive_configuration_rejected(self):
         coeffs = sim.make_coefficients(1, drift=sim.cubic_drift(1.0),
@@ -215,6 +233,39 @@ class TestConjugation:
                                    HORIZON, 300, grid_step=DT, spec=spec2, seed=6)
         assert res.direct_mean == 1.0
         assert res.transformed_mean == 1.0
+
+    # float.hex of (direct_mean, transformed_mean, residual, stderr, rms_gap)
+    PINNED = {
+        (2.0 ** -6, "exp_head"): (
+            "0x1.9e8300a231bf1p+0", "0x1.9eafc5dd3e238p+0", "-0x1.6629d86323c64p-11",
+            "0x1.aa8ad1df78e62p-15", "0x1.03aafb44afa57p-10"),
+        (2.0 ** -6, "tanh_norm"): (
+            "0x1.b2563bd9bcda4p+0", "0x1.b25700d1fab0ap+0", "-0x1.89f07bac968f6p-17",
+            "0x1.25de4bc39a80ep-17", "0x1.04432da06aa2dp-13"),
+        (1.0 / 196.0, "exp_head"): (
+            "0x1.a548e6ac94448p+0", "0x1.a5512dd957c0fp+0", "-0x1.08e5986f90e3dp-13",
+            "0x1.63ff2db9d43d4p-15", "0x1.40c8474a5e3e5p-11"),
+        (1.0 / 196.0, "tanh_norm"): (
+            "0x1.b3ce9e7d46b3dp+0", "0x1.b3cf50c65f356p+0", "-0x1.649231030e148p-17",
+            "0x1.47beb90397199p-18", "0x1.24616b0d84f42p-14"),
+    }
+
+    @pytest.mark.parametrize("step, name", sorted(PINNED))
+    def test_result_bytes_are_pinned(self, field, dini_coeffs, spec2, step, name):
+        """Every float of the result, byte for byte.
+
+        On 1/196 the last step ends at 98 / 196 = 0.49999999999999994, not
+        at the horizon 0.5, and tanh_norm reads the pulled view's sup norm.
+        """
+        assert (_steps(HORIZON, step) * step < HORIZON) == (step == 1.0 / 196.0)
+        xi = SegmentPath.from_function(
+            lambda s: np.array([0.3 * math.cos(s), -0.2]), DELAY, step)
+        f = {"exp_head": ha.exp_head_function(np.array([1.0, 0.0])),
+             "tanh_norm": ha.tanh_norm_function()}[name]
+        res = ha.conjugation_check(dini_coeffs, field, xi, f, HORIZON, 200,
+                                   grid_step=step, spec=spec2, seed=11)
+        got = (res.direct_mean, res.transformed_mean, res.residual, res.stderr, res.rms_gap)
+        assert tuple(v.hex() for v in got) == self.PINNED[step, name]
 
     def test_explosive_direct_side_rejected(self, field, spec2):
         coeffs = sim.make_coefficients(2, drift=sim.cubic_drift(1.0), diag_noise=np.ones(2))

@@ -674,10 +674,10 @@ def test_every_public_definition_is_referenced_in_the_package():
     """A definition nothing in the package reads is dead code.
 
     Every top-level function and class counts, private helpers too, so a
-    deleted caller cannot leave its helper behind; of a class, the public
-    methods and properties count.  These count by their bare name: a
-    reference to that name anywhere in the package keeps every member of
-    that name alive.
+    deleted caller cannot leave its helper behind; of a class, every method
+    and property but the dunders counts, private ones too.  These count by
+    their bare name: a reference to that name anywhere in the package keeps
+    every member of that name alive.
     """
     import ast
     from pathlib import Path
@@ -695,7 +695,8 @@ def test_every_public_definition_is_referenced_in_the_package():
             if isinstance(node, ast.ClassDef):
                 defined += [(path.name, f"{node.name}.{member.name}", member.name)
                             for member in node.body if isinstance(member, ast.FunctionDef)
-                            and not member.name.startswith("_")]
+                            and not (member.name.startswith("__")
+                                     and member.name.endswith("__"))]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 referenced.add(node.id)

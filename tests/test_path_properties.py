@@ -42,7 +42,7 @@ class TestStoredNorms:
         with np.errstate(over="ignore"):
             norms = np.stack([np.linalg.norm(row, axis=-1) for row in window])
             recomputed = sim.SegmentView(window, 0.25, delay).sup_norm()
-        stored = sim.SegmentView(window, 0.25, delay, norms).sup_norm()
+        stored = sim.SegmentView(window, 0.25, delay, sup=norms.max(axis=0)).sup_norm()
         assert np.array_equal(stored, recomputed, equal_nan=True)
 
     @given(lags=st.integers(0, 4), steps=st.integers(1, 12), paths=st.integers(1, 5),
@@ -67,7 +67,7 @@ class TestStoredNorms:
         checked = []
 
         def delay_drift(t, view):
-            assert view.norms is not None
+            assert view.sup is not None
             sup = view.sup_norm()
             assert np.array_equal(sup, np.linalg.norm(view.window, axis=-1).max(axis=0),
                                   equal_nan=True)
@@ -180,9 +180,9 @@ class TestWindowWalker:
     def test_sup_norm_equals_the_plain_window_max(self, lags, steps, paths, data):
         """sup_norm of walked views is norms[k:k+lags+1].max(axis=0), bit for bit.
 
-        Row lags + k is written only after window k is yielded, as the
-        conjugation loop writes it; a step calls sup_norm zero, one or two
-        times, and may then ask an earlier, possibly stale, view again.
+        Row lags + k is written just before window k is asked for, as the
+        step loops write it; a step calls sup_norm zero, one or two times,
+        and may then ask an earlier, possibly stale, view again.
         """
         rows = lags + steps + 1
         if data is None:
@@ -196,18 +196,38 @@ class TestWindowWalker:
             calls = data.draw(st.lists(st.integers(0, 2), min_size=steps, max_size=steps))
             stale = [data.draw(st.none() | st.integers(0, k)) for k in range(steps)]
         norms = np.full((rows, paths), SENTINEL)
-        norms[: lags] = final[: lags]
+        norms[: lags + 1] = final[: lags + 1]
         states = np.zeros((rows, paths, 1))
         views = []
         for k, (t, x, view) in enumerate(sim._history_windows(states, norms, lags * 0.125,
                                                               0.125, steps)):
-            norms[lags + k] = final[lags + k]
+            norms[lags + k + 1] = final[lags + k + 1]
             views.append(view)
             for _ in range(calls[k]):
                 _same_max(view.sup_norm(), final[k: k + lags + 1].max(axis=0))
             if stale[k] is not None:
                 j = stale[k]
                 _same_max(views[j].sup_norm(), final[j: j + lags + 1].max(axis=0))
+
+    @given(lags=st.integers(0, 6), steps=st.integers(1, 12), paths=st.integers(1, 3),
+           data=st.data())
+    def test_a_yielded_sup_is_fixed_and_read_only(self, lags, steps, paths, data):
+        """Later writes to the norms leave a yielded view's sup_norm unchanged.
+
+        Every norm row is overwritten once the walk is done, and the sup a
+        view hands out cannot be written through.
+        """
+        rows = lags + steps + 1
+        final = data.draw(hnp.arrays(np.float64, (rows, paths), elements=NORM))
+        norms = final.copy()
+        states = np.zeros((rows, paths, 1))
+        views = list(sim._history_windows(states, norms, lags * 0.125, 0.125, steps))
+        norms[:] = SENTINEL
+        for k, (t, x, view) in enumerate(views):
+            _same_max(view.sup_norm(), final[k: k + lags + 1].max(axis=0))
+            assert not view.sup_norm().flags.writeable
+            with pytest.raises(ValueError):
+                view.sup_norm()[...] = 0.0
 
     def test_walker_reads_each_norm_row_at_most_twice(self):
         """Every ufunc input drawn from the norms is counted row by row.
