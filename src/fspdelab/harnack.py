@@ -220,20 +220,25 @@ def conjugation_check(coeffs: CoefficientSet, field: RegularizingField, xi: Segm
                       grid_step: float, spec: Spectrum, seed: int) -> ConjugationResult:
     """Estimate P_T f(xi) directly and through the conjugated system, same noise.
 
-    The direct side is simulate_ensemble on one Brownian array; the loop
-    here advances only the transformed path Y and, next to it, the
-    inverse image Z = theta^{-1}(Y): each Z row is inverted as soon as its
-    Y row is written, so every row of a Z window is final when the window
-    is walked.  The pullback of f needs no extra inversions and the
-    TransformedSystem coefficients are read on Z.  Both
-    sides apply the noise by one rule, decay * Qbar dW with Qbar read at
-    the step's start: Q(t, X) on the direct side, which is run without its
-    diagonal shortcut, and grad theta(t, Z) Q(t, Z) for Y.  A zero field
-    is then an exact identity, and any other field leaves only the
-    transform-consistency gap.
+    The direct side is simulate_ensemble on one Brownian array, reduced to
+    its values of f before the transformed side starts.  The loop here
+    advances the transformed path Y, kept as its current row alone, and,
+    next to it, the history of the inverse image Z = theta^{-1}(Y): each
+    Z row is inverted as soon as its Y row is written, so every row of a
+    Z window is final when the window is walked.  The pullback of f needs
+    no extra inversions.  The TransformedSystem coefficients are read on
+    Z, the drift and jac by one field read per step.  Both sides apply
+    the noise by one rule, decay * Qbar dW with Qbar read at the step's
+    start: Q(t, X) on the direct side, which is run without its diagonal
+    shortcut, and grad theta(t, Z) Q(t, Z) for Y.  A zero field is then
+    an exact identity, and any other field leaves only the
+    transform-consistency gap.  The field must reach the horizon: beyond
+    its own it reads u = 0, which would drop the drift from Y alone.
     """
     if horizon <= xi.delay:
         raise InputError("the conjugation identity is checked for T > r")
+    if horizon > field.horizon:
+        raise InputError(f"horizon {horizon} lies beyond the field's horizon {field.horizon}")
     _require_samples(samples)
     steps = _steps(horizon, grid_step)
     lags = _steps(xi.delay, grid_step)
@@ -245,36 +250,35 @@ def conjugation_check(coeffs: CoefficientSet, field: RegularizingField, xi: Segm
     direct = simulate_ensemble(replace(coeffs, diag_noise=None), xi, horizon, grid_step,
                                spec, noise)
     _require_alive(direct)
+    direct_vals = f(direct.terminal_view())
+    # rows before t = 0 hold |xi|; later rows are written from z
+    z_norms = direct.norms
+    del direct
 
-    # transformed start: theta with the frozen extension, one time per row;
-    # every path starts at xi, so each row maps one point and broadcasts it
-    y_states = np.empty_like(direct.states)
-    z_states = np.empty_like(direct.states)
-    z_states[: lags + 1] = xi.values[:, None, :]
-    z_norms = direct.norms.copy()  # |xi| before t = 0; later rows are written from z
-    y_states[: lags + 1] = field.theta(-xi.delay + np.arange(lags + 1) * grid_step,
-                                       xi.values[:, None, :])
-    z_states[lags] = field.invert_theta(0.0, y_states[lags])
+    # transformed start: theta with the frozen extension at xi(0), the one
+    # point every path starts from, broadcast over the paths
+    y = np.full((samples, n), field.theta(-xi.delay + lags * grid_step, xi.values[lags]))
+    z_states = np.empty((lags + steps + 1, samples, n))
+    z_states[:lags] = xi.values[:lags, None, :]
+    z_states[lags] = field.invert_theta(0.0, y[0])
     z_norms[lags] = _row_norms(z_states[lags])
 
     sys = TransformedSystem(field, coeffs, {})
     for k, (t, z, zview) in enumerate(_history_windows(z_states, z_norms, xi.delay,
                                                        grid_step, steps)):
-        y = y_states[lags + k]
-        jac = field.grad_theta(t, z)
-        drift_bar = sys.drift_at(t, z) + sys.delay_drift_at(t, jac, zview)
+        drift, jac = sys.drift_jac_at(t, z)
+        drift_bar = drift + sys.delay_drift_at(t, jac, zview)
         gain_bar = decay * np.einsum("pnm,pm->pn", sys.diffusion_at(t, z, jac),
                                      noise.increments[k])
         # decay * y + drift_fac * drift_bar + gain_bar, added left to right
-        nxt = np.multiply(decay, y, out=y_states[lags + k + 1])
-        nxt += drift_fac * drift_bar
-        nxt += gain_bar
+        np.multiply(decay, y, out=y)
+        y += drift_fac * drift_bar
+        y += gain_bar
         # steps * grid_step need not be the float horizon (1/196 on [0, 0.5])
         t_next = horizon if k + 1 == steps else (k + 1) * grid_step
-        z_states[lags + k + 1] = field.invert_theta(t_next, nxt)
+        z_states[lags + k + 1] = field.invert_theta(t_next, y)
         z_norms[lags + k + 1] = _row_norms(z_states[lags + k + 1])
 
-    direct_vals = f(direct.terminal_view())
     pulled_vals = f(SegmentView(z_states[-lags - 1:], grid_step, xi.delay,
                                 z_norms[-lags - 1:].max(axis=0)))
     gaps = direct_vals - pulled_vals

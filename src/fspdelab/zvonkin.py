@@ -43,7 +43,8 @@ GH_DIM_CAP = 3
 # slots holding at most this many points (one slot if it alone holds more)
 CHUNK_POINTS = 1 << 15
 # solve_u keeps the drift samples of its leading chunks across its sweeps
-# while their floats, n per query point, total at most this many (8 MiB)
+# while their floats, one per query point and held mode, total at most this
+# many (8 MiB)
 KEPT_DRIFT_FLOATS = 1 << 20
 
 
@@ -283,7 +284,7 @@ class RegularizingField:
     converged: bool
     weight_name: str
     norms: dict
-    # (kind, j) -> spline coefficients of slice j; (kind, j, up) -> its spline
+    # (kind, j) -> spline coefficients of slice j; (kinds, j, up) -> their spline
     _coefs: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
     _splines: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -345,32 +346,36 @@ class RegularizingField:
             self._coefs[key] = coef.reshape(shape + (-1,))
         return self._coefs[key]
 
-    def _spline(self, kind: str, j: int, up: bool) -> NdBSpline:
-        """Slice j's spline of a table, with slice j+1's components after its own when up."""
-        key = (kind, j, up)
+    def _spline(self, kinds: tuple, j: int, up: bool) -> NdBSpline:
+        """Slice j's spline of the tables in kinds, their components stacked in that order.
+
+        When up, slice j+1's stacked components follow slice j's.
+        """
+        key = (kinds, j, up)
         if key not in self._splines:
             from scipy.interpolate import NdBSpline
 
-            coef = [self._coefficients(kind, i) for i in ((j, j + 1) if up else (j,))]
+            coef = [self._coefficients(kind, i) for i in ((j, j + 1) if up else (j,))
+                    for kind in kinds]
             self._splines[key] = NdBSpline(tuple(map(_cubic_knots, self.axes)),
                                            np.concatenate(coef, axis=-1), 3)
         return self._splines[key]
 
-    def _blend(self, kind: str, lo: int, frac, up: bool, xb: np.ndarray) -> np.ndarray:
+    def _blend(self, kinds: tuple, lo: int, frac, up: bool, xb: np.ndarray) -> np.ndarray:
         """(1 - frac) * A_lo(xb) + frac * A_{lo+1}(xb), the second term only when up.
 
         One spline call reads both slices: a B-spline sums each component on
         its own, so the stacked components are bitwise those of one slice.
         """
-        vals = self._spline(kind, lo, up)(xb)
+        vals = self._spline(kinds, lo, up)(xb)
         m = vals.shape[-1] // 2 if up else vals.shape[-1]
         out = (1.0 - frac) * vals[..., :m]
         if up:
             out += frac * vals[..., m:]
         return out
 
-    def _eval(self, kind: str, t, x: np.ndarray) -> np.ndarray:
-        """A table at states x, time-interpolated linearly between slices.
+    def _eval(self, kinds: tuple, t, x: np.ndarray) -> tuple:
+        """The tables named in kinds at states x, time-interpolated linearly between slices.
 
         t is an array of per-row times, one for each entry along the leading
         axis of x, or a scalar, which is read as one row holding all of x.
@@ -380,36 +385,51 @@ class RegularizingField:
         are blended as one batch wherever they sit in x, and the cubic
         spatial interpolation treats every point on its own, so a row's
         values are bitwise those of a one-row call at its time.
+
+        Every table of kinds is read by the same spline call, on their
+        components stacked, and each component is bitwise that of a read of
+        its table alone.  One array per kind is returned, of shape
+        x.shape[:-1] plus the table's trailing shape.
         """
         x = np.asarray(x, dtype=float)
         n = self.n_modes
-        trailing = {"u": (n,), "grad": (n, n), "hess": (n, n, n)}[kind]
+        trailing = [(n,) * {"u": 1, "grad": 2, "hess": 3}[kind] for kind in kinds]
+        ends = list(itertools.accumulate(map(math.prod, trailing), initial=0))
         xb = np.clip(x, -self.halfwidth, self.halfwidth)
         lo, frac = _axis_stencil(self.times,
                                  np.asarray(t, dtype=float).reshape(-1).clip(0.0, self.horizon))
         rows, weights = xb.reshape(frac.size, -1, n), frac.reshape(-1, 1, 1)
         key = 2 * lo + (frac > 0.0)
         if (key == key[0]).all():
-            out = self._blend(kind, int(lo[0]), weights, bool(frac[0] > 0.0), rows)
+            out = self._blend(kinds, int(lo[0]), weights, bool(frac[0] > 0.0), rows)
         else:
-            out = np.empty(rows.shape[:2] + (math.prod(trailing),))
+            out = np.empty(rows.shape[:2] + (ends[-1],))
             for k in np.unique(key).tolist():
                 sel = np.flatnonzero(key == k)
-                out[sel] = self._blend(kind, k // 2, weights[sel], k % 2 == 1, rows[sel])
-        return out.reshape(x.shape[:-1] + trailing)
+                out[sel] = self._blend(kinds, k // 2, weights[sel], k % 2 == 1, rows[sel])
+        out = out.reshape(x.shape[:-1] + (ends[-1],))
+        return tuple(out[..., a:b].reshape(x.shape[:-1] + shape)
+                     for a, b, shape in zip(ends, ends[1:], trailing))
 
     def u_at(self, t, x: np.ndarray) -> np.ndarray:
         """u(t, x); t is clamped to [0, T] (frozen extension on [-r, 0]).
 
         t is a scalar or an array of per-row times over the leading axis of
         x (see _eval)."""
-        return self._eval("u", t, x)
+        return self._eval(("u",), t, x)[0]
 
     def grad_at(self, t, x: np.ndarray) -> np.ndarray:
-        return self._eval("grad", t, x)
+        return self._eval(("grad",), t, x)[0]
 
     def hess_at(self, t, x: np.ndarray) -> np.ndarray:
-        return self._eval("hess", t, x)
+        return self._eval(("hess",), t, x)[0]
+
+    def u_grad_at(self, t, x: np.ndarray):
+        """(u(t, x), grad u(t, x)) from the spline calls of one read, bitwise u_at and grad_at.
+
+        t is read as in u_at.  u and grad u are views into one array.
+        """
+        return self._eval(("u", "grad"), t, x)
 
     def theta(self, t, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=float) + self.u_at(t, x)
@@ -425,9 +445,12 @@ class RegularizingField:
         times over the leading axis of y (as in u_at).  Each row stops on its
         own once the max-norm gap of its last step is <= 1e-10, and a row that
         has stopped is not iterated again, so a row's result is bitwise that
-        of a scalar call on that row alone.
+        of a scalar call on that row alone.  An empty y, of no row or of
+        rows without a point, is returned as an empty array of its shape.
         """
         y = np.asarray(y, dtype=float)
+        if y.size == 0:
+            return np.empty_like(y)
         rows_y = y.reshape(np.size(t), -1, y.shape[-1])
         x = np.empty_like(rows_y)
         # the rows still iterating: their indices, times, targets and iterates
@@ -608,12 +631,14 @@ def _drift_terms(live, reached, n: int) -> list:
             for i in range(n) if i in live or i in reached]
 
 
-def _combine(terms: list, g, b: np.ndarray, out: np.ndarray, term: np.ndarray) -> None:
+def _combine(terms: list, g, b, out: np.ndarray, term: np.ndarray) -> None:
     """out[a] = sum of g_ij * b[j] over the modes j that row a = (i, modes) keeps, then + b[i].
 
     g holds the kept g_ij component-major, row by row and mode by mode in
-    the order of terms.  A row that keeps no mode is b[i] itself, and g is
-    not read when no row keeps a mode.
+    the order of terms.  b[j] is mode j's drift samples, or the float +0.0
+    for a mode whose samples are all +0.0, which gives the same bits.  A
+    row that keeps no mode is b[i] itself, and g is not read when no row
+    keeps a mode.
     """
     c = 0
     for a, (i, modes) in enumerate(terms):
@@ -649,13 +674,15 @@ def solve_u(ref: ReferenceSemigroup, drift: Callable, lam: float, horizon: float
     layout) are allocated once per call, bounded by CHUNK_POINTS, and a
     shorter chunk writes leading views of them.
 
-    The first sweep samples the drift once per slot.  The samples of the
-    leading chunks, as far as they total at most KEPT_DRIFT_FLOATS floats,
-    are kept and every later sweep, the final one too, reads them; a chunk
-    beyond that budget is sampled again in every sweep into the work
-    array.  The drift must therefore be a deterministic function of (t, x);
-    its result is copied, so it may return a view of its argument or reuse
-    its output array.
+    The first sweep samples the drift once per slot.  Of the leading
+    chunks, as far as they total at most KEPT_DRIFT_FLOATS floats, the
+    samples of the reached modes (see below; every mode when the selection
+    is not taken) are kept, and every later sweep, the final one too,
+    reads them; a mode not kept is +0.0 throughout and is read as the
+    float +0.0.  A chunk beyond that budget is sampled again in every sweep
+    into the work array.  The drift must therefore be a deterministic
+    function of (t, x); its result is copied, so it may return a view of
+    its argument or reuse its output array.
 
     A sweep computes only what can change a bit of the tables.  A chunk's
     reached modes are those whose drift samples are not all +0.0 (kept with
@@ -751,12 +778,14 @@ def solve_u(ref: ReferenceSemigroup, drift: Callable, lam: float, horizon: float
     per_slot = m_nodes * w.size
     pts = _work(work, "pts", (axis.size,) * n + (ref.quad_order,) * n + (n,))
     # the drift samples of each chunk that fits the budget, once sampled,
-    # by chunk index; the budget keeps a prefix of the chunks
-    floats = np.cumsum([n * (sl.stop - sl.start) * per_slot for _, sl in chunks])
-    keep = floats <= KEPT_DRIFT_FLOATS
+    # by chunk index, with the chunk's reached modes; the held modes' floats
+    # count against the budget, which keeps a prefix of the chunks: room is
+    # what is left of it, or None once a chunk has not fit
     kept = {}
+    room = KEPT_DRIFT_FLOATS
 
     def sweep(g_in, with_hess=False):
+        nonlocal room
         # the map integrates grad u . b + b, so only grad u is interpolated,
         # component-major: (n*n, slice, node)
         tab = g_in.reshape(n_t + 1, m_nodes, n * n).transpose(2, 0, 1)
@@ -767,20 +796,28 @@ def solve_u(ref: ReferenceSemigroup, drift: Callable, lam: float, horizon: float
         for chunk, (j, sl) in enumerate(chunks):
             k_slots = sl.stop - sl.start
             # drift samples, component-major (n, slot * point), one slot at a
-            # time, into an array of their own if the chunk is kept
+            # time, and of a chunk that fits the budget its held modes' rows
+            # are copied out and kept
+            n_y = k_slots * per_slot
             b_y, reached = kept.get(chunk, (None, None))
             if b_y is None:
-                b_y = (np.empty((n, k_slots * per_slot)) if keep[chunk]
-                       else _work(work, "b_y", (n, k_slots * per_slot)))
+                b_all = _work(work, "b_y", (n, n_y))
                 for s, t in enumerate(t_q[sl]):
                     for d, coord in enumerate(coords):
                         np.copyto(pts[..., d], coord[sl.start + s])
-                    np.copyto(b_y[:, s * per_slot:(s + 1) * per_slot],
+                    np.copyto(b_all[:, s * per_slot:(s + 1) * per_slot],
                               np.asarray(drift(t, pts.reshape(-1, n)),
                                          dtype=float).reshape(-1, n).T)
-                reached = _reached_modes(b_y)
-                if keep[chunk]:
+                reached = _reached_modes(b_all)
+                held = range(n) if reached is None else reached
+                # a mode not held is +0.0 throughout, read as the float +0.0
+                b_y = [b_all[j] if j in held else 0.0 for j in range(n)]
+                if room is not None and len(held) * n_y <= room:
+                    room -= len(held) * n_y
+                    b_y = [np.copy(b) if j in held else b for j, b in enumerate(b_y)]
                     kept[chunk] = b_y, reached
+                else:
+                    room = None
             terms = _drift_terms(live, reached, n)
             if not terms:
                 continue
@@ -800,8 +837,8 @@ def solve_u(ref: ReferenceSemigroup, drift: Callable, lam: float, horizon: float
             # grad u . b + b on the rows built
             rows = [i for i, _ in terms]
             r = len(rows)
-            gvec = _work(work, "gvec", (r,) + b_y.shape[1:])
-            _combine(terms, g_y, b_y, gvec, _work(work, "gvec_term", b_y.shape[1:]))
+            gvec = _work(work, "gvec", (r, n_y))
+            _combine(terms, g_y, b_y, gvec, _work(work, "gvec_term", (n_y,)))
             # the Hermite reductions run over (Hermite, i, slot * node) rows,
             # where einsum adds the terms of each point in Hermite order, as it
             # does in the per-point layout (node, Hermite, i); at n = 1 that
@@ -898,16 +935,23 @@ class TransformedSystem:
 
     The methods are the one definition of the conjugated coefficients.  Each
     reads them at theta(t, z) from the preimage z = theta^{-1}(t, y), and
-    jac = grad theta(t, z) is read once by the caller for the two that need it.
+    jac = grad theta(t, z) comes with the drift, from the same field read,
+    for the two that need it.
     """
 
     field: RegularizingField
     base: CoefficientSet
     bounds: dict
 
-    def drift_at(self, t, z):
-        """The conjugated drift (lam + lam_i) u(t, z)."""
-        return _times_modes(self.field.u_at(t, z), self.field.lam + self.field.spec.eigenvalues)
+    def drift_jac_at(self, t, z):
+        """The conjugated drift (lam + lam_i) u(t, z) and jac = I + grad u(t, z).
+
+        Both come from one field read, u_grad_at, and are bitwise the drift
+        from u_at and grad_theta(t, z).
+        """
+        u, grad = self.field.u_grad_at(t, z)
+        return (_times_modes(u, self.field.lam + self.field.spec.eigenvalues),
+                grad + np.eye(self.field.n_modes))
 
     def delay_drift_at(self, t, jac, zview):
         """The conjugated delay drift jac B(t, zview), zview a window of preimages."""
@@ -975,9 +1019,11 @@ def transform_coeffs(field: RegularizingField, coeffs: CoefficientSet, *,
     # with extra mass near the origin where the drift is roughest
     for t in np.linspace(0.0, field.horizon, 9):
         xs, ys = _log_spaced_pairs(rng, n, hw, battery, np.geomspace(1e-3, 2.0, 24))
-        # both batteries inverted once, as two rows that stop on their own
-        zx, zy = field.invert_theta(np.full(2, t), np.stack([xs, ys]))
-        jx, jy = field.grad_theta(t, np.stack([zx, zy]))
+        # both batteries inverted once, as two rows that stop on their own,
+        # and read once for the drift and jac
+        zs = field.invert_theta(np.full(2, t), np.stack([xs, ys]))
+        (bx, by), (jx, jy) = sys.drift_jac_at(t, zs)
+        zx, zy = zs
         qx = sys.diffusion_at(t, zx, jx)
         qy = sys.diffusion_at(t, zy, jy)
         gaps = xs - ys
@@ -987,8 +1033,7 @@ def transform_coeffs(field: RegularizingField, coeffs: CoefficientSet, *,
         k2 = max(k2, float(np.max(dq_op[keep] / np.minimum(1.0, dists[keep]))))
         gain_norms = np.linalg.svd(_control_gain(qx), compute_uv=False)[..., 0]
         k3 = max(k3, float(np.max(gain_norms)))
-        db = sys.drift_at(t, zx) - sys.drift_at(t, zy)
-        quad = 2.0 * np.einsum("pi,pi->p", gaps, -lamvec * gaps + db) \
+        quad = 2.0 * np.einsum("pi,pi->p", gaps, -lamvec * gaps + (bx - by)) \
             + np.sum((qx - qy) ** 2, axis=(-2, -1))
         k4 = max(k4, float(np.max(quad[keep] / dists[keep] ** 2)))
 

@@ -6,6 +6,7 @@ import pytest
 from fspdelab import analysis as an
 from fspdelab import harnack as ha
 from fspdelab import simulator as sim
+from fspdelab import zvonkin as zv
 from fspdelab.config import ExperimentConfig
 from fspdelab.errors import ConfigError, ExplosionError, InputError
 from fspdelab.segment import SegmentPath, _steps
@@ -266,6 +267,51 @@ class TestConjugation:
                                    grid_step=step, spec=spec2, seed=11)
         got = (res.direct_mean, res.transformed_mean, res.residual, res.stderr, res.rms_gap)
         assert tuple(v.hex() for v in got) == self.PINNED[step, name]
+
+    def test_one_field_read_per_step(self, field, dini_coeffs, spec2, monkeypatch):
+        """One u_grad_at per step and no grad_at; theta^{-1} reads u_at as before.
+
+        129 u_at calls under invert_theta were counted on this case when
+        every step read u and grad u apart.
+        """
+        calls, inverting = {}, []
+
+        def count(name):
+            real = getattr(zv.RegularizingField, name)
+
+            def counted(self, *args):
+                key = f"{name} in invert_theta" if inverting and name == "u_at" else name
+                calls[key] = calls.get(key, 0) + 1
+                inverting.append(name == "invert_theta")
+                try:
+                    return real(self, *args)
+                finally:
+                    inverting.pop()
+
+            monkeypatch.setattr(zv.RegularizingField, name, counted)
+
+        for name in ("u_at", "grad_at", "u_grad_at", "invert_theta"):
+            count(name)
+        step = 2.0 ** -6
+        xi = SegmentPath.from_function(
+            lambda s: np.array([0.3 * math.cos(s), -0.2]), DELAY, step)
+        ha.conjugation_check(dini_coeffs, field, xi, ha.exp_head_function(np.array([1.0, 0.0])),
+                             HORIZON, 200, grid_step=step, spec=spec2, seed=11)
+        steps = _steps(HORIZON, step)
+        # theta maps the start point with the one u_at outside an inversion
+        assert calls == {"u_grad_at": steps, "invert_theta": steps + 1, "u_at": 1,
+                         "u_at in invert_theta": 129}
+
+    def test_horizon_beyond_the_field_rejected(self, field, dini_coeffs, spec2, monkeypatch):
+        # past its horizon the field reads u(T) = 0, so Y would lose the drift X keeps
+        ran = []
+        monkeypatch.setattr(ha, "simulate_ensemble", lambda *args, **kwargs: ran.append(1))
+        xi = SegmentPath.from_function(
+            lambda s: np.array([0.3 * math.cos(s), -0.2]), DELAY, DT)
+        with pytest.raises(InputError, match="beyond the field's horizon"):
+            ha.conjugation_check(dini_coeffs, field, xi, constant_function(), 2.0 * HORIZON, 50,
+                                 grid_step=DT, spec=spec2, seed=6)
+        assert ran == []
 
     def test_explosive_direct_side_rejected(self, field, spec2):
         coeffs = sim.make_coefficients(2, drift=sim.cubic_drift(1.0), diag_noise=np.ones(2))

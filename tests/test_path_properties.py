@@ -314,12 +314,14 @@ class TestColumnWrites:
 
         x, _ = self._states(n)
         spec = an.Spectrum(n)
-        field = SimpleNamespace(lam=60.0, spec=spec, u_at=lambda t, z: 0.37 * z - 0.1)
+        field = SimpleNamespace(lam=60.0, spec=spec, n_modes=n,
+                                u_grad_at=lambda t, z: (0.37 * z - 0.1, 0.5 * z[..., None]))
         sys = TransformedSystem(field, None, {})
         for z in (x, x[0], x[0, 0]):
-            want = (60.0 + spec.eigenvalues) * field.u_at(0.0, z)
-            got = sys.drift_at(0.0, z)
+            want = (60.0 + spec.eigenvalues) * (0.37 * z - 0.1)
+            got, jac = sys.drift_jac_at(0.0, z)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert np.array_equal(jac, 0.5 * z[..., None] + np.eye(n), equal_nan=True)
 
 
 class TestGridBookkeeping:

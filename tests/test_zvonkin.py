@@ -353,17 +353,42 @@ class TestKeptDriftSamples:
         assert len(calls) == slots
         assert fld.content_hash() == TestRecordedFields.CASES[name][4]
 
+    @pytest.mark.parametrize("name", ["n2-e1-chunked", "n3-e1", "n3"])
+    def test_unkept_samples_give_the_recorded_field(self, monkeypatch, name):
+        # with no budget every chunk is sampled again in every sweep, and a
+        # mode that is +0.0 throughout is read as the float +0.0 there too
+        monkeypatch.setattr(zv, "KEPT_DRIFT_FLOATS", 0)
+        calls = []
+        fld = TestRecordedFields.solve(name, self.counted(calls))
+        assert len(calls) == self.slots_and_floats(name, fld)[0] * (fld.iterations + 1)
+        assert fld.content_hash() == TestRecordedFields.CASES[name][4]
+
     def test_solve_beyond_budget_keeps_a_prefix(self):
-        for name in ("n2-chunked", "n2-e1-chunked"):
-            calls = []
-            fld = TestRecordedFields.solve(name, self.counted(calls))
-            slots, floats = self.slots_and_floats(name, fld)
-            assert floats > zv.KEPT_DRIFT_FLOATS
-            assert slots < len(calls) < slots * (fld.iterations + 1)
-            content, factor, norms = TestRecordedFields.CASES[name][4:]
-            assert fld.content_hash() == content
-            assert repr(fld.contraction_factor) == factor
-            assert repr(fld.norms) == norms
+        name = "n2-chunked"
+        calls = []
+        fld = TestRecordedFields.solve(name, self.counted(calls))
+        slots, floats = self.slots_and_floats(name, fld)
+        assert floats > zv.KEPT_DRIFT_FLOATS
+        assert slots < len(calls) < slots * (fld.iterations + 1)
+        content, factor, norms = TestRecordedFields.CASES[name][4:]
+        assert fld.content_hash() == content
+        assert repr(fld.contraction_factor) == factor
+        assert repr(fld.norms) == norms
+
+    def test_only_reached_modes_count_toward_the_budget(self):
+        # along e1 mode 2 is +0.0 throughout and is not kept: the samples of
+        # all n modes overflow the budget, those of mode 1 alone fit it
+        name = "n2-e1-chunked"
+        calls = []
+        fld = TestRecordedFields.solve(name, self.counted(calls))
+        slots, floats = self.slots_and_floats(name, fld)
+        assert floats > zv.KEPT_DRIFT_FLOATS >= floats // 2
+        assert fld.iterations >= 2
+        assert len(calls) == slots
+        content, factor, norms = TestRecordedFields.CASES[name][4:]
+        assert fld.content_hash() == content
+        assert repr(fld.contraction_factor) == factor
+        assert repr(fld.norms) == norms
 
     def test_kept_samples_do_not_alias_the_drift_result(self):
         # the identity drift returns a view of the point buffer the sweep
@@ -529,6 +554,14 @@ class TestDiffeomorphism:
                          50.0, 1.0, SMALL_GRID)
         y = np.array([[0.7, -0.4], [1.2, 0.3]])
         assert np.array_equal(fld.invert_theta(0.3, y), y)
+
+    def test_empty_batch_inverts_to_empty(self, field):
+        # no row at a scalar time, no row of per-row times, rows without a point
+        for t, y in ((0.2, np.zeros((0, 2))), (np.zeros(0), np.zeros((0, 2))),
+                     (np.zeros(0), np.zeros((0, 3, 2))), (np.full(2, 0.2), np.zeros((2, 0, 2)))):
+            x = field.invert_theta(t, y)
+            assert x.shape == y.shape
+        assert field.u_at(0.2, np.zeros((0, 2))).shape == (0, 2)
 
     def test_roundtrip_within_tolerance(self, field):
         rng = np.random.default_rng(3)
@@ -733,11 +766,43 @@ class TestSplineReads:
         field.u_at(field.times[3], x)    # on a slice
         assert len(calls) == 2
 
+    @given(_field_reads())
+    @example((2, "u", True, [20, -0.5, 1.5, 0],
+              np.array([[[0.3, -0.1]], [[4.2, math.nan]], [[-3.0, 3.0]], [[0.0, 0.0]]])))
+    @example((3, "grad", False, [0.25], np.full((1, 2, 3), -4.0)))
+    @example((1, "u", False, [3], np.array([[[0.2], [-0.0]]])))
+    def test_u_grad_read_equals_u_and_grad_reads(self, fields, case):
+        n, _, per_row, times, x = case
+        field = fields[n]
+        ts = np.array([field.times[min(t, field.times.size - 1)] if isinstance(t, int)
+                       else t * field.horizon for t in times])
+        t = ts if per_row else ts[0]
+        u, grad = field.u_grad_at(t, x)
+        for got, want in ((u, field.u_at(t, x)), (grad, field.grad_at(t, x))):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want, equal_nan=True)
+            assert got.tobytes() == want.tobytes()
+
+    def test_u_grad_read_is_one_spline_call(self, field, monkeypatch):
+        calls = []
+        real = NdBSpline.__call__
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(NdBSpline, "__call__", counted)
+        x = np.array([[0.4, -0.7], [1.1, 0.2]])
+        field.u_grad_at(0.123, x)                # between slices
+        field.u_grad_at(field.times[3], x)       # on a slice
+        assert len(calls) == 2
+
 
 def conjugated_at(tsys, t, ys):
     """The conjugated drift and diffusion at states ys, read from their preimages."""
     zs = tsys.field.invert_theta(t, ys)
-    return tsys.drift_at(t, zs), tsys.diffusion_at(t, zs, tsys.field.grad_theta(t, zs))
+    drift, jac = tsys.drift_jac_at(t, zs)
+    return drift, tsys.diffusion_at(t, zs, jac)
 
 
 class TestTransformedSystem:
