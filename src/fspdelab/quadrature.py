@@ -36,13 +36,14 @@ def _frozen(*arrays):
 
 
 @lru_cache(maxsize=32)
-def _gl_rule(order: int):
+def gl_rule(order: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], cached and read-only."""
     return _frozen(*np.polynomial.legendre.leggauss(order))
 
 
 def panel_integral(f, a: float, b: float, order: int = 32) -> float:
     """Gauss-Legendre integral of f over [a, b]."""
-    nodes, weights = _gl_rule(order)
+    nodes, weights = gl_rule(order)
     x = 0.5 * (b - a) * nodes + 0.5 * (b + a)
     return 0.5 * (b - a) * float(np.dot(weights, np.asarray(f(x), dtype=float)))
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .analysis import Spectrum, WeightFunction, sqrt_weight
 from .errors import CertificationError, InputError
-from .quadrature import hermite_tensor, panel_integral
+from .quadrature import gl_rule, hermite_tensor, panel_integral
 from .segment import sine_segment_values
 from .simulator import CoefficientSet, SegmentView, _times_modes
 
@@ -116,7 +116,7 @@ def _warped_time_rule(lam: float, gap: float, grid: ZvonkinGrid):
     for k in range(1, grid.quad_panels):
         edges.append(1.0 - depth * 6.0 ** (-k))
     edges.append(1.0)
-    nodes, weights = np.polynomial.legendre.leggauss(grid.quad_order)
+    nodes, weights = gl_rule(grid.quad_order)
     taus, wts = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
         if hi <= lo:
@@ -226,6 +226,26 @@ def _sphere_directions(n: int) -> np.ndarray:
     return np.stack([rc * np.cos(phi), rc * np.sin(phi), zc], axis=-1)
 
 
+def _max_spectral_norm(mats: np.ndarray) -> float:
+    """Largest spectral norm in a (..., n, n) stack, by SVD of only the matrices that can hold it.
+
+    A matrix's spectral norm is at most its Frobenius norm.  The floor, the
+    spectral norm of the Frobenius-largest matrix, is a value the max
+    reaches, so a matrix whose Frobenius norm is below it cannot hold the
+    max; the relative slack of 1e-9 covers the rounding of the norms.
+    Squares of entries below ~1e-154 underflow, so the bound is trusted only
+    for a floor >= 1e-150 and every matrix is kept below it.  A NaN norm is
+    never below the cut, so a matrix with a NaN or inf entry stays in.  The
+    SVD treats each matrix of a batch on its own, so the max over the kept
+    ones is the full-stack max bit for bit.
+    """
+    mats = mats.reshape(-1, *mats.shape[-2:])
+    frob = np.sqrt(np.einsum("pij,pij->p", mats, mats))
+    floor = np.linalg.svd(mats[np.argmax(frob)], compute_uv=False)[0]
+    cut = floor * (1.0 - 1e-9) if floor >= 1e-150 else 0.0
+    return float(np.max(np.linalg.svd(mats[~(frob < cut)], compute_uv=False)[..., 0]))
+
+
 def _bilinear_norm(tensors: np.ndarray) -> float:
     """Largest operator norm among bilinear maps given as (..., n, n, n) tensors.
 
@@ -233,33 +253,20 @@ def _bilinear_norm(tensors: np.ndarray) -> float:
     T[:, :, :] @ eta'; the direction sphere is sampled densely, which is
     exact up to the sampling resolution in dimension <= 3.
 
-    Only slices that can hold the max go through the SVD.  By Cauchy-Schwarz
-    a slice's spectral norm is at most its Frobenius norm, and that is at
-    most the whole-tensor Frobenius norm of its point.  The floor, the
-    largest slice spectral norm of the Frobenius-largest point, is a value
-    the max reaches, so a point, and then a slice, whose Frobenius norm is
-    below it cannot hold the max; the relative slack of 1e-9 covers the
-    rounding of the norms.  Squares of entries below ~1e-154 underflow, so
-    the bound is trusted only for a floor >= 1e-150 and everything is kept
-    below it.  A NaN norm is never below the cut, so points and slices with
-    a NaN or inf entry stay in and reach the max as in the full sweep.
+    Only points that can hold the max are sliced, by the argument of
+    _max_spectral_norm taken over points: a slice's Frobenius norm is at
+    most the whole-tensor Frobenius norm of its point, and the floor is the
+    largest slice spectral norm of the Frobenius-largest point.
     """
     n = tensors.shape[-1]
     if n == 1:
         return float(np.max(np.abs(tensors[..., 0, 0, 0])))
     points = tensors.reshape(-1, n, n, n)
     dirs = _sphere_directions(n)
-
-    def spectral_norms(pts, cut):
-        """Spectral norms of the slices of pts whose Frobenius norm is not below cut."""
-        slices = np.einsum("...kij,dj->...dki", pts, dirs).reshape(-1, n, n)
-        frob = np.sqrt(np.einsum("pki,pki->p", slices, slices))
-        return np.linalg.svd(slices[~(frob < cut)], compute_uv=False)[..., 0]
-
     frob = np.sqrt(np.einsum("pkij,pkij->p", points, points))
-    floor = np.max(spectral_norms(points[[np.argmax(frob)]], 0.0))
+    floor = _max_spectral_norm(np.einsum("...kij,dj->...dki", points[[np.argmax(frob)]], dirs))
     cut = floor * (1.0 - 1e-9) if floor >= 1e-150 else 0.0
-    return float(np.max(spectral_norms(points[~(frob < cut)], cut)))
+    return _max_spectral_norm(np.einsum("...kij,dj->...dki", points[~(frob < cut)], dirs))
 
 
 @dataclass
@@ -540,27 +547,24 @@ class RegularizingField:
 
 
 def _weighted_norms(u, grad, aw: np.ndarray) -> tuple:
-    """(|u|_a, |grad u|_a): the largest norm of a(-A) u and of a(-A) grad u over the points."""
-    n = aw.size
+    """(|u|_a, |grad u|_a): the exact largest norm of a(-A) u and of a(-A) grad u over the points.
+
+    Only the a(-A) grad u matrices whose Frobenius norm can reach the max go
+    through the SVD (see _max_spectral_norm).
+    """
     u_a = float(np.max(np.linalg.norm(u * aw, axis=-1))) if u.size else 0.0
-    svals_a = np.linalg.svd(grad.reshape(-1, n, n) * aw[None, :, None], compute_uv=False)[..., 0]
-    return u_a, float(np.max(svals_a))
+    return u_a, _max_spectral_norm(grad * aw[:, None])
 
 
 def _field_norms(spec: Spectrum, weight: WeightFunction, u, grad, hess) -> dict:
     aw = np.asarray(weight(spec.eigenvalues), dtype=float)
-    sq = np.sqrt(spec.eigenvalues)
     u_a, grad_a = _weighted_norms(u, grad, aw)
-    flat_grad = grad.reshape(-1, spec.n_modes, spec.n_modes)
-    svals = np.linalg.svd(flat_grad, compute_uv=False)[..., 0]
-    svals_sq = np.linalg.svd(flat_grad * sq[None, :, None], compute_uv=False)[..., 0]
-    hess_norm = _bilinear_norm(hess.reshape(-1, *hess.shape[-3:]))
     return {
         "u_a": u_a,
         "grad_a": grad_a,
-        "grad": float(np.max(svals)),
-        "sqrtA_grad": float(np.max(svals_sq)),
-        "hess": hess_norm,
+        "grad": _max_spectral_norm(grad),
+        "sqrtA_grad": _max_spectral_norm(grad * np.sqrt(spec.eigenvalues)[:, None]),
+        "hess": _bilinear_norm(hess),
     }
 
 
@@ -1031,8 +1035,7 @@ def transform_coeffs(field: RegularizingField, coeffs: CoefficientSet, *,
         keep = dists > 1e-12
         dq_op = np.linalg.svd(qx - qy, compute_uv=False)[..., 0]
         k2 = max(k2, float(np.max(dq_op[keep] / np.minimum(1.0, dists[keep]))))
-        gain_norms = np.linalg.svd(_control_gain(qx), compute_uv=False)[..., 0]
-        k3 = max(k3, float(np.max(gain_norms)))
+        k3 = max(k3, _max_spectral_norm(_control_gain(qx)))
         quad = 2.0 * np.einsum("pi,pi->p", gaps, -lamvec * gaps + (bx - by)) \
             + np.sum((qx - qy) ** 2, axis=(-2, -1))
         k4 = max(k4, float(np.max(quad[keep] / dists[keep] ** 2)))

@@ -11,7 +11,7 @@ from fspdelab import analysis as an
 from fspdelab import simulator as sim
 from fspdelab import zvonkin as zv
 from fspdelab.errors import CertificationError, InputError
-from fspdelab.quadrature import _gl_rule, hermite_tensor
+from fspdelab.quadrature import gl_rule, hermite_tensor
 from fspdelab.segment import SegmentPath, segment_norm
 
 
@@ -71,7 +71,7 @@ class TestKernelQuadrature:
         assert np.allclose(hess, exact, atol=1e-11)
 
     def test_cached_rules_are_read_only(self):
-        for arr in (*hermite_tensor(5, 2), *_gl_rule(8)):
+        for arr in (*hermite_tensor(5, 2), *gl_rule(8)):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
@@ -109,6 +109,11 @@ def _with_entry(tensors, index, value):
     out = tensors.copy()
     out[index] = value
     return out
+
+
+def _full_svd_max(mats):
+    """Largest spectral norm of a (..., n, n) stack by one SVD of every matrix."""
+    return float(np.max(np.linalg.svd(mats, compute_uv=False)[..., 0]))
 
 
 class TestSweepKernels:
@@ -159,6 +164,27 @@ class TestSweepKernels:
         else:
             # repr tells NaN from NaN-free values and keeps the last bit
             assert repr(zv._bilinear_norm(tensors)) == repr(full)
+
+    @given(st.integers(1, 3).flatmap(lambda n: st.lists(
+        st.floats(-1e3, 1e3, allow_nan=False), min_size=n * n, max_size=6 * n * n
+    ).map(lambda v: np.array(v[: len(v) // n**2 * n**2]).reshape(-1, n, n))))
+    @example(np.zeros((3, 2, 2)))
+    @example(np.full((4, 3, 3), 1e-170))  # squares underflow: no Frobenius bound
+    @example(np.concatenate([_SPREAD_POINTS[0], np.full((1, 3, 3), 1e200)]))  # squares overflow
+    @example(np.tile(_SPREAD_POINTS[0, 0], (4, 1, 1)))  # every matrix tied at the max
+    # rank one: its Frobenius norm rounds below its spectral norm, so only
+    # the slack keeps it
+    @example(np.outer([0.7, -0.9], [0.5, -0.6])[None])
+    @example(_with_entry(_SPREAD_POINTS[0], (1, 0, 1), math.inf))
+    @example(_with_entry(_SPREAD_POINTS[0], (2, 1, 0), math.nan))
+    def test_max_spectral_norm_equals_full_svd_max(self, mats):
+        try:
+            full = _full_svd_max(mats)
+        except np.linalg.LinAlgError:
+            with pytest.raises(np.linalg.LinAlgError):
+                zv._max_spectral_norm(mats)
+        else:
+            assert repr(zv._max_spectral_norm(mats)) == repr(full)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_multilinear_ignores_dirty_work_arrays(self, n):
@@ -320,6 +346,41 @@ class TestRecordedFields:
         assert repr(fld.contraction_factor) == factor
         assert repr(fld.norms) == norms
         assert fld.converged and fld.certified
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_norms_equal_full_svd_recomputation(self, name):
+        fld = self.solve(name)
+        n = fld.n_modes
+        aw = np.asarray(an.sqrt_weight()(fld.spec.eigenvalues), dtype=float)
+        grad = fld.grad.reshape(-1, n, n)
+        hess = fld.hess.reshape(-1, n, n, n)
+        if n == 1:
+            hess_norm = float(np.max(np.abs(hess)))
+        else:
+            hess_norm = _full_svd_max(np.einsum("...kij,dj->...dki", hess,
+                                                zv._sphere_directions(n)))
+        assert repr(fld.norms) == repr({
+            "u_a": float(np.max(np.linalg.norm(fld.u * aw, axis=-1))),
+            "grad_a": _full_svd_max(grad * aw[None, :, None]),
+            "grad": _full_svd_max(grad),
+            "sqrtA_grad": _full_svd_max(grad * np.sqrt(fld.spec.eigenvalues)[None, :, None]),
+            "hess": hess_norm,
+        })
+
+    def test_weighted_norms_take_few_matrices_through_the_svd(self, monkeypatch):
+        fld = self.solve("n2")
+        aw = np.asarray(an.sqrt_weight()(fld.spec.eigenvalues), dtype=float)
+        stack = fld.grad[..., 0, 0].size
+        sizes = []
+        svd = np.linalg.svd
+
+        def counted(a, *args, **kwargs):
+            sizes.append(a[..., 0, 0].size)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        zv._weighted_norms(fld.u, fld.grad, aw)
+        assert 0 < sum(sizes) < 0.05 * stack
 
 
 class TestKeptDriftSamples:
@@ -818,6 +879,13 @@ class TestTransformedSystem:
         assert np.array_equal(tsys.delay_drift_at(0.2, fld.grad_theta(0.2, xs), view),
                               dini_coeffs.delay_drift(0.2, view))
         assert tsys.bounds["K2"] == 0.0
+
+    def test_control_gain_bound_equals_full_svd_max(self, monkeypatch, field, dini_coeffs,
+                                                     transformed):
+        monkeypatch.setattr(zv, "_max_spectral_norm", _full_svd_max)
+        full = zv.transform_coeffs(field, dini_coeffs, delay=0.25, grid_step=1.0 / 128.0,
+                                   seed=99)
+        assert repr(transformed.bounds) == repr(full.bounds)
 
     def test_diffusion_modulus_holds_out(self, transformed):
         rng = np.random.default_rng(4242)
