@@ -64,6 +64,18 @@ class CoefficientSet:
     """The triple (b, B, Q) with the sup of |b|.
 
     All evaluators are batch aware: states carry a leading path axis.
+    drift(t, x, norms) and diffusion(t, x, norms) take norms = |x| per
+    path, bit for bit `_row_norms(x)`, from their caller: the row
+    `simulate_ensemble` stored when it wrote x, or the norms `solve_u` and
+    `transform_coeffs` take of their query points.  A coefficient that
+    needs |x| reads it there instead of computing it again: the truncation
+    cut-offs always, `dini_drift` below `_SHORT_MODES` modes, where
+    `_row_norms` adds the squares in mode order as the drift always has.
+    From there on `_row_norms` sums pairwise, so the drift keeps its own
+    mode-order sum.  delay_drift(t, view) reads its norm from
+    view.sup_norm().
+    Both x and norms may be read-only views of the engine's history, so a
+    coefficient must not write into them.
     diag_noise, when set, declares Q(t, x) = diag(diag_noise) so the
     integrator can draw the stochastic convolution with exact variance.
     """
@@ -75,9 +87,9 @@ class CoefficientSet:
     diag_noise: np.ndarray | None = None
     drift_sup: float = 0.0
 
-    def diffusion_matrix(self, t: float, x: np.ndarray) -> np.ndarray:
+    def diffusion_matrix(self, t: float, x: np.ndarray, norms: np.ndarray) -> np.ndarray:
         """Q(t, x); a constant (n, m) Q is broadcast over the batch axes of x."""
-        q = np.asarray(self.diffusion(t, x), dtype=float)
+        q = np.asarray(self.diffusion(t, x, norms), dtype=float)
         if q.ndim == 2 and np.ndim(x) > 1:
             q = np.broadcast_to(q, np.shape(x)[:-1] + q.shape)
         return q
@@ -200,6 +212,13 @@ def _history_windows(states: np.ndarray, norms: np.ndarray, delay: float,
                SegmentView(states[k: k + lags + 1], grid_step, delay, sup))
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A view of a that raises ValueError on a write; a itself stays writable."""
+    ro = a.view()
+    ro.flags.writeable = False
+    return ro
+
+
 def _mode_order_squares(x: np.ndarray) -> np.ndarray:
     """Sum of the squares over the last axis of x, added left to right in mode order."""
     sq = x * x
@@ -249,10 +268,10 @@ def _step_factors(lam: np.ndarray, grid_step: float, paths: int):
     return _full_width(decay, paths), _full_width((1.0 - decay) / lam, paths)
 
 
-def _full_drift(coeffs: CoefficientSet, t: float, x: np.ndarray,
+def _full_drift(coeffs: CoefficientSet, t: float, x: np.ndarray, norms: np.ndarray,
                 view: SegmentView) -> np.ndarray:
-    """b(t, x) + B(t, X_t), the drift the mild equation integrates."""
-    return np.asarray(coeffs.drift(t, x), dtype=float) \
+    """b(t, x) + B(t, X_t), the drift the mild equation integrates; norms = |x|."""
+    return np.asarray(coeffs.drift(t, x, norms), dtype=float) \
         + np.asarray(coeffs.delay_drift(t, view), dtype=float)
 
 
@@ -263,7 +282,11 @@ def simulate_ensemble(coeffs: CoefficientSet, xi: SegmentPath, horizon: float,
 
     The per-step norms come from `_row_norms`, which gives the bits of
     `np.linalg.norm(x, axis=-1)` for real input, so `norms` holds them for
-    every mode count.  Dead paths are frozen only once one has exploded.
+    every mode count.  The row stored with x is the `norms` the drift and
+    the diffusion are called with.  They, and the delay drift's window,
+    read the history through read-only views, so a coefficient that writes
+    into them raises ValueError instead of changing the history.  Dead
+    paths are frozen only once one has exploded.
 
     Every array op of a step runs on full-width operands: the per-mode
     factors (decay, drift factor, noise scale) are broadcast once per
@@ -298,20 +321,22 @@ def simulate_ensemble(coeffs: CoefficientSet, xi: SegmentPath, horizon: float,
     norms = np.empty(states.shape[:2])
     norms[: lags + 1] = _row_norms(xi.values)[:, None]
     conv = np.zeros_like(states) if record_convolution else None
+    states_ro, norms_ro = _read_only(states), _read_only(norms)
     alive = np.ones(paths, dtype=bool)
     dead = None  # ~alive, once some path has exploded
     life = np.full(paths, math.inf)
 
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        for k, (t, x, view) in enumerate(_history_windows(states, norms, xi.delay,
+        for k, (t, x, view) in enumerate(_history_windows(states_ro, norms_ro, xi.delay,
                                                           grid_step, steps)):
             base = lags + k
-            drift = _full_drift(coeffs, t, x, view)
+            x_norms = norms_ro[base]
+            drift = _full_drift(coeffs, t, x, x_norms, view)
             dw = noise.increments[k][:, : coeffs.noise_dim]
             if use_diag:
                 gain = conv_scale * dw[:, :n]
             else:
-                qm = coeffs.diffusion_matrix(t, x)
+                qm = coeffs.diffusion_matrix(t, x, x_norms)
                 gain = decay * np.einsum("...nm,...m->...n", qm, dw)
             # decay * x + drift_fac * drift + gain, added left to right
             nxt = np.multiply(decay, x, out=states[base + 1])
@@ -379,13 +404,13 @@ def truncate_coeffs(coeffs: CoefficientSet, m) -> CoefficientSet:
         raise InputError("truncation levels must be positive and finite")
     earliest = float(levels.min())
 
-    def at_truncated_time(fn, t, arg):
+    def at_truncated_time(fn, t, *args):
         if t <= earliest:
-            return np.asarray(fn(t, arg), dtype=float)
+            return np.asarray(fn(t, *args), dtype=float)
         times = np.minimum(t, levels)
         out = None
         for s in np.unique(times):
-            val = np.asarray(fn(float(s), arg), dtype=float)
+            val = np.asarray(fn(float(s), *args), dtype=float)
             rows = (times == s).reshape(times.shape + (1,) * (val.ndim - times.ndim))
             out = val if out is None else np.where(rows, val, out)
         return out
@@ -395,16 +420,14 @@ def truncate_coeffs(coeffs: CoefficientSet, m) -> CoefficientSet:
             return val
         return val * smooth_cutoff(norms / levels)[(...,) + (None,) * trailing]
 
-    def b_m(t, x):
-        return cut_off(at_truncated_time(coeffs.drift, t, x),
-                       _row_norms(np.asarray(x, dtype=float)), 1)
+    def b_m(t, x, norms):
+        return cut_off(at_truncated_time(coeffs.drift, t, x, norms), norms, 1)
 
     def delay_m(t, view):
         return cut_off(at_truncated_time(coeffs.delay_drift, t, view), view.sup_norm(), 1)
 
-    def q_m(t, x):
-        return cut_off(at_truncated_time(coeffs.diffusion_matrix, t, x),
-                       _row_norms(np.asarray(x, dtype=float)), 2)
+    def q_m(t, x, norms):
+        return cut_off(at_truncated_time(coeffs.diffusion_matrix, t, x, norms), norms, 2)
 
     return replace(coeffs, drift=b_m, delay_drift=delay_m, diffusion=q_m,
                    diag_noise=None)
@@ -545,7 +568,7 @@ def maximal_inequality_check(spec: Spectrum, phi_proc: Callable, q: float,
 # Built-in coefficients.
 
 def zero_drift():
-    return lambda t, x: np.zeros_like(np.asarray(x, dtype=float))
+    return lambda t, x, norms: np.zeros_like(np.asarray(x, dtype=float))
 
 
 def zero_delay_drift():
@@ -556,7 +579,7 @@ def zero_delay_drift():
 
 
 def dini_drift(phi: ModulusFunction, direction: np.ndarray):
-    """b(t, x) = v * phi(min(|x|, 1)) for a unit vector v.
+    """b(t, x) = v * phi(min(|x|, 1)) for a unit vector v, |x| the passed norms below 8 modes.
 
     Concavity and monotonicity of phi make phi itself the modulus of
     this drift, and the min(. , 1) clamp keeps it bounded by phi(1).
@@ -564,23 +587,24 @@ def dini_drift(phi: ModulusFunction, direction: np.ndarray):
     v = np.asarray(direction, dtype=float)
     v = v / np.linalg.norm(v)
 
-    def fn(t, x):
-        # the squares added in mode order for every mode count, as this
-        # drift always has; np.linalg.norm adds them so below eight modes
-        sq = _mode_order_squares(np.asarray(x, dtype=float))
-        return _times_modes(phi(np.minimum(np.sqrt(sq), 1.0))[..., None], v)
+    def fn(t, x, norms):
+        # |x| with the squares added in mode order for every mode count, as
+        # this drift always has: below eight modes that is the passed norms
+        if v.size >= _SHORT_MODES:
+            norms = np.sqrt(_mode_order_squares(np.asarray(x, dtype=float)))
+        return _times_modes(phi(np.minimum(norms, 1.0))[..., None], v)
 
     return fn
 
 
 def linear_drift(rate: float):
     """Dissipative drift b(t, x) = -rate * x."""
-    return lambda t, x: -rate * np.asarray(x, dtype=float)
+    return lambda t, x, norms: -rate * np.asarray(x, dtype=float)
 
 
 def cubic_drift(coeff: float = 1.0):
     """Superlinear outward drift b(t, x) = coeff * x^3 (explosion control)."""
-    return lambda t, x: coeff * np.asarray(x, dtype=float) ** 3
+    return lambda t, x, norms: coeff * np.asarray(x, dtype=float) ** 3
 
 
 def delay_shift_drift(beta: float, delay: float):
@@ -604,7 +628,7 @@ def constant_diagonal_diffusion(q: np.ndarray):
     """Q(t, x) = diag(q), one (n, n) matrix that diffusion_matrix broadcasts over x."""
     q = np.asarray(q, dtype=float)
 
-    def fn(t, x):
+    def fn(t, x, norms):
         return np.diag(q)
 
     return fn
@@ -616,7 +640,7 @@ def state_diagonal_diffusion(q: np.ndarray, amplitude: float = 0.5, frequency: f
     if abs(amplitude) >= 1.0:
         raise InputError("amplitude must stay below 1 to keep QQ* invertible")
 
-    def fn(t, x):
+    def fn(t, x, norms):
         x = np.asarray(x, dtype=float)
         diag = q * (1.0 + amplitude * np.sin(frequency * x))
         out = np.zeros(x.shape + (q.size,))

@@ -33,7 +33,7 @@ from .analysis import Spectrum, WeightFunction, sqrt_weight
 from .errors import CertificationError, InputError
 from .quadrature import gl_rule, hermite_tensor, panel_integral
 from .segment import sine_segment_values
-from .simulator import CoefficientSet, SegmentView, _times_modes
+from .simulator import CoefficientSet, SegmentView, _row_norms, _times_modes
 
 if TYPE_CHECKING:
     from scipy.interpolate import NdBSpline
@@ -685,8 +685,10 @@ def solve_u(ref: ReferenceSemigroup, drift: Callable, lam: float, horizon: float
     reads them; a mode not kept is +0.0 throughout and is read as the
     float +0.0.  A chunk beyond that budget is sampled again in every sweep
     into the work array.  The drift must therefore be a deterministic
-    function of (t, x); its result is copied, so it may return a view of
-    its argument or reuse its output array.
+    function of (t, x).  It is called as drift(t, x, norms) with norms =
+    `_row_norms(x)`, the protocol of `CoefficientSet`; its result is
+    copied, so it may return a view of its argument or reuse its output
+    array.
 
     A sweep computes only what can change a bit of the tables.  A chunk's
     reached modes are those whose drift samples are not all +0.0 (kept with
@@ -809,8 +811,9 @@ def solve_u(ref: ReferenceSemigroup, drift: Callable, lam: float, horizon: float
                 for s, t in enumerate(t_q[sl]):
                     for d, coord in enumerate(coords):
                         np.copyto(pts[..., d], coord[sl.start + s])
+                    x = pts.reshape(-1, n)
                     np.copyto(b_all[:, s * per_slot:(s + 1) * per_slot],
-                              np.asarray(drift(t, pts.reshape(-1, n)),
+                              np.asarray(drift(t, x, _row_norms(x)),
                                          dtype=float).reshape(-1, n).T)
                 reached = _reached_modes(b_all)
                 held = range(n) if reached is None else reached
@@ -962,9 +965,10 @@ class TransformedSystem:
         inner = np.asarray(self.base.delay_drift(t, zview), dtype=float)
         return np.einsum("...ij,...j->...i", jac, inner)
 
-    def diffusion_at(self, t, z, jac):
-        """The conjugated diffusion jac Q(t, z)."""
-        return np.einsum("...ij,...jm->...im", jac, self.base.diffusion_matrix(t, z))
+    def diffusion_at(self, t, z, jac, z_norms):
+        """The conjugated diffusion jac Q(t, z), z_norms = |z| per preimage."""
+        return np.einsum("...ij,...jm->...im", jac,
+                         self.base.diffusion_matrix(t, z, z_norms))
 
 
 def _control_gain(sys_q: np.ndarray) -> np.ndarray:
@@ -1028,8 +1032,8 @@ def transform_coeffs(field: RegularizingField, coeffs: CoefficientSet, *,
         zs = field.invert_theta(np.full(2, t), np.stack([xs, ys]))
         (bx, by), (jx, jy) = sys.drift_jac_at(t, zs)
         zx, zy = zs
-        qx = sys.diffusion_at(t, zx, jx)
-        qy = sys.diffusion_at(t, zy, jy)
+        qx = sys.diffusion_at(t, zx, jx, _row_norms(zx))
+        qy = sys.diffusion_at(t, zy, jy, _row_norms(zy))
         gaps = xs - ys
         dists = np.linalg.norm(gaps, axis=-1)
         keep = dists > 1e-12
@@ -1056,7 +1060,8 @@ def transform_coeffs(field: RegularizingField, coeffs: CoefficientSet, *,
     k1 = 0.0
     for t, (sa, sb), z_side, z_head, jac in zip(seg_ts, segs, z_rows, z_heads, jacs):
         ba, bb = sys.delay_drift_at(t, jac, SegmentView(z_side.swapaxes(0, 1), grid_step, delay))
-        gain = _control_gain(sys.diffusion_at(t, z_head[1:], jac[1:]))[0]
+        gain = _control_gain(sys.diffusion_at(t, z_head[1:], jac[1:],
+                                              _row_norms(z_head[1:])))[0]
         num = float(np.linalg.norm(gain @ (ba - bb)))
         den = float(np.max(np.linalg.norm(sa - sb, axis=-1)))
         k1 = max(k1, num / max(den, 1e-12))

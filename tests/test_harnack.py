@@ -214,7 +214,7 @@ class TestConjugation:
         ref = __import__("fspdelab").zvonkin.ReferenceSemigroup(spec2, np.ones(2))
         from fspdelab import zvonkin as zv
 
-        fld = zv.solve_u(ref, lambda t, y: np.zeros_like(np.asarray(y, dtype=float)),
+        fld = zv.solve_u(ref, lambda t, y, norms: np.zeros_like(np.asarray(y, dtype=float)),
                          50.0, HORIZON, zv.ZvonkinGrid(time_steps=6, nodes_per_dim=9))
         coeffs = sim.make_coefficients(
             2, delay_drift=sim.delay_tanh_drift(0.3, np.array([1.0, 0.0])),

@@ -114,6 +114,11 @@ class TestClasscheckExperiment:
 
 
 class TestSimulateExperiment:
+    def test_default_report_hash_is_pinned(self):
+        result = run_simulate(ExperimentConfig.defaults("simulate"))
+        assert result.report_hash() == \
+            "d41aaf9727f014887e890bd62180b24f233232a7458321d3b1685ce6d6f2d35e"
+
     def test_trajectory_table_written(self, tmp_path):
         result = run_simulate(ExperimentConfig.defaults("simulate"))
         assert result.passed
@@ -150,6 +155,12 @@ class TestSimulateExperiment:
 
 
 class TestUniquenessExperiment:
+    def test_default_report_hash_is_pinned(self):
+        # the default-config reference of the uniqueness benchmark workload
+        result = run_uniqueness(ExperimentConfig.defaults("uniqueness"))
+        assert result.report_hash() == \
+            "de4b1c31e0898d084588f980838c51bad1d8a852631f04c2b13d651af27cd164"
+
     def test_zero_noise_zero_drift_distance_exactly_zero(self):
         cfg = ExperimentConfig.defaults("uniqueness", {
             "coefficients": {"drift": {"kind": "zero"},
@@ -216,12 +227,14 @@ def _padded_projection(coeffs: sim.CoefficientSet, n_full: int, n: int) -> sim.C
             return self._view.sup_norm()
 
     diag = None if coeffs.diag_noise is None else coeffs.diag_noise[:n]
+    # zero-padding keeps |x|, so the n-mode norms are passed on as they are
     return replace(
-        coeffs, drift=lambda t, x: np.asarray(coeffs.drift(t, pad(x)), dtype=float)[..., :n],
+        coeffs, drift=lambda t, x, norms: np.asarray(
+            coeffs.drift(t, pad(x), norms), dtype=float)[..., :n],
         delay_drift=lambda t, view: np.asarray(
             coeffs.delay_drift(t, PaddedView(view)), dtype=float)[..., :n],
-        diffusion=lambda t, x: np.asarray(
-            coeffs.diffusion_matrix(t, pad(x)), dtype=float)[..., :n, :n],
+        diffusion=lambda t, x, norms: np.asarray(
+            coeffs.diffusion_matrix(t, pad(x), norms), dtype=float)[..., :n, :n],
         diag_noise=diag, noise_dim=n)
 
 
@@ -302,6 +315,11 @@ class TestGalerkinExperiment:
 
 
 class TestNonexplosionExperiment:
+    def test_default_report_hash_is_pinned(self):
+        result = run_nonexplosion(ExperimentConfig.defaults("nonexplosion"))
+        assert result.report_hash() == \
+            "8904394dc1310cc6fa309f85795e784669e77ea7cb4ca0d1372b5063cbae2b89"
+
     def test_linear_dissipative_dominated_by_gronwall_curve(self):
         # comparison pair Phi = K s, h = K s^2 + c matches the analytic
         # alpha * exp(2 K t) envelope of the quadratic comparison argument

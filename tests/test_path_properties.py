@@ -53,18 +53,28 @@ class TestStoredNorms:
                                               noise, start):
         """Every view the step loop builds, and the terminal view, reads stored norms.
 
-        Under the cubic drift a start at 1.6 crosses the explosion threshold
-        at path-dependent steps and a start at 1e110 overflows to inf; the
-        drift x^3 - 2 x^3 turns that overflow into NaN.  Dead paths are
-        frozen, so later windows hold huge, inf or NaN rows.
+        The norms the drift and the diffusion are called with are the bytes
+        of |x| on every step.  Under the cubic drift a start at 1.6 crosses
+        the explosion threshold at path-dependent steps and a start at 1e110
+        overflows to inf; the drift x^3 - 2 x^3 turns that overflow into
+        NaN.  Dead paths are frozen, so later windows hold huge, inf or NaN
+        rows.
         """
         dt = 0.125
         delay = lags * dt
-        level, drift = {"mild": (0.3, sim.cubic_drift(1.0)),
+        level, inner = {"mild": (0.3, sim.cubic_drift(1.0)),
                         "explodes": (1.6, sim.cubic_drift(1.0)),
                         "overflows": (1e110, sim.cubic_drift(1.0)),
-                        "cancels": (1e110, lambda t, x: x**3 - 2.0 * x**3)}[start]
+                        "cancels": (1e110, lambda t, x, norms: x**3 - 2.0 * x**3)}[start]
         checked = []
+        passed_norms = {"drift": 0, "diffusion": 0}
+
+        def spy(name, fn):
+            def call(t, x, norms):
+                assert norms.tobytes() == np.linalg.norm(x, axis=-1).tobytes()
+                passed_norms[name] += 1
+                return fn(t, x, norms)
+            return call
 
         def delay_drift(t, view):
             assert view.sup is not None
@@ -74,8 +84,10 @@ class TestStoredNorms:
             checked.append(t)
             return 0.3 * np.tanh(sup)[:, None] * np.ones(modes)
 
-        coeffs = sim.make_coefficients(modes, drift=drift, delay_drift=delay_drift,
-                                       diag_noise=np.ones(modes))
+        coeffs = sim.make_coefficients(
+            modes, drift=spy("drift", inner), delay_drift=delay_drift,
+            diffusion=spy("diffusion", sim.constant_diagonal_diffusion(np.ones(modes))),
+            diag_noise=np.ones(modes))
         xi = SegmentPath.constant(np.full(modes, level), delay, dt)
         spec = an.Spectrum(modes)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -85,6 +97,8 @@ class TestStoredNorms:
                 seed, _steps(steps * dt, dt), coeffs.noise_dim, dt, paths))
             recomputed = np.linalg.norm(res.states, axis=-1)
         assert len(checked) == steps
+        assert passed_norms == {"drift": steps,
+                                "diffusion": steps if noise == "general" else 0}
         assert np.array_equal(res.norms, recomputed, equal_nan=True)
         assert np.array_equal(res.terminal_view().sup_norm(),
                               recomputed[-lags - 1:].max(axis=0), equal_nan=True)
@@ -284,16 +298,24 @@ class TestColumnWrites:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 32])
     def test_dini_drift(self, n):
+        # below eight modes the drift reads the passed norms, so a wrong one
+        # shows in the result; from eight on it keeps its own mode-order sum
         x, direction = self._states(n)
         modulus = an.log_dini_modulus(0.4, 1.0)
         v = direction / np.linalg.norm(direction)
+        drift = sim.dini_drift(modulus, direction)
         with np.errstate(invalid="ignore"):
             for states in (x, x[0], x[0, 0]):
                 sq = states[..., 0] * states[..., 0]
                 for i in range(1, n):
                     sq = sq + states[..., i] * states[..., i]
                 want = modulus(np.minimum(np.sqrt(sq), 1.0))[..., None] * v
-                got = sim.dini_drift(modulus, direction)(0.0, states)
+                got = drift(0.0, states, np.linalg.norm(states, axis=-1))
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                wrong = np.full(states.shape[:-1], 0.25)
+                if n < 8:
+                    want = modulus(np.minimum(wrong, 1.0))[..., None] * v
+                got = drift(0.0, states, wrong)
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 32])

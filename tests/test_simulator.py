@@ -188,28 +188,33 @@ class TestTruncation:
     def test_agreement_inside_and_vanishing_outside(self, dini_coeffs):
         trunc = sim.truncate_coeffs(dini_coeffs, 3.0)
         inside = np.array([[0.5, -0.5]])
-        assert np.allclose(trunc.drift(1.0, inside), dini_coeffs.drift(1.0, inside))
+        inside_norms = np.linalg.norm(inside, axis=-1)
+        assert np.allclose(trunc.drift(1.0, inside, inside_norms),
+                           dini_coeffs.drift(1.0, inside, inside_norms))
         far = np.array([[6.0, 0.0]])
-        assert np.allclose(trunc.drift(1.0, far), 0.0)
-        assert np.allclose(trunc.diffusion_matrix(1.0, far), 0.0)
+        far_norms = np.linalg.norm(far, axis=-1)
+        assert np.allclose(trunc.drift(1.0, far, far_norms), 0.0)
+        assert np.allclose(trunc.diffusion_matrix(1.0, far, far_norms), 0.0)
 
     def test_time_clamped_beyond_level(self):
         calls = []
 
-        def drift(t, x):
+        def drift(t, x, norms):
             calls.append(t)
             return np.zeros_like(np.asarray(x, dtype=float))
 
         coeffs = sim.make_coefficients(1, drift=drift, diag_noise=np.ones(1))
         trunc = sim.truncate_coeffs(coeffs, 2.0)
-        trunc.drift(5.0, np.zeros((1, 1)))
+        trunc.drift(5.0, np.zeros((1, 1)), np.zeros(1))
         assert calls == [2.0]
         # per-path levels: one whole-batch call per distinct truncated time
         calls.clear()
-        sim.truncate_coeffs(coeffs, np.array([2.0, 4.0])).drift(3.0, np.zeros((2, 1)))
+        sim.truncate_coeffs(coeffs, np.array([2.0, 4.0])).drift(3.0, np.zeros((2, 1)),
+                                                                np.zeros(2))
         assert calls == [2.0, 3.0]
         calls.clear()
-        sim.truncate_coeffs(coeffs, np.array([2.0, 4.0])).drift(1.5, np.zeros((2, 1)))
+        sim.truncate_coeffs(coeffs, np.array([2.0, 4.0])).drift(1.5, np.zeros((2, 1)),
+                                                                np.zeros(2))
         assert calls == [1.5]
 
     def test_pathwise_agreement_up_to_stopping_level(self, dini_coeffs, spec2):
@@ -233,9 +238,9 @@ class TestTruncation:
         q = sim.state_diagonal_diffusion(np.full(n, 0.8), 0.5, 3.0)
         shift = sim.delay_shift_drift(0.4, DELAY)
         coeffs = sim.make_coefficients(
-            n, drift=lambda t, x: (1.0 + t) * cubic * np.asarray(x, dtype=float) ** 3,
+            n, drift=lambda t, x, norms: (1.0 + t) * cubic * np.asarray(x, dtype=float) ** 3,
             delay_drift=lambda t, view: (1.0 - t) * shift(t, view),
-            diffusion=lambda t, x: (1.0 + 0.5 * t) * q(t, x), noise_dim=n)
+            diffusion=lambda t, x, norms: (1.0 + 0.5 * t) * q(t, x, norms), noise_dim=n)
         xi = SegmentPath.from_function(
             lambda s: amplitude * np.cos(2.0 * s + np.arange(n)), DELAY, dt)
         spec = an.Spectrum(n)
@@ -285,7 +290,7 @@ class TestTruncation:
                     "beyond": 3.0 * lvl + 1.0, "inf": math.inf, "nan": math.nan}[kind]
         shift = sim.delay_shift_drift(0.4, DT)
         coeffs = sim.make_coefficients(
-            n, drift=lambda t, x: np.tanh(x) - 0.25,
+            n, drift=lambda t, x, norms: np.tanh(x) - 0.25,
             delay_drift=lambda t, view: shift(t, view) + view.sup_norm()[:, None],
             diag_noise=np.linspace(1.0, 0.5, n) if diag else None,
             diffusion=None if diag else sim.state_diagonal_diffusion(np.full(n, 0.8)))
@@ -293,11 +298,12 @@ class TestTruncation:
         trunc = sim.truncate_coeffs(coeffs, m)
         with np.errstate(all="ignore"):
             norms = np.linalg.norm(x, axis=-1)
-            cases = [(trunc.drift(0.0, x), coeffs.drift(0.0, x),
+            cases = [(trunc.drift(0.0, x, norms), coeffs.drift(0.0, x, norms),
                       sim.smooth_cutoff(norms / m)[..., None]),
                      (trunc.delay_drift(0.0, view), coeffs.delay_drift(0.0, view),
                       sim.smooth_cutoff(view.sup_norm() / m)[..., None]),
-                     (trunc.diffusion_matrix(0.0, x), coeffs.diffusion_matrix(0.0, x),
+                     (trunc.diffusion_matrix(0.0, x, norms),
+                      coeffs.diffusion_matrix(0.0, x, norms),
                       sim.smooth_cutoff(norms / m)[..., None, None])]
             for got, base, factor in cases:
                 want = base * factor
@@ -323,6 +329,56 @@ class TestTruncation:
         assert np.all((v >= 0.0) & (v <= 1.0))
         assert np.all(v[u <= 1.0] == 1.0) and np.all(v[u >= 2.0] == 0.0)
         assert np.all(np.diff(v) <= 0.0)
+
+
+class TestCoefficientProtocol:
+    """Coefficients read |x| from the engine and read its history through read-only views."""
+
+    @staticmethod
+    def _run(drift=None, delay_drift=None, diffusion=None, levels=None, steps=8):
+        n = 2
+        coeffs = sim.make_coefficients(
+            n, drift=drift, delay_drift=delay_drift,
+            diffusion=diffusion or sim.constant_diagonal_diffusion(np.ones(n)))
+        paths = 4 if levels is None else len(levels)
+        if levels is not None:
+            coeffs = sim.truncate_coeffs(coeffs, levels)
+        xi = SegmentPath.constant(np.array([0.6, -0.4]), DELAY, DT)
+        return sim.simulate_ensemble(coeffs, xi, steps * DT, DT, an.Spectrum(n),
+                                     seeded(coeffs, steps * DT, 5, paths))
+
+    @pytest.mark.parametrize("target", ["x", "norms", "window"])
+    def test_coefficient_write_into_history_raises(self, target):
+        def drift(t, x, norms):
+            {"x": x, "norms": norms}[target][0] = 1.0
+            return np.zeros_like(x)
+
+        def delay_drift(t, view):
+            view.window[-1, 0] = 1.0
+            return np.zeros_like(view.value_at(0.0))
+
+        with pytest.raises(ValueError, match="read-only"):
+            if target == "window":
+                self._run(delay_drift=delay_drift)
+            else:
+                self._run(drift=drift)
+
+    def test_one_norm_per_state_in_truncated_run(self, monkeypatch):
+        # the initial segment and each new row: the drift and both cut-offs
+        # read the stored row instead of taking |x| again
+        counts = {"_row_norms": 0, "_mode_order_squares": 0}
+        for name in counts:
+            def counted(x, _fn=getattr(sim, name), _name=name):
+                counts[_name] += 1
+                return _fn(x)
+            monkeypatch.setattr(sim, name, counted)
+        steps = 24
+        res = self._run(drift=sim.dini_drift(an.log_dini_modulus(0.4), np.array([1.0, 0.0])),
+                        delay_drift=sim.delay_shift_drift(0.5, DELAY),
+                        diffusion=sim.state_diagonal_diffusion(np.full(2, 0.8)),
+                        levels=np.array([0.05, 0.1, 0.5, 0.5, 4.0, 8.0]), steps=steps)
+        assert not res.exploded.any() and np.isfinite(res.states).all()
+        assert counts == {"_row_norms": steps + 1, "_mode_order_squares": steps + 1}
 
 
 class TestBihari:
@@ -400,16 +456,18 @@ class TestCoefficientValidation:
         xs = data.draw(hnp.arrays(np.float64, (16, modes), elements=COORD))
         ys = data.draw(hnp.arrays(np.float64, (16, modes), elements=COORD))
         b = sim.dini_drift(phi, direction)
-        gaps = np.linalg.norm(b(0.0, xs) - b(0.0, ys), axis=-1)
+        bx = b(0.0, xs, np.linalg.norm(xs, axis=-1))
+        gaps = np.linalg.norm(bx - b(0.0, ys, np.linalg.norm(ys, axis=-1)), axis=-1)
         assert np.all(gaps <= phi(np.linalg.norm(xs - ys, axis=-1)) * (1.0 + 1e-6))
-        assert np.all(np.linalg.norm(b(0.0, xs), axis=-1) <= phi(1.0) * (1.0 + 1e-6))
+        assert np.all(np.linalg.norm(bx, axis=-1) <= phi(1.0) * (1.0 + 1e-6))
 
     @given(q=hnp.arrays(np.float64, st.integers(1, 3), elements=st.floats(0.1, 3.0)),
            amp=st.floats(-0.99, 0.99), freq=st.floats(0.1, 5.0), data=st.data())
     def test_state_diagonal_keeps_covariance_invertible(self, q, amp, freq, data):
         # the smallest singular value of Q stays at or above min(q) (1 - |amp|) > 0
         xs = data.draw(hnp.arrays(np.float64, (16, q.size), elements=COORD))
-        qm = sim.state_diagonal_diffusion(q, amp, freq)(0.0, xs)
+        qm = sim.state_diagonal_diffusion(q, amp, freq)(0.0, xs,
+                                                        np.linalg.norm(xs, axis=-1))
         diag = np.zeros_like(qm)
         diag[..., np.arange(q.size), np.arange(q.size)] = q * (1.0 + amp * np.sin(freq * xs))
         assert qm.tobytes() == diag.tobytes()

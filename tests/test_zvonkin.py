@@ -225,7 +225,7 @@ class TestSweepKernels:
 
 class TestResolventSolve:
     def test_zero_drift_single_iteration(self, ref):
-        fld = zv.solve_u(ref, lambda t, y: np.zeros_like(np.asarray(y, dtype=float)),
+        fld = zv.solve_u(ref, lambda t, y, norms: np.zeros_like(np.asarray(y, dtype=float)),
                          50.0, 1.0, SMALL_GRID)
         assert fld.iterations == 1
         assert np.max(np.abs(fld.u)) == 0.0
@@ -234,7 +234,7 @@ class TestResolventSolve:
     def test_constant_drift_closed_form(self, ref):
         c = np.array([0.3, -0.2])
         lam = 50.0
-        fld = zv.solve_u(ref, lambda t, y: np.broadcast_to(
+        fld = zv.solve_u(ref, lambda t, y, norms: np.broadcast_to(
             c, np.asarray(y, dtype=float).shape).copy(), lam, 1.0, SMALL_GRID)
         for s in fld.times[:-1]:
             exact = c * (1.0 - math.exp(-lam * (1.0 - s))) / lam
@@ -246,21 +246,21 @@ class TestResolventSolve:
         assert fld.norms["grad"] <= 1e-12  # x-independent
 
     def test_missing_contraction_reported(self, ref):
-        rough = lambda t, y: 40.0 * np.sin(3.0 * np.asarray(y, dtype=float))
+        rough = lambda t, y, norms: 40.0 * np.sin(3.0 * np.asarray(y, dtype=float))
         with pytest.raises(CertificationError, match="increase lam"):
             zv.solve_u(ref, rough, 0.5, 1.0, SMALL_GRID)
 
     @pytest.mark.parametrize("horizon", [0.0, -1.0])
     def test_nonpositive_horizon_rejected(self, ref, horizon):
         with pytest.raises(InputError, match="horizon must be positive"):
-            zv.solve_u(ref, lambda t, y: np.zeros_like(np.asarray(y, dtype=float)),
+            zv.solve_u(ref, lambda t, y, norms: np.zeros_like(np.asarray(y, dtype=float)),
                        50.0, horizon, SMALL_GRID)
 
     def test_dimension_cap(self):
         spec4 = an.Spectrum(4)
         ref4 = zv.ReferenceSemigroup(spec4, np.ones(4))
         with pytest.raises(InputError, match="active modes"):
-            zv.solve_u(ref4, lambda t, y: np.zeros_like(np.asarray(y, dtype=float)),
+            zv.solve_u(ref4, lambda t, y, norms: np.zeros_like(np.asarray(y, dtype=float)),
                        50.0, 1.0, SMALL_GRID)
 
 
@@ -390,9 +390,9 @@ class TestKeptDriftSamples:
     def counted(calls):
         """A wrap for TestRecordedFields.solve that appends each drift call's t to calls."""
         def wrap(drift):
-            def fn(t, x):
+            def fn(t, x, norms):
                 calls.append(t)
-                return drift(t, x)
+                return drift(t, x, norms)
             return fn
         return wrap
 
@@ -456,13 +456,14 @@ class TestKeptDriftSamples:
         # refills for every slot, and `reused` overwrites one output array
         out = {}
 
-        def reused(t, x):
+        def reused(t, x, norms):
             buf = out.setdefault(x.shape, np.empty(x.shape))
             np.copyto(buf, x)
             return buf
 
         hashes = {TestRecordedFields.solve("n2", lambda _: drift).content_hash()
-                  for drift in (lambda t, x: x, lambda t, x: np.array(x), reused)}
+                  for drift in (lambda t, x, norms: x, lambda t, x, norms: np.array(x),
+                                reused)}
         assert len(hashes) == 1
 
 
@@ -583,7 +584,7 @@ class TestSweepSelection:
 
 class TestThreshold:
     def test_zero_drift_takes_smallest_lam(self, ref):
-        zero = lambda t, y: np.zeros_like(np.asarray(y, dtype=float))
+        zero = lambda t, y, norms: np.zeros_like(np.asarray(y, dtype=float))
         fields = [zv.solve_u(ref, zero, lam, 1.0, SMALL_GRID) for lam in (30.0, 90.0)]
         chosen = zv.lambda_threshold(fields, 1.0)
         assert chosen.lam == 30.0
@@ -611,7 +612,7 @@ class TestThreshold:
 
 class TestDiffeomorphism:
     def test_trivial_field_inverts_to_identity(self, ref):
-        fld = zv.solve_u(ref, lambda t, y: np.zeros_like(np.asarray(y, dtype=float)),
+        fld = zv.solve_u(ref, lambda t, y, norms: np.zeros_like(np.asarray(y, dtype=float)),
                          50.0, 1.0, SMALL_GRID)
         y = np.array([[0.7, -0.4], [1.2, 0.3]])
         assert np.array_equal(fld.invert_theta(0.3, y), y)
@@ -863,18 +864,19 @@ def conjugated_at(tsys, t, ys):
     """The conjugated drift and diffusion at states ys, read from their preimages."""
     zs = tsys.field.invert_theta(t, ys)
     drift, jac = tsys.drift_jac_at(t, zs)
-    return drift, tsys.diffusion_at(t, zs, jac)
+    return drift, tsys.diffusion_at(t, zs, jac, np.linalg.norm(zs, axis=-1))
 
 
 class TestTransformedSystem:
     def test_trivial_transform_returns_base(self, ref, dini_coeffs):
-        fld = zv.solve_u(ref, lambda t, y: np.zeros_like(np.asarray(y, dtype=float)),
+        fld = zv.solve_u(ref, lambda t, y, norms: np.zeros_like(np.asarray(y, dtype=float)),
                          50.0, 0.5, SMALL_GRID)
         tsys = zv.transform_coeffs(fld, dini_coeffs)
         xs = np.array([[0.7, -0.4], [1.2, 0.3]])
         drift, diffusion = conjugated_at(tsys, 0.2, xs)
         assert np.array_equal(drift, np.zeros_like(xs))
-        assert np.array_equal(diffusion, dini_coeffs.diffusion_matrix(0.2, xs))
+        assert np.array_equal(diffusion, dini_coeffs.diffusion_matrix(
+            0.2, xs, np.linalg.norm(xs, axis=-1)))
         view = sim.SegmentView(np.stack([xs] * 9), 1.0 / 32.0, 0.25)
         assert np.array_equal(tsys.delay_drift_at(0.2, fld.grad_theta(0.2, xs), view),
                               dini_coeffs.delay_drift(0.2, view))
