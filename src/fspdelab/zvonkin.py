@@ -291,9 +291,11 @@ class RegularizingField:
     converged: bool
     weight_name: str
     norms: dict
-    # (kind, j) -> spline coefficients of slice j; (kinds, j, up) -> their spline
+    # (kind, j) -> spline coefficients of slice j; (kinds, j, up) -> their spline;
+    # the bytes of the last distinct read times -> their time plan (one entry)
     _coefs: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
     _splines: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
+    _plan: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for table in (self.u, self.grad, self.hess, self.times, *self.axes):
@@ -356,42 +358,102 @@ class RegularizingField:
     def _spline(self, kinds: tuple, j: int, up: bool) -> NdBSpline:
         """Slice j's spline of the tables in kinds, their components stacked in that order.
 
-        When up, slice j+1's stacked components follow slice j's.
+        When up, each stacked component is followed by that of slice j+1.
         """
         key = (kinds, j, up)
         if key not in self._splines:
             from scipy.interpolate import NdBSpline
 
-            coef = [self._coefficients(kind, i) for i in ((j, j + 1) if up else (j,))
-                    for kind in kinds]
+            coef = np.stack([np.concatenate([self._coefficients(kind, i) for kind in kinds], axis=-1)
+                             for i in ((j, j + 1) if up else (j,))], axis=-1)
             self._splines[key] = NdBSpline(tuple(map(_cubic_knots, self.axes)),
-                                           np.concatenate(coef, axis=-1), 3)
+                                           coef.reshape(coef.shape[:-2] + (-1,)), 3)
         return self._splines[key]
 
-    def _blend(self, kinds: tuple, lo: int, frac, up: bool, xb: np.ndarray) -> np.ndarray:
-        """(1 - frac) * A_lo(xb) + frac * A_{lo+1}(xb), the second term only when up.
+    def _blend(self, kinds: tuple, lo: int, up: bool, keep, frac, xb: np.ndarray) -> np.ndarray:
+        """keep * A_lo(xb) + frac * A_{lo+1}(xb), the second term only when up; keep = 1 - frac.
 
         One spline call reads both slices: a B-spline sums each component on
-        its own, so the stacked components are bitwise those of one slice.
+        its own, so the interleaved components are bitwise those of one
+        slice.  A component's two slices sit side by side, so each product
+        runs over one evenly strided view of the spline's values.
         """
         vals = self._spline(kinds, lo, up)(xb)
-        m = vals.shape[-1] // 2 if up else vals.shape[-1]
-        out = (1.0 - frac) * vals[..., :m]
-        if up:
-            out += frac * vals[..., m:]
+        if not up:
+            return keep * vals
+        pairs = vals.reshape(vals.shape[:-1] + (-1, 2))
+        out = keep * pairs[..., 0]
+        out += frac * pairs[..., 1]
         return out
+
+    def _time_plan(self, t) -> list:
+        """The time blend of a read at t, as row groups (rows, lo, up, 1 - frac, frac).
+
+        Each time is clamped to [0, T] and read at slice lo and offset frac;
+        up is frac > 0.  The rows that share lo and up form one group, and
+        rows is None when that group holds every row; no row has no group.  The weights are
+        (rows, 1, 1) and read-only.  A NaN time raises InputError.
+
+        The plan of the last distinct t is kept, keyed by the bytes of t as
+        a float array, so a read at the times of the read before it, such as
+        every step of invert_theta, derives none of it again, and times
+        changed in place are a new key.
+        """
+        times = np.asarray(t, dtype=float).reshape(-1)
+        key = times.tobytes()
+        plan = self._plan.get(key)
+        if plan is None:
+            if np.isnan(times).any():
+                raise InputError("a field read's time is NaN")
+            lo, frac = _axis_stencil(self.times, times.clip(0.0, self.horizon))
+            weights = frac.reshape(-1, 1, 1)
+            slot = 2 * lo + (frac > 0.0)
+            if slot.size and (slot == slot[0]).all():
+                groups = [(None, int(lo[0]), bool(frac[0] > 0.0))]
+            else:  # no group when there is no row
+                groups = [(np.flatnonzero(slot == k), k // 2, k % 2 == 1)
+                          for k in np.unique(slot).tolist()]
+            plan = []
+            for sel, j, up in groups:
+                w = weights if sel is None else weights[sel]
+                keep = 1.0 - w
+                keep.flags.writeable = w.flags.writeable = False
+                plan.append((sel, j, up, keep, w))
+            self._plan.clear()
+            self._plan[key] = plan
+        return plan
+
+    @staticmethod
+    def _row_shape(t, shape: tuple) -> tuple:
+        """(rows, points per row, n) of states of this shape read at times t.
+
+        A scalar t makes all the states one row; an array t holds one time
+        per entry of their leading axis, and InputError is raised unless it
+        has that many (which needs states of at least two axes).
+        """
+        if np.ndim(t) == 0:
+            return 1, math.prod(shape[:-1]), shape[-1]
+        if len(shape) < 2 or np.size(t) != shape[0]:
+            raise InputError(f"{np.size(t)} per-row times for states of shape {shape}: an "
+                             "array of times holds one per entry of the states' leading axis")
+        return shape[0], math.prod(shape[1:-1]), shape[-1]
 
     def _eval(self, kinds: tuple, t, x: np.ndarray) -> tuple:
         """The tables named in kinds at states x, time-interpolated linearly between slices.
 
         t is an array of per-row times, one for each entry along the leading
-        axis of x, or a scalar, which is read as one row holding all of x.
-        Each time is clamped to [0, T]; a row at slice lo and offset frac
-        reads (1 - frac) * A_lo(x) + frac * A_{lo+1}(x), the second term only
-        when frac > 0.  The rows that share the slice and the frac > 0 test
-        are blended as one batch wherever they sit in x, and the cubic
-        spatial interpolation treats every point on its own, so a row's
-        values are bitwise those of a one-row call at its time.
+        axis of x, or a scalar, which is read as one row holding all of x;
+        an array of another length, or a NaN time, raises InputError.  Each
+        time is clamped to [0, T] (so +-inf reads T or 0); a row at slice lo
+        and offset frac reads (1 - frac) * A_lo(x) + frac * A_{lo+1}(x), the
+        second term only when frac > 0.  The rows that share the slice and
+        the frac > 0 test are blended as one batch wherever they sit in x,
+        and the cubic spatial interpolation treats every point on its own,
+        so a row's values are bitwise those of a one-row call at its time.
+
+        The slices, weights and row groups are the time plan of t (see
+        _time_plan), derived once per distinct value of t and reused by the
+        reads at it that follow.
 
         Every table of kinds is read by the same spline call, on their
         components stacked, and each component is bitwise that of a read of
@@ -399,30 +461,28 @@ class RegularizingField:
         x.shape[:-1] plus the table's trailing shape.
         """
         x = np.asarray(x, dtype=float)
+        shape = self._row_shape(t, x.shape)
+        plan = self._time_plan(t)
         n = self.n_modes
         trailing = [(n,) * {"u": 1, "grad": 2, "hess": 3}[kind] for kind in kinds]
         ends = list(itertools.accumulate(map(math.prod, trailing), initial=0))
-        xb = np.clip(x, -self.halfwidth, self.halfwidth)
-        lo, frac = _axis_stencil(self.times,
-                                 np.asarray(t, dtype=float).reshape(-1).clip(0.0, self.horizon))
-        rows, weights = xb.reshape(frac.size, -1, n), frac.reshape(-1, 1, 1)
-        key = 2 * lo + (frac > 0.0)
-        if (key == key[0]).all():
-            out = self._blend(kinds, int(lo[0]), weights, bool(frac[0] > 0.0), rows)
+        rows = np.clip(x, -self.halfwidth, self.halfwidth).reshape(shape)
+        if plan and plan[0][0] is None:
+            out = self._blend(kinds, *plan[0][1:], rows)
         else:
-            out = np.empty(rows.shape[:2] + (ends[-1],))
-            for k in np.unique(key).tolist():
-                sel = np.flatnonzero(key == k)
-                out[sel] = self._blend(kinds, k // 2, weights[sel], k % 2 == 1, rows[sel])
+            out = np.empty(shape[:2] + (ends[-1],))
+            for sel, *blend in plan:
+                out[sel] = self._blend(kinds, *blend, rows[sel])
         out = out.reshape(x.shape[:-1] + (ends[-1],))
-        return tuple(out[..., a:b].reshape(x.shape[:-1] + shape)
-                     for a, b, shape in zip(ends, ends[1:], trailing))
+        return tuple(out[..., a:b].reshape(x.shape[:-1] + tail)
+                     for a, b, tail in zip(ends, ends[1:], trailing))
 
     def u_at(self, t, x: np.ndarray) -> np.ndarray:
         """u(t, x); t is clamped to [0, T] (frozen extension on [-r, 0]).
 
-        t is a scalar or an array of per-row times over the leading axis of
-        x (see _eval)."""
+        t is a scalar or an array of per-row times, one per entry of the
+        leading axis of x (see _eval).  The time plan of t is kept, so reads
+        repeated at one t, as invert_theta makes them, derive it once."""
         return self._eval(("u",), t, x)[0]
 
     def grad_at(self, t, x: np.ndarray) -> np.ndarray:
@@ -449,23 +509,31 @@ class RegularizingField:
         """Solve x + u(t, x) = y by the contraction x <- y - u(t, x), to 1e-10 in max norm.
 
         t is a scalar, which makes all of y one row, or an array of per-row
-        times over the leading axis of y (as in u_at).  Each row stops on its
-        own once the max-norm gap of its last step is <= 1e-10, and a row that
-        has stopped is not iterated again, so a row's result is bitwise that
-        of a scalar call on that row alone.  An empty y, of no row or of
-        rows without a point, is returned as an empty array of its shape.
+        times, one per entry of the leading axis of y (as in u_at; another
+        length raises InputError, as does a non-finite y).  Each row stops on
+        its own once the max-norm gap of its last step is <= 1e-10, and a row
+        that has stopped is not iterated again, so a row's result is bitwise
+        that of a scalar call on that row alone.  Every step reads u_at at
+        the times of the rows still going, so the steps between two stops
+        share one time plan (see _eval).  An empty y, of no row or of rows
+        without a point, is returned as an empty array of its shape.
         """
         y = np.asarray(y, dtype=float)
+        shape = self._row_shape(t, y.shape)
+        if not np.isfinite(y).all():
+            raise InputError("theta inversion target y holds a non-finite entry")
         if y.size == 0:
             return np.empty_like(y)
-        rows_y = y.reshape(np.size(t), -1, y.shape[-1])
+        rows_y = y.reshape(shape)
         x = np.empty_like(rows_y)
         # the rows still iterating: their indices, times, targets and iterates
         # (a scalar t has one row, which stops all at once)
         live, live_t, live_y, live_x = np.arange(len(rows_y)), t, rows_y, rows_y
         for _ in range(200):
             nxt = live_y - self.u_at(live_t, live_x)
-            going = ~(np.max(np.abs(nxt - live_x), axis=(1, 2)) <= 1e-10)
+            step = nxt - live_x
+            gap = np.abs(step, out=step).reshape(len(live), -1).max(axis=1)
+            going = ~(gap <= 1e-10)
             if going.all():
                 live_x = nxt
                 continue
@@ -475,7 +543,9 @@ class RegularizingField:
             live, live_y, live_x = live[going], live_y[going], nxt[going]
             live_t = np.asarray(live_t, dtype=float)[going]
         raise CertificationError(
-            "theta inversion did not converge in 200 iterations; field not certified")
+            f"theta inversion did not converge in 200 iterations: {len(live)} of "
+            f"{len(rows_y)} rows still moving, largest last step {np.max(gap[going]):.3g}; "
+            "field not certified")
 
     def spectrum_hash(self) -> str:
         h = hashlib.sha256()

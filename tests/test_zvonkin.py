@@ -624,6 +624,8 @@ class TestDiffeomorphism:
             x = field.invert_theta(t, y)
             assert x.shape == y.shape
         assert field.u_at(0.2, np.zeros((0, 2))).shape == (0, 2)
+        u, grad = field.u_grad_at(np.zeros(0), np.zeros((0, 3, 2)))
+        assert u.shape == (0, 3, 2) and grad.shape == (0, 3, 2, 2)
 
     def test_roundtrip_within_tolerance(self, field):
         rng = np.random.default_rng(3)
@@ -716,8 +718,106 @@ class TestPerRowTimes:
         window = np.zeros((9, 2, 2))
         window[:, 1] = [0.0, -2.5]
         times = 0.3 + (-0.25 + np.arange(9) / 32.0)
-        with pytest.raises(CertificationError, match="200 iterations"):
+        with pytest.raises(CertificationError, match="200 iterations: 9 of 9 rows still moving, "
+                                                     r"largest last step \d"):
             steep.invert_theta(times, window)
+        # a row at T, where u = 0, stops after one step and is not counted
+        with pytest.raises(CertificationError, match="200 iterations: 9 of 10 rows still moving"):
+            steep.invert_theta(np.append(times, 0.5), np.concatenate([window, window[:1]]))
+
+    @pytest.mark.parametrize("read", ["u_at", "grad_at", "u_grad_at", "theta", "invert_theta"])
+    def test_bad_times_raise(self, field, read):
+        f = getattr(field, read)
+        x = np.full((4, 2), 0.3)
+        # two times for four rows, an array of times for one point, and a NaN time
+        for t, states in ((np.array([0.05, 0.4]), x), (np.array([0.2]), x[0]),
+                          (math.nan, x), (np.array([0.2, math.nan, 0.3, 0.1]), x)):
+            with pytest.raises(InputError):
+                f(t, states)
+
+    def test_infinite_times_clamp(self, field):
+        x = np.array([[[0.3, -0.1]], [[1.2, 0.4]]])
+        for f in (field.u_at, field.grad_at, field.invert_theta):
+            assert np.array_equal(f(np.array([-math.inf, math.inf]), x),
+                                  np.stack([f(0.0, x[0]), f(field.horizon, x[1])]))
+
+    def test_non_finite_target_raises(self, field):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(InputError, match="target y"):
+                field.invert_theta(0.2, np.array([[0.3, bad], [0.1, 0.2]]))
+
+
+@st.composite
+def _time_sequences(draw):
+    """Two read times of the conftest field and four rows of states, one point each.
+
+    A time is a float in [-0.3, 0.8] or a slice node of the field (frac = 0).
+    """
+    time = st.one_of(st.floats(-0.3, 0.8), st.integers(0, 15))
+    t1, t2 = draw(st.lists(time, min_size=2, max_size=2, unique=True))
+    coords = draw(st.lists(st.floats(-4.5, 4.5), min_size=8, max_size=8))
+    return t1, t2, np.array(coords).reshape(4, 1, 2)
+
+
+class TestTimePlan:
+    """invert_theta and u_at derive a read's time plan once per distinct time."""
+
+    @staticmethod
+    def _spy_stencil(monkeypatch):
+        calls = []
+        real = zv._axis_stencil
+
+        def counted(axis, coords):
+            calls.append(np.size(coords))
+            return real(axis, coords)
+
+        monkeypatch.setattr(zv, "_axis_stencil", counted)
+        return calls
+
+    def test_one_plan_per_scalar_inversion(self, field, monkeypatch):
+        fresh = replace(field)  # no plan yet
+        calls = self._spy_stencil(monkeypatch)
+        fresh.invert_theta(0.3, np.random.default_rng(6).uniform(-2.0, 2.0, size=(50, 2)))
+        assert calls == [1]
+        # the read that follows an inversion at the same time reuses its plan
+        fresh.u_grad_at(0.3, np.zeros((3, 2)))
+        assert calls == [1]
+
+    def test_one_plan_per_live_set(self, field, monkeypatch):
+        # the row at 0.7 stops after one step, so the live times change once
+        fresh = replace(field)
+        calls = self._spy_stencil(monkeypatch)
+        fresh.invert_theta(np.array([0.2, 0.7]), np.full((2, 1, 2), 0.3))
+        assert calls == [2, 1]
+
+    @given(_time_sequences())
+    def test_plan_keyed_by_value(self, field, case):
+        # every read of the field, whose plan is that of the read before it,
+        # against the same read of a copy that holds no plan
+        t1, t2 = (field.times[t % field.times.size] if isinstance(t, int) else t
+                  for t in case[:2])
+        x = case[2]
+        fresh = replace(field)
+
+        def planless(read, t):
+            fresh._plan.clear()
+            return getattr(fresh, read)(t, x)
+
+        times = np.array([t1, t2, t1, t2])
+        reads = [("u_at", t1), ("u_at", t2), ("u_at", t1), ("u_grad_at", times), ("u_at", times)]
+        for read, t in reads:
+            got, want = getattr(field, read)(t, x), planless(read, t)
+            assert np.concatenate(got, axis=None).tobytes() == \
+                np.concatenate(want, axis=None).tobytes()
+        times[1] = t1  # changed in place, the array reads its new times
+        for read in ("u_at", "invert_theta"):
+            assert getattr(field, read)(times, x).tobytes() == planless(read, times).tobytes()
+
+    def test_plan_weights_read_only(self, field):
+        for t in (0.3, np.array([0.05, 0.3, 0.3, 0.5])):
+            field.u_at(t, np.zeros((4, 1, 2)))
+            for _, _, _, keep, frac in field._time_plan(t):
+                assert not keep.flags.writeable and not frac.flags.writeable
 
 
 @st.composite
