@@ -22,7 +22,7 @@ from .segment import SegmentPath, _steps
 from .simulator import (CoefficientSet, EnsembleResult, NoisePath, SegmentView,
                         _history_windows, _read_only, _row_norms, _step_factors,
                         simulate_ensemble)
-from .zvonkin import RegularizingField, TransformedSystem
+from .zvonkin import RegularizingField, TransformedSystem, _require_reference_noise
 
 
 # A test function maps a segment view to one strictly positive, bounded
@@ -234,8 +234,11 @@ def conjugation_check(coeffs: CoefficientSet, field: RegularizingField, xi: Segm
     shortcut, and grad theta(t, Z) Q(t, Z) for Y.  A zero field is then
     an exact identity, and any other field leaves only the
     transform-consistency gap.  The field must reach the horizon: beyond
-    its own it reads u = 0, which would drop the drift from Y alone.
+    its own it reads u = 0, which would drop the drift from Y alone.  The
+    noise of coeffs must be the field's constant reference noise (see
+    zvonkin._require_reference_noise).
     """
+    _require_reference_noise(field, coeffs)
     if horizon <= xi.delay:
         raise InputError("the conjugation identity is checked for T > r")
     if horizon > field.horizon:

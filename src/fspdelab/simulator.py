@@ -219,6 +219,22 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return ro
 
 
+def _sorted_unique(values) -> np.ndarray:
+    """np.unique(values) of a real or integer array, by the sort path of numpy's _unique1d.
+
+    The sorted distinct entries, all NaNs as one last NaN.  np.unique
+    itself imports numpy.ma on its first call in a process (~10 ms), to
+    rule out a masked array.
+    """
+    aux = np.sort(values, axis=None)
+    keep = np.empty(aux.shape, dtype=bool)
+    keep[:1] = True
+    keep[1:] = aux[1:] != aux[:-1]
+    if aux.size and np.isnan(aux[-1]):  # NaNs sort last
+        keep[np.searchsorted(aux, aux[-1], side="left") + 1:] = False
+    return aux[keep]
+
+
 def _mode_order_squares(x: np.ndarray) -> np.ndarray:
     """Sum of the squares over the last axis of x, added left to right in mode order."""
     sq = x * x
@@ -409,7 +425,7 @@ def truncate_coeffs(coeffs: CoefficientSet, m) -> CoefficientSet:
             return np.asarray(fn(t, *args), dtype=float)
         times = np.minimum(t, levels)
         out = None
-        for s in np.unique(times):
+        for s in _sorted_unique(times):
             val = np.asarray(fn(float(s), *args), dtype=float)
             rows = (times == s).reshape(times.shape + (1,) * (val.ndim - times.ndim))
             out = val if out is None else np.where(rows, val, out)
@@ -465,7 +481,7 @@ class PsiTransform:
         s_lo = max(min(s_lo, 1.0) * 0.5, 1e-12)
         s_hi = max(s_hi, 2.0) * 2.0
         grid = np.geomspace(s_lo, s_hi, 8192)
-        grid = np.unique(np.concatenate([grid, [1.0]]))
+        grid = _sorted_unique(np.concatenate([grid, [1.0]]))
         vals = 1.0 / (2.0 * np.asarray(phi_fn(grid), dtype=float))
         cumulative = np.concatenate([[0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(grid))])
         anchor = float(np.interp(1.0, grid, cumulative))

@@ -33,7 +33,7 @@ from .analysis import Spectrum, WeightFunction, sqrt_weight
 from .errors import CertificationError, InputError
 from .quadrature import gl_rule, hermite_tensor, panel_integral
 from .segment import sine_segment_values
-from .simulator import CoefficientSet, SegmentView, _row_norms, _times_modes
+from .simulator import CoefficientSet, SegmentView, _row_norms, _sorted_unique, _times_modes
 
 if TYPE_CHECKING:
     from scipy.interpolate import NdBSpline
@@ -169,32 +169,25 @@ def _multilinear(table: np.ndarray, lo, frac, work: dict) -> np.ndarray:
     weights live in `work` (see _work), and the result is a view into it,
     valid until the next call on the same `work`.
 
-    Each stencil is first copied dense over the trailing len(lo) axes of
-    the layout (solve_u's Hermite block), so the cell-index sum and the
-    corner-weight products run their inner loops over that whole block and
-    not over its last axis alone.  The index is that of the first corner;
-    every corner gathers from the view of the table shifted by its offset.
+    Stencils laid out axis by axis, lo[d] and frac[d] of shape (B, 1, ...,
+    L_d, ..., 1) as solve_u gives them, are read as they are: only the
+    last axis's index term and the weight products span the full layout.
+    The index is that of the first corner; every corner gathers from the
+    view of the table shifted by its offset.
     """
     grid_shape = table.shape[2:]
     flat = table.reshape(table.shape[0], -1)
     strides = [math.prod(grid_shape[d + 1:]) for d in range(len(lo))]
     rows = np.arange(table.shape[1]).reshape((-1,) + (1,) * (lo[0].ndim - 1))
     shape = np.broadcast_shapes(rows.shape, *(l.shape for l in lo), *(y.shape for y in frac))
-    tail = max(1, len(shape) - len(lo))
-
-    def dense(a):
-        return np.broadcast_to(a, a.shape[:tail] + shape[tail:]).copy()
-
-    lo, frac = [dense(l) for l in lo], [dense(y) for y in frac]
-    index = np.add(rows * math.prod(grid_shape), lo[0] * strides[0],
-                   out=_work(work, "index", shape, np.intp))
-    for l, st in zip(lo[1:], strides[1:]):
-        index += l * st
+    # the last axis's stride is 1: only its term is added over the full layout
+    lead = rows * math.prod(grid_shape)
+    for l, st in zip(lo[:-1], strides):
+        lead = lead + l * st
+    index = np.add(lead, lo[-1], out=_work(work, "index", shape, np.intp))
     sides = [(1.0 - y, y) for y in frac]
     value = _work(work, "value", (flat.shape[0],) + shape)
     term = _work(work, "term", value.shape)
-    # summed onto zeros, not copied from the first term, so -0.0 reads 0.0
-    value.fill(0.0)
     for corner in itertools.product((0, 1), repeat=len(lo)):
         weight = sides[0][corner[0]]
         for d in range(1, len(lo)):
@@ -202,10 +195,13 @@ def _multilinear(table: np.ndarray, lo, frac, work: dict) -> np.ndarray:
             weight = np.multiply(weight, side, out=_work(
                 work, ("weight", d % 2), np.broadcast_shapes(weight.shape, side.shape)))
         offset = sum(c * st for c, st in zip(corner, strides))
+        first = not any(corner)
+        part = value if first else term
         # every index is inside the table, so "clip" only skips the bounds check
-        np.take(flat[:, offset:], index, axis=1, out=term, mode="clip")
-        term *= weight
-        value += term
+        np.take(flat[:, offset:], index, axis=1, out=part, mode="clip")
+        part *= weight
+        # the first term + 0.0, as a sum onto zeros gives it, so -0.0 reads 0.0
+        value += 0.0 if first else term
     return value
 
 
@@ -412,7 +408,7 @@ class RegularizingField:
                 groups = [(None, int(lo[0]), bool(frac[0] > 0.0))]
             else:  # no group when there is no row
                 groups = [(np.flatnonzero(slot == k), k // 2, k % 2 == 1)
-                          for k in np.unique(slot).tolist()]
+                          for k in _sorted_unique(slot).tolist()]
             plan = []
             for sel, j, up in groups:
                 w = weights if sel is None else weights[sel]
@@ -738,15 +734,24 @@ def solve_u(ref: ReferenceSemigroup, drift: Callable, lam: float, horizon: float
     points, the time-interpolation weights of the quadrature times and the
     Stein factors are built once per call and reused by every sweep.
 
+    A slot's query points are laid out axis by axis: grid axis d and the
+    Hermite nodes in d share one axis of length nodes * quad_order,
+    node-major, so the point of grid node (i_0, ...) and Hermite node
+    (h_0, ...) sits at (i_0 * quad_order + h_0, ...).  Each stencil is then
+    (slot, 1, ..., nodes * quad_order, ..., 1) and broadcasts in
+    _multilinear as it is.  The drift samples, the interpolated grad u and
+    grad u . b + b follow this layout; the Hermite reductions read
+    grad u . b + b once copied, transposed, to (Hermite, row, slot * node).
+
     A sweep integrates grad u . b + b, so it interpolates only the grad u
     table.  It works one time slice at a time: the quadrature slots of a
     slice are interpolated, drift-sampled and reduced together on
     component-major arrays, in chunks of whole slots holding at most
     CHUNK_POINTS query points (one slot when it alone holds more), which
     caps its memory.  Its chunk-sized work arrays (interpolation value,
-    term, index and weights, drift samples, grad u . b + b and its Hermite
-    layout) are allocated once per call, bounded by CHUNK_POINTS, and a
-    shorter chunk writes leading views of them.
+    term, index and weights, drift samples, grad u . b + b and its copy by
+    Hermite node) are allocated once per call, bounded by CHUNK_POINTS,
+    and a shorter chunk writes leading views of them.
 
     The first sweep samples the drift once per slot.  Of the leading
     chunks, as far as they total at most KEPT_DRIFT_FLOATS floats, the
@@ -783,10 +788,11 @@ def solve_u(ref: ReferenceSemigroup, drift: Callable, lam: float, horizon: float
     measured as the ratio of successive differences in that norm; a ratio
     at or above one means lam sits below the contraction threshold.
     """
-    if lam <= 0.0:
-        raise InputError("resolvent parameter lam must be positive")
-    if horizon <= 0.0:
-        raise InputError("horizon must be positive")
+    # a NaN or inf lam or horizon would return a "certified" field of NaN times or no sweep
+    if not 0.0 < lam < math.inf:
+        raise InputError("resolvent parameter lam must be positive and finite")
+    if not 0.0 < horizon < math.inf:
+        raise InputError("horizon must be positive and finite")
     weight = sqrt_weight()
     spec = ref.spec
     n = spec.n_modes
@@ -812,7 +818,7 @@ def solve_u(ref: ReferenceSemigroup, drift: Callable, lam: float, horizon: float
     gap = horizon / grid.time_steps
     layer_lo = min(0.1 / lam, 0.25 * gap)
     layer = horizon - np.geomspace(layer_lo, gap, 6)
-    times = np.unique(np.concatenate([uniform, layer[layer > 0.0]]))
+    times = _sorted_unique(np.concatenate([uniform, layer[layer > 0.0]]))
     n_t = times.size - 1
     u_tab = np.zeros((n_t + 1, m_nodes, n))
     g_tab = np.zeros((n_t + 1, m_nodes, n, n))
@@ -829,14 +835,12 @@ def solve_u(ref: ReferenceSemigroup, drift: Callable, lam: float, horizon: float
     decay, sigma = map(np.array, zip(*(ref.transition(times[j], t) for j, t in zip(slot, t_q))))
     stein = decay / sigma
     scale = stein[:, :, None] * stein[:, None, :]
-    # coordinate d of the query point of (grid node, Hermite node) depends on
-    # the node's axis-d index and the Hermite index in d only; it is laid out
-    # on axes d and n + d of the (nodes..., Hermite nodes...) layout, clipped
-    # to the box, and the sweep samples the drift there
+    # coordinate d of a query point depends on i_d and h_d only, so it is laid
+    # out on merged axis d alone (see above), clipped to the box, and the
+    # sweep samples the drift there
     coords, stencils = [], []
     for d in range(n):
-        layout = tuple(axis.size if a == d else ref.quad_order if a == n + d else 1
-                       for a in range(2 * n))
+        layout = tuple(axis.size * ref.quad_order if a == d else 1 for a in range(n))
         coord = np.clip(decay[:, d, None, None] * axis[None, :, None]
                         + sigma[:, d, None, None] * z1[None, None, :],
                         -grid.halfwidth, grid.halfwidth).reshape((-1,) + layout)
@@ -852,7 +856,10 @@ def solve_u(ref: ReferenceSemigroup, drift: Callable, lam: float, horizon: float
     # sweep reuses them; the drift reads one slot's query points from pts
     work = {}
     per_slot = m_nodes * w.size
-    pts = _work(work, "pts", (axis.size,) * n + (ref.quad_order,) * n + (n,))
+    pts = _work(work, "pts", (axis.size * ref.quad_order,) * n + (n,))
+    # a point's merged axes split into (node, Hermite) pairs; this order puts
+    # the Hermite indices first, then (row, slot), then the node indices
+    hermite_first = (*range(3, 2 * n + 2, 2), 0, 1, *range(2, 2 * n + 2, 2))
     # the drift samples of each chunk that fits the budget, once sampled,
     # by chunk index, with the chunk's reached modes; the held modes' floats
     # count against the budget, which keeps a prefix of the chunks: room is
@@ -918,11 +925,13 @@ def solve_u(ref: ReferenceSemigroup, drift: Callable, lam: float, horizon: float
             _combine(terms, g_y, b_y, gvec, _work(work, "gvec_term", (n_y,)))
             # the Hermite reductions run over (Hermite, i, slot * node) rows,
             # where einsum adds the terms of each point in Hermite order, as it
-            # does in the per-point layout (node, Hermite, i); at n = 1 that
-            # layout holds a point's terms contiguously and einsum adds them in
-            # SIMD lanes instead, so u is reduced in it there
+            # does in a per-point layout (node, Hermite, i); at n = 1 gvec's
+            # merged layout is that one, holds a point's terms contiguously
+            # and einsum adds them in SIMD lanes instead, so u is reduced in it
             by_g = _work(work, "by_g", (w.size, r, k_slots * m_nodes))
-            np.copyto(by_g, gvec.reshape(r, -1, w.size).transpose(2, 0, 1))
+            np.copyto(by_g.reshape((ref.quad_order,) * n + (r, k_slots) + shape),
+                      gvec.reshape((r, k_slots) + (axis.size, ref.quad_order) * n)
+                      .transpose(hermite_first))
             if n == 1:
                 u_sum = np.einsum("g,smgi->ism", w, gvec.reshape(k_slots, m_nodes, -1, 1))
             else:
@@ -1070,6 +1079,17 @@ def _log_spaced_pairs(rng, n, halfwidth, count, separations):
     return xs, ys
 
 
+def _require_reference_noise(field: RegularizingField, coeffs: CoefficientSet) -> None:
+    """Raise InputError unless coeffs' noise is the constant diag(q_diag) the field was solved for.
+
+    theta conjugates that noise alone: for any other, Ito's formula leaves a
+    remainder in the drift of theta(X) that the conjugated drift omits.
+    """
+    if coeffs.diag_noise is None or not np.array_equal(coeffs.diag_noise, field.q_diag):
+        raise InputError("the transform needs the field's reference noise: constant diagonal "
+                         f"diffusion diag({field.q_diag.tolist()})")
+
+
 def transform_coeffs(field: RegularizingField, coeffs: CoefficientSet, *,
                      delay: float = 0.25, grid_step: float = 1.0 / 32.0,
                      seed: int = 2024) -> TransformedSystem:
@@ -1079,10 +1099,12 @@ def transform_coeffs(field: RegularizingField, coeffs: CoefficientSet, *,
     modulus of the new diffusion, K3 the control gain, K4 the one-sided
     dissipativity of the new drift; each is the max ratio over a seeded
     battery of states, times and segment pairs (2 * 256 point pairs per
-    time, 32 segment pairs).
+    time, 32 segment pairs).  The noise of coeffs must be the field's
+    constant reference noise (see _require_reference_noise).
     """
     if not field.certified:
         raise CertificationError("coefficient transform requires a certified field")
+    _require_reference_noise(field, coeffs)
     sys = TransformedSystem(field, coeffs, bounds={})
     rng = np.random.default_rng(seed)
     n = field.n_modes

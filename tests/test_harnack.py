@@ -313,6 +313,21 @@ class TestConjugation:
                                  grid_step=DT, spec=spec2, seed=6)
         assert ran == []
 
+    @pytest.mark.parametrize("noise", [
+        {"diffusion": sim.state_diagonal_diffusion(np.ones(2))},
+        {"diag_noise": 2.0 * np.ones(2)}])
+    def test_noise_other_than_the_reference_rejected(self, field, dini_coeffs, spec2,
+                                                     monkeypatch, noise):
+        # the transformed side would omit the Ito remainder of any other noise
+        ran = []
+        monkeypatch.setattr(ha, "simulate_ensemble", lambda *args, **kwargs: ran.append(1))
+        coeffs = sim.make_coefficients(2, drift=dini_coeffs.drift,
+                                       delay_drift=dini_coeffs.delay_drift, **noise)
+        with pytest.raises(InputError, match="reference noise"):
+            ha.conjugation_check(coeffs, field, segment([0.1, 0.0]), constant_function(),
+                                 HORIZON, 50, grid_step=DT, spec=spec2, seed=6)
+        assert ran == []
+
     def test_explosive_direct_side_rejected(self, field, spec2):
         coeffs = sim.make_coefficients(2, drift=sim.cubic_drift(1.0), diag_noise=np.ones(2))
         with pytest.raises(ExplosionError, match="paths exploded"):

@@ -813,8 +813,8 @@ print(sorted(m for m in ("scipy.interpolate", "scipy.sparse") if m in sys.module
 """
 
 
-def test_scipy_loads_only_at_a_field_read():
-    """A fresh interpreter that imports every module and runs no field read loads no scipy."""
+def _fresh_interpreter_lines(code: str) -> list:
+    """The stdout lines of `code` run by a fresh interpreter that imports this checkout's fspdelab."""
     import os
     import subprocess
     import sys
@@ -825,8 +825,32 @@ def test_scipy_loads_only_at_a_field_read():
     src = str(Path(fspdelab.__file__).parent.parent)
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run([sys.executable, "-c", COLD_START], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
-    before, after = proc.stdout.splitlines()[-2:]
+    return proc.stdout.splitlines()
+
+
+def test_scipy_loads_only_at_a_field_read():
+    """A fresh interpreter that imports every module and runs no field read loads no scipy."""
+    before, after = _fresh_interpreter_lines(COLD_START)[-2:]
     assert before == "[]"
     assert after == "['scipy.interpolate', 'scipy.sparse']"
+
+
+def test_solve_u_does_not_import_numpy_ma():
+    """A field solve in a fresh interpreter leaves numpy.ma unloaded.
+
+    np.unique imports it (~10 ms) on its first call in a process; the
+    package takes sorted distinct values without it.
+    """
+    lines = _fresh_interpreter_lines("""
+import sys
+import numpy as np
+from fspdelab import analysis, simulator, zvonkin
+ref = zvonkin.ReferenceSemigroup(analysis.Spectrum(2), np.ones(2), quad_order=3)
+drift = simulator.dini_drift(analysis.log_dini_modulus(scale=0.4), np.array([1.0, 0.0]))
+field = zvonkin.solve_u(ref, drift, 60.0, 1.0, zvonkin.ZvonkinGrid(
+    time_steps=2, nodes_per_dim=5, quad_panels=2, quad_order=3))
+print(field.converged, "numpy.ma" in sys.modules)
+""")
+    assert lines[-1] == "True False"

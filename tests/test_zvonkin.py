@@ -187,6 +187,42 @@ class TestSweepKernels:
             assert repr(zv._max_spectral_norm(mats)) == repr(full)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_merged_layout_matches_scipy_and_the_split_layout(self, n):
+        """solve_u's stencils, one merged (node, Hermite) axis per dimension, read bit for bit.
+
+        The read equals scipy's linear interpolation at the same points, and
+        the read of the split (nodes..., Hermite nodes...) layout once its
+        axes are interleaved.
+        """
+        rng = np.random.default_rng(10 + n)
+        axis = zv.ZvonkinGrid(nodes_per_dim=5).axis()
+        z1 = hermite_tensor(3, 1)[0][:, 0]
+        slots, nodes, order = 2, axis.size, z1.size
+        tables = rng.normal(size=(n * n, slots) + (nodes,) * n)
+        merged, split, coords = ([], []), ([], []), []
+        for d in range(n):
+            # a query coordinate per (slot, node, Hermite node), as solve_u clips it
+            coord = np.clip(rng.uniform(0.2, 1.0, (slots, 1, 1)) * axis[:, None]
+                            + rng.uniform(0.1, 2.0, (slots, 1, 1)) * z1, -3.0, 3.0)
+            cell, offset = zv._axis_stencil(axis, coord)
+            merged_layout = (slots,) + tuple(nodes * order if a == d else 1 for a in range(n))
+            split_layout = (slots,) + tuple(nodes if a == d else order if a == n + d else 1
+                                            for a in range(2 * n))
+            for (lo, frac), layout in ((merged, merged_layout), (split, split_layout)):
+                lo.append(cell.reshape(layout))
+                frac.append(offset.reshape(layout))
+            coords.append(coord.reshape(merged_layout))
+        got = zv._multilinear(tables, *merged, {})
+        by_split = zv._multilinear(tables, *split, {})
+        interleave = (0, 1) + tuple(a for d in range(n) for a in (2 + d, 2 + n + d))
+        assert np.array_equal(got, by_split.transpose(interleave).reshape(got.shape))
+        pts = np.stack(np.broadcast_arrays(*coords), axis=-1)
+        for b in range(slots):
+            want = RegularGridInterpolator((axis,) * n, np.moveaxis(tables[:, b], 0, -1),
+                                           method="linear")(pts[b])
+            assert np.array_equal(np.moveaxis(got[:, b], 0, -1), want)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
     def test_multilinear_ignores_dirty_work_arrays(self, n):
         """A small call on buffers a larger call left behind equals a fresh one byte for byte."""
         rng = np.random.default_rng(n)
@@ -250,11 +286,18 @@ class TestResolventSolve:
         with pytest.raises(CertificationError, match="increase lam"):
             zv.solve_u(ref, rough, 0.5, 1.0, SMALL_GRID)
 
-    @pytest.mark.parametrize("horizon", [0.0, -1.0])
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.inf, math.nan])
     def test_nonpositive_horizon_rejected(self, ref, horizon):
         with pytest.raises(InputError, match="horizon must be positive"):
             zv.solve_u(ref, lambda t, y, norms: np.zeros_like(np.asarray(y, dtype=float)),
                        50.0, horizon, SMALL_GRID)
+
+    @pytest.mark.parametrize("lam", [0.0, math.inf, math.nan])
+    def test_lam_outside_the_positive_reals_rejected(self, ref, lam):
+        # a NaN lam once returned a converged, certified all-zero field
+        with pytest.raises(InputError, match="lam must be positive and finite"):
+            zv.solve_u(ref, lambda t, y, norms: np.zeros_like(np.asarray(y, dtype=float)),
+                       lam, 1.0, SMALL_GRID)
 
     def test_dimension_cap(self):
         spec4 = an.Spectrum(4)
@@ -1022,19 +1065,26 @@ class TestTransformedSystem:
             "K3": "1.008792059449004", "K4": "-1.5477460182369709"}
 
     @pytest.mark.parametrize("delay, step, seed, pinned", [
-        (0.25, 1.0 / 128.0, 99, ("0.7008145804334232", "0.8413957619039131",
-                                 "2.0072060461419357", "-1.2744838679491848")),
+        (0.25, 1.0 / 128.0, 99, ("0.40011008239311874", "0.03125545029646565",
+                                 "1.008792059449004", "-1.5477460182369709")),
         # a grid step that is not a binary fraction: lag times carry rounding
-        (0.3, 0.1, 7, ("0.7293909637396301", "0.8299561383736591",
-                       "2.007393318000492", "-1.148230090655008"))])
-    def test_bounds_pinned_shift_state_diag(self, field, dini_coeffs, delay, step, seed,
-                                            pinned):
-        # B reads xi(-r), row 0 of the preimage window, and Q depends on the state
-        coeffs = sim.make_coefficients(2, drift=dini_coeffs.drift,
-                                       delay_drift=sim.delay_shift_drift(0.4, delay),
-                                       diffusion=sim.state_diagonal_diffusion(np.ones(2)))
+        (0.3, 0.1, 7, ("0.4002175331411", "0.03126497991670568",
+                       "1.008961562066308", "-1.4254486985361408"))])
+    def test_bounds_pinned_shift(self, field, dini_coeffs, delay, step, seed, pinned):
+        # B reads xi(-r), row 0 of the preimage window
+        coeffs = replace(dini_coeffs, delay_drift=sim.delay_shift_drift(0.4, delay))
         tsys = zv.transform_coeffs(field, coeffs, delay=delay, grid_step=step, seed=seed)
         assert tuple(repr(tsys.bounds[k]) for k in ("K1", "K2", "K3", "K4")) == pinned
+
+    @pytest.mark.parametrize("noise", [
+        {"diffusion": sim.state_diagonal_diffusion(np.ones(2))},
+        {"diag_noise": 2.0 * np.ones(2)}])
+    def test_noise_other_than_the_reference_rejected(self, field, dini_coeffs, noise):
+        # theta conjugates the field's reference noise alone: with state-dependent
+        # noise the conjugated drift would omit the Ito remainder
+        coeffs = sim.make_coefficients(2, drift=dini_coeffs.drift, **noise)
+        with pytest.raises(InputError, match="reference noise"):
+            zv.transform_coeffs(field, coeffs)
 
     def test_one_inversion_per_battery(self, field, dini_coeffs, monkeypatch):
         real = zv.RegularizingField.invert_theta
