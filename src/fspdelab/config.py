@@ -222,6 +222,9 @@ class ExperimentConfig:
         for dotted, least in _INTEGERS:
             for val in given(dotted):
                 integer(dotted, val, least)
+        # the grid axis is symmetric about 0 only for an odd count
+        if not all(nodes % 2 for nodes in given("zvonkin.nodes_per_dim")):
+            raise ConfigError("zvonkin.nodes_per_dim must be odd")
         for dotted, least in _INTEGER_LISTS:
             for entries in given(dotted):
                 if not isinstance(entries, list):

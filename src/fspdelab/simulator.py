@@ -68,11 +68,8 @@ class CoefficientSet:
     path, bit for bit `_row_norms(x)`, from their caller: the row
     `simulate_ensemble` stored when it wrote x, or the norms `solve_u` and
     `transform_coeffs` take of their query points.  A coefficient that
-    needs |x| reads it there instead of computing it again: the truncation
-    cut-offs always, `dini_drift` below `_SHORT_MODES` modes, where
-    `_row_norms` adds the squares in mode order as the drift always has.
-    From there on `_row_norms` sums pairwise, so the drift keeps its own
-    mode-order sum.  delay_drift(t, view) reads its norm from
+    needs |x|, such as `dini_drift` or a truncation cut-off, reads it there
+    instead of computing it again.  delay_drift(t, view) reads its norm from
     view.sup_norm().
     Both x and norms may be read-only views of the engine's history, so a
     coefficient must not write into them.
@@ -235,17 +232,6 @@ def _sorted_unique(values) -> np.ndarray:
     return aux[keep]
 
 
-def _mode_order_squares(x: np.ndarray) -> np.ndarray:
-    """Sum of the squares over the last axis of x, added left to right in mode order."""
-    sq = x * x
-    if x.shape[-1] == 1:
-        return sq[..., 0]
-    total = np.add(sq[..., 0], sq[..., 1])
-    for i in range(2, x.shape[-1]):
-        total += sq[..., i]
-    return total
-
-
 def _row_norms(x: np.ndarray) -> np.ndarray:
     """|x| over the last axis, bit for bit `np.linalg.norm(x, axis=-1)` on real x.
 
@@ -254,9 +240,13 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     Below `_SHORT_MODES` the squares are added a mode column at a time in
     that order, which is faster than the reduction over a short mode axis.
     """
-    if 0 < x.shape[-1] < _SHORT_MODES:
-        return np.sqrt(_mode_order_squares(x))
-    return np.sqrt(np.add.reduce(x * x, axis=-1))
+    if not 0 < x.shape[-1] < _SHORT_MODES:
+        return np.sqrt(np.add.reduce(x * x, axis=-1))
+    sq = x * x
+    total = sq[..., 0] if x.shape[-1] == 1 else np.add(sq[..., 0], sq[..., 1])
+    for i in range(2, x.shape[-1]):
+        total += sq[..., i]
+    return np.sqrt(total)
 
 
 def _times_modes(a: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -595,7 +585,7 @@ def zero_delay_drift():
 
 
 def dini_drift(phi: ModulusFunction, direction: np.ndarray):
-    """b(t, x) = v * phi(min(|x|, 1)) for a unit vector v, |x| the passed norms below 8 modes.
+    """b(t, x) = v * phi(min(|x|, 1)) for a unit vector v, |x| the passed norms.
 
     Concavity and monotonicity of phi make phi itself the modulus of
     this drift, and the min(. , 1) clamp keeps it bounded by phi(1).
@@ -604,10 +594,6 @@ def dini_drift(phi: ModulusFunction, direction: np.ndarray):
     v = v / np.linalg.norm(v)
 
     def fn(t, x, norms):
-        # |x| with the squares added in mode order for every mode count, as
-        # this drift always has: below eight modes that is the passed norms
-        if v.size >= _SHORT_MODES:
-            norms = np.sqrt(_mode_order_squares(np.asarray(x, dtype=float)))
         return _times_modes(phi(np.minimum(norms, 1.0))[..., None], v)
 
     return fn

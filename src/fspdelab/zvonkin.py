@@ -81,7 +81,8 @@ class ZvonkinGrid:
     spacing of 0.02 up to the halfwidth: the built-in drifts put their
     non-differentiable point there, and derivative tables develop
     structure at scale 1/sqrt(lam), which a uniform grid of affordable
-    size cannot resolve.
+    size cannot resolve.  The node count is odd, so the axis is symmetric
+    about its node at 0.
     """
 
     time_steps: int = 16
@@ -90,13 +91,13 @@ class ZvonkinGrid:
     quad_panels: int = 8
     quad_order: int = 6
 
-    def axis(self) -> np.ndarray:
-        half = (self.nodes_per_dim - 1) // 2
-        levels = np.geomspace(0.02, self.halfwidth, half)
-        ax = np.concatenate([-levels[::-1], [0.0], levels])
+    def __post_init__(self):
         if self.nodes_per_dim % 2 == 0:
-            ax = np.concatenate([ax, [self.halfwidth * (1.0 + 2.0 / self.nodes_per_dim)]])
-        return ax
+            raise InputError("nodes_per_dim must be odd: the axis is symmetric about 0")
+
+    def axis(self) -> np.ndarray:
+        levels = np.geomspace(0.02, self.halfwidth, (self.nodes_per_dim - 1) // 2)
+        return np.concatenate([-levels[::-1], [0.0], levels])
 
     def axes(self, n_dims: int):
         ax = self.axis()
@@ -163,7 +164,8 @@ def _multilinear(table: np.ndarray, lo, frac, work: dict) -> np.ndarray:
     against each other to (B, *layout), and table b is read only at the
     points of row b.  The result is (C, B, *layout).  Corners are visited
     and their weights multiplied in the order of scipy's
-    interpn(method="linear"), so the values agree with it bit for bit.
+    interpn(method="linear"), so the values agree with it bit for bit, up to
+    the sign of a zero.
 
     The value, the gathered corner term, the flat index and the corner
     weights live in `work` (see _work), and the result is a view into it,
@@ -195,13 +197,12 @@ def _multilinear(table: np.ndarray, lo, frac, work: dict) -> np.ndarray:
             weight = np.multiply(weight, side, out=_work(
                 work, ("weight", d % 2), np.broadcast_shapes(weight.shape, side.shape)))
         offset = sum(c * st for c, st in zip(corner, strides))
-        first = not any(corner)
-        part = value if first else term
+        part = term if any(corner) else value
         # every index is inside the table, so "clip" only skips the bounds check
         np.take(flat[:, offset:], index, axis=1, out=part, mode="clip")
         part *= weight
-        # the first term + 0.0, as a sum onto zeros gives it, so -0.0 reads 0.0
-        value += 0.0 if first else term
+        if part is term:
+            value += term
     return value
 
 
@@ -658,47 +659,23 @@ def composite_smallness(field: RegularizingField, weight: WeightFunction) -> flo
     return lead * (field.norms["grad_a"] * j_int) ** (2.0 * p) + field.norms["grad"]
 
 
-def _live_rows(g_tab: np.ndarray):
-    """Rows i of a (..., n, n) grad u table holding a nonzero entry.
-
-    None when an entry is not finite or reaches 2**1000 in magnitude, which
-    selects every row: a linear blend or read of entries below that bound
-    stays finite, so the terms it skips are g * (+0.0) = +-0.0.
-    """
-    if not np.abs(g_tab).max() < 2.0**1000:
-        return None
+def _live_rows(g_tab: np.ndarray) -> tuple:
+    """Rows i of a (..., n, n) grad u table holding a nonzero entry."""
     return tuple(i for i in range(g_tab.shape[-1]) if g_tab[..., i, :].any())
 
 
-def _reached_modes(b_y: np.ndarray):
-    """Modes j whose component-major drift samples b_y[j] are not all +0.0.
-
-    None when a sample is -0.0 or not finite, which selects every mode.
-    """
-    lo, hi = b_y.min(axis=1), b_y.max(axis=1)
-    # -0.0 is the one float64 whose bits read as the least int64
-    if not (np.isfinite(lo).all() and np.isfinite(hi).all()) or (
-            b_y.view(np.int64) == np.iinfo(np.int64).min).any():
-        return None
-    return tuple(j for j in range(len(b_y)) if lo[j] or hi[j])
+def _reached_modes(b_y: np.ndarray) -> tuple:
+    """Modes j whose component-major drift samples b_y[j] hold a nonzero entry."""
+    return tuple(j for j in range(len(b_y)) if b_y[j].any())
 
 
-def _drift_terms(live, reached, n: int) -> list:
+def _drift_terms(live: tuple, reached: tuple, n: int) -> list:
     """The rows of grad u . b + b a sweep builds, each as (i, modes j it keeps in adding order).
 
     A row is built when it is live or reached, and it keeps the reached
-    modes when it is live and none otherwise.  When either input is None
-    every row is built with every mode.
+    modes, in mode order, when it is live and none otherwise.
     """
-    # the order in which einsum("mgij,mgj->mgi") adds sum_j g_ij b_j in two
-    # SIMD lanes: even j, odd j, then the two lanes (left to right for
-    # n <= 2), which keeps the recorded field hashes at n = 3; n <= GH_DIM_CAP
-    # leaves one term in the odd lane
-    order = (0, *range(2, n, 2), *range(1, n, 2))
-    if live is None or reached is None:
-        return [(i, order) for i in range(n)]
-    return [(i, tuple(j for j in order if j in reached) if i in live else ())
-            for i in range(n) if i in live or i in reached]
+    return [(i, reached if i in live else ()) for i in range(n) if i in live or i in reached]
 
 
 def _combine(terms: list, g, b, out: np.ndarray, term: np.ndarray) -> None:
@@ -706,9 +683,8 @@ def _combine(terms: list, g, b, out: np.ndarray, term: np.ndarray) -> None:
 
     g holds the kept g_ij component-major, row by row and mode by mode in
     the order of terms.  b[j] is mode j's drift samples, or the float +0.0
-    for a mode whose samples are all +0.0, which gives the same bits.  A
-    row that keeps no mode is b[i] itself, and g is not read when no row
-    keeps a mode.
+    for a mode whose samples are all zero.  A row that keeps no mode is
+    b[i] itself, and g is not read when no row keeps a mode.
     """
     c = 0
     for a, (i, modes) in enumerate(terms):
@@ -753,35 +729,26 @@ def solve_u(ref: ReferenceSemigroup, drift: Callable, lam: float, horizon: float
     Hermite node) are allocated once per call, bounded by CHUNK_POINTS,
     and a shorter chunk writes leading views of them.
 
-    The first sweep samples the drift once per slot.  Of the leading
-    chunks, as far as they total at most KEPT_DRIFT_FLOATS floats, the
-    samples of the reached modes (see below; every mode when the selection
-    is not taken) are kept, and every later sweep, the final one too,
-    reads them; a mode not kept is +0.0 throughout and is read as the
-    float +0.0.  A chunk beyond that budget is sampled again in every sweep
-    into the work array.  The drift must therefore be a deterministic
-    function of (t, x).  It is called as drift(t, x, norms) with norms =
-    `_row_norms(x)`, the protocol of `CoefficientSet`; its result is
-    copied, so it may return a view of its argument or reuse its output
-    array.
+    The first sweep samples the drift once per slot; a sample that is not
+    finite raises InputError.  Of the leading chunks, as far as they total
+    at most KEPT_DRIFT_FLOATS floats, the samples of the reached modes (see
+    below) are kept, and every later sweep, the final one too, reads them;
+    a mode not kept is zero throughout and is read as the float +0.0.  A
+    chunk beyond that budget is sampled again in every sweep into the work
+    array.  The drift must therefore be a deterministic function of (t, x).
+    It is called as drift(t, x, norms) with norms = `_row_norms(x)`, the
+    protocol of `CoefficientSet`; its result is copied, so it may return a
+    view of its argument or reuse its output array.
 
-    A sweep computes only what can change a bit of the tables.  A chunk's
-    reached modes are those whose drift samples are not all +0.0 (kept with
-    the samples); a sweep's live rows are those of the grad u table that
-    hold a nonzero entry.  Only g_ij of a live row i and a reached mode j is
-    interpolated; a live row adds its kept terms in the order of the full
-    sum, then b_i, and any other row is b_i.  A skipped term is
-    g_ij * (+0.0) = +-0.0, which leaves a nonzero partial sum unchanged,
-    and the sign of a zero one shows only when b_i is -0.0.
-    So the selection is taken only when the table is finite (below 2**1000,
-    see _live_rows) and the chunk's samples are finite and hold no -0.0;
-    otherwise every row and mode is selected (the -0.0 of linear_drift at 0
-    does that).  The Hermite reductions run over the live or reached rows
-    alone: any other row of grad u . b + b is +0.0, and its +-0.0 terms
-    would leave the tables, which start at +0.0 and never hold -0.0,
-    unchanged.  The first sweep reads the all-zero seed table like any
-    other: it has no live row, so it interpolates nothing unless every row
-    and mode is selected, and then each read is +0.0.
+    A sweep computes only the terms that can be nonzero.  A chunk's reached
+    modes are those with a nonzero drift sample (kept with the samples); a
+    sweep's live rows are those of the grad u table with a nonzero entry.
+    Only g_ij of a live row i and a reached mode j is interpolated; a live
+    row adds its kept terms in mode order, then b_i, and any other row is
+    b_i.  The Hermite reductions run over the live or reached rows alone,
+    since any other row of grad u . b + b is zero.  The first sweep reads
+    the all-zero seed table like any other: it has no live row, so it
+    interpolates nothing.
 
     The iteration stops once a difference in the norm |u|_a + |grad u|_a
     falls below 1e-8, or after 100 sweeps.  The contraction factor is
@@ -861,7 +828,7 @@ def solve_u(ref: ReferenceSemigroup, drift: Callable, lam: float, horizon: float
     # the Hermite indices first, then (row, slot), then the node indices
     hermite_first = (*range(3, 2 * n + 2, 2), 0, 1, *range(2, 2 * n + 2, 2))
     # the drift samples of each chunk that fits the budget, once sampled,
-    # by chunk index, with the chunk's reached modes; the held modes' floats
+    # by chunk index, with the chunk's reached modes; the reached modes' floats
     # count against the budget, which keeps a prefix of the chunks: room is
     # what is left of it, or None once a chunk has not fit
     kept = {}
@@ -879,8 +846,8 @@ def solve_u(ref: ReferenceSemigroup, drift: Callable, lam: float, horizon: float
         for chunk, (j, sl) in enumerate(chunks):
             k_slots = sl.stop - sl.start
             # drift samples, component-major (n, slot * point), one slot at a
-            # time, and of a chunk that fits the budget its held modes' rows
-            # are copied out and kept
+            # time, and of a chunk that fits the budget its reached modes'
+            # rows are copied out and kept
             n_y = k_slots * per_slot
             b_y, reached = kept.get(chunk, (None, None))
             if b_y is None:
@@ -892,13 +859,16 @@ def solve_u(ref: ReferenceSemigroup, drift: Callable, lam: float, horizon: float
                     np.copyto(b_all[:, s * per_slot:(s + 1) * per_slot],
                               np.asarray(drift(t, x, _row_norms(x)),
                                          dtype=float).reshape(-1, n).T)
+                finite = np.isfinite(b_all).all(axis=0)
+                if not finite.all():
+                    t = float(t_q[sl.start + np.argmin(finite) // per_slot])
+                    raise InputError(f"the drift is not finite at t = {t!r}")
                 reached = _reached_modes(b_all)
-                held = range(n) if reached is None else reached
-                # a mode not held is +0.0 throughout, read as the float +0.0
-                b_y = [b_all[j] if j in held else 0.0 for j in range(n)]
-                if room is not None and len(held) * n_y <= room:
-                    room -= len(held) * n_y
-                    b_y = [np.copy(b) if j in held else b for j, b in enumerate(b_y)]
+                # a mode not reached is zero throughout, read as the float +0.0
+                b_y = [b_all[j] if j in reached else 0.0 for j in range(n)]
+                if room is not None and len(reached) * n_y <= room:
+                    room -= len(reached) * n_y
+                    b_y = [np.copy(b) if j in reached else b for j, b in enumerate(b_y)]
                     kept[chunk] = b_y, reached
                 else:
                     room = None
@@ -923,20 +893,12 @@ def solve_u(ref: ReferenceSemigroup, drift: Callable, lam: float, horizon: float
             r = len(rows)
             gvec = _work(work, "gvec", (r, n_y))
             _combine(terms, g_y, b_y, gvec, _work(work, "gvec_term", (n_y,)))
-            # the Hermite reductions run over (Hermite, i, slot * node) rows,
-            # where einsum adds the terms of each point in Hermite order, as it
-            # does in a per-point layout (node, Hermite, i); at n = 1 gvec's
-            # merged layout is that one, holds a point's terms contiguously
-            # and einsum adds them in SIMD lanes instead, so u is reduced in it
+            # the Hermite reductions run over (Hermite, i, slot * node) rows
             by_g = _work(work, "by_g", (w.size, r, k_slots * m_nodes))
             np.copyto(by_g.reshape((ref.quad_order,) * n + (r, k_slots) + shape),
                       gvec.reshape((r, k_slots) + (axis.size, ref.quad_order) * n)
                       .transpose(hermite_first))
-            if n == 1:
-                u_sum = np.einsum("g,smgi->ism", w, gvec.reshape(k_slots, m_nodes, -1, 1))
-            else:
-                u_sum = np.einsum("g,gis->is", w, by_g).reshape(r, k_slots, m_nodes)
-            u_part = wq[sl, None] * u_sum
+            u_part = wq[sl, None] * np.einsum("g,gis->is", w, by_g).reshape(r, k_slots, m_nodes)
             g_part = wq[sl, None] * np.einsum("g,gis,gj->ijs", w, by_g, z).reshape(
                 r, n, k_slots, m_nodes) * stein[sl].T[:, :, None]
             # each slot's part is added in slot order to the rows built here

@@ -298,25 +298,18 @@ class TestColumnWrites:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 32])
     def test_dini_drift(self, n):
-        # below eight modes the drift reads the passed norms, so a wrong one
-        # shows in the result; from eight on it keeps its own mode-order sum
+        # the drift reads the passed norms at every mode count, so a wrong one
+        # shows in the result
         x, direction = self._states(n)
         modulus = an.log_dini_modulus(0.4, 1.0)
         v = direction / np.linalg.norm(direction)
         drift = sim.dini_drift(modulus, direction)
         with np.errstate(invalid="ignore"):
             for states in (x, x[0], x[0, 0]):
-                sq = states[..., 0] * states[..., 0]
-                for i in range(1, n):
-                    sq = sq + states[..., i] * states[..., i]
-                want = modulus(np.minimum(np.sqrt(sq), 1.0))[..., None] * v
-                got = drift(0.0, states, np.linalg.norm(states, axis=-1))
-                assert got.shape == want.shape and got.tobytes() == want.tobytes()
-                wrong = np.full(states.shape[:-1], 0.25)
-                if n < 8:
-                    want = modulus(np.minimum(wrong, 1.0))[..., None] * v
-                got = drift(0.0, states, wrong)
-                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                for norms in (np.linalg.norm(states, axis=-1), np.full(states.shape[:-1], 0.25)):
+                    want = modulus(np.minimum(norms, 1.0))[..., None] * v
+                    got = drift(0.0, states, norms)
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 32])
     def test_delay_tanh_drift(self, n):

@@ -6,8 +6,12 @@ defect can flip gets an entry that records why, so it is not mistaken for
 evidence.
 """
 
+import pytest
+
 from fspdelab.config import ExperimentConfig
-from fspdelab.experiments import run_galerkin, run_nonexplosion
+from fspdelab.errors import CertificationError
+from fspdelab.experiments import (run_galerkin, run_harnack_campaign, run_nonexplosion,
+                                  run_uniqueness)
 
 
 def test_zero_explosions_flipped_by_cubic_growth():
@@ -39,3 +43,48 @@ def test_reference_exact_cannot_fail():
         "galerkin": {"mode_counts": [1, 2], "reference_modes": 4, "paths": 8}}))
     assert result.metrics["errors"][-1] == 0.0
     assert result.verdicts["reference_exact"] is True
+
+
+def test_strictly_decreasing_flipped_by_reversed_mode_counts():
+    """galerkin.strictly_decreasing turns false when the mode counts are listed 4, 2.
+
+    The verdict reads the errors in the order the counts are listed, so a
+    list that drops modes from one sub-run to the next makes the error
+    rise: 0.031 on 4 modes, then 0.087 on 2, of an 8-mode reference.
+    """
+    result = run_galerkin(ExperimentConfig.defaults("galerkin", {
+        "spectrum": {"n_modes": 8},
+        "galerkin": {"mode_counts": [4, 2], "reference_modes": 8, "paths": 16}}))
+    first, second = result.metrics["errors"][:2]
+    assert first < second
+    assert result.verdicts["strictly_decreasing"] is False
+
+
+def test_truncation_agreement_cannot_fail():
+    """uniqueness.truncation_agreement holds by construction: both levels agree inside level m.
+
+    Each comparison stops at the low run's first crossing of level m, and
+    up to there the cut-offs of levels m and 2m are both exactly 1, so the
+    two runs are the same run and every pair gap is 0.0.  Here the noise
+    amplitude is 5.0, about four times the default's 1.2, paths cross the
+    level early, and the gaps and the verdict do not move.
+    """
+    result = run_uniqueness(ExperimentConfig.defaults("uniqueness", {
+        "coefficients": {"diffusion": {"q": 5.0}},
+        "uniqueness": {"dt_exponents": [6, 7], "reference_exponent": 8, "paths": 8}}))
+    assert result.metrics["pair_gaps"] == [0.0, 0.0]
+    assert result.verdicts["truncation_agreement"] is True
+
+
+def test_field_certified_cannot_fail():
+    """harnack.field_certified is true whenever it exists: the campaign runs on a certified field.
+
+    `lambda_threshold` returns the first field of the grid that meets the
+    caps, or raises.  A grid whose one lam is too small to meet the Hessian
+    cap stops the runner with a CertificationError before any verdict is
+    formed.
+    """
+    with pytest.raises(CertificationError, match=r"no lam .*hess<=1/8"):
+        run_harnack_campaign(ExperimentConfig.defaults("harnack", {"zvonkin": {
+            "lambda_grid": [5.0], "time_steps": 2, "nodes_per_dim": 5, "quad_panels": 2,
+            "quad_order": 3, "hermite_order": 3}}))
