@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
-from .zvonkin import GH_DIM_CAP
+from .errors import ConfigError, InputError
+from .segment import _steps
+from .zvonkin import GH_DIM_CAP, INNERMOST_NODE
 
 EXPERIMENTS = ("classcheck", "simulate", "solve-u", "uniqueness", "galerkin",
                "nonexplosion", "harnack")
@@ -200,9 +201,11 @@ class ExperimentConfig:
             return (node,)
 
         def divides(step, span):
-            # a step that underflows to 0, or a ratio past the float range, divides nothing
-            ratio = span / step if step > 0 else math.inf
-            return math.isfinite(ratio) and abs(ratio - round(ratio)) <= 1e-9 * max(1.0, ratio)
+            try:
+                _steps(span, step)
+            except InputError:
+                return False
+            return True
 
         for name, section in self.data.items():
             if not isinstance(section, dict):
@@ -241,6 +244,10 @@ class ExperimentConfig:
         for dotted in _POSITIVE:
             if not all(map(positive, given(dotted))):
                 raise ConfigError(f"{dotted} must be a positive number")
+        # the axis refines geometrically from its innermost node out to the halfwidth
+        if not all(hw > INNERMOST_NODE for hw in given("zvonkin.halfwidth")):
+            raise ConfigError(f"zvonkin.halfwidth must exceed {INNERMOST_NODE}, the innermost "
+                              "node of the grid axis")
         for horizon in given("nonexplosion.control_horizon"):
             if not divides(time["grid_step"], horizon):
                 raise ConfigError("time.grid_step must divide nonexplosion.control_horizon")

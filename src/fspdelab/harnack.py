@@ -20,8 +20,7 @@ from .analysis import Spectrum
 from .errors import ExplosionError, InputError
 from .segment import SegmentPath, _steps
 from .simulator import (CoefficientSet, EnsembleResult, NoisePath, SegmentView,
-                        _history_windows, _read_only, _row_norms, _step_factors,
-                        simulate_ensemble)
+                        _history_windows, _row_norms, _step_factors, simulate_ensemble)
 from .zvonkin import RegularizingField, TransformedSystem, _require_reference_noise
 
 
@@ -268,15 +267,13 @@ def conjugation_check(coeffs: CoefficientSet, field: RegularizingField, xi: Segm
     z_norms[lags] = _row_norms(z_states[lags])
 
     sys = TransformedSystem(field, coeffs, {})
-    # the coefficients read the history through read-only views, as in
-    # simulate_ensemble; rows are written through the buffers themselves
-    z_norms_ro = _read_only(z_norms)
-    for k, (t, z, zview) in enumerate(_history_windows(_read_only(z_states), z_norms_ro,
-                                                       xi.delay, grid_step, steps)):
+    # the coefficients read the history through the walker's read-only
+    # views, as in simulate_ensemble; rows are written through the buffers
+    for k, (t, z, z_norm, zview) in enumerate(_history_windows(z_states, z_norms, xi.delay,
+                                                               grid_step, steps)):
         drift, jac = sys.drift_jac_at(t, z)
         drift_bar = drift + sys.delay_drift_at(t, jac, zview)
-        gain_bar = decay * np.einsum("pnm,pm->pn",
-                                     sys.diffusion_at(t, z, jac, z_norms_ro[lags + k]),
+        gain_bar = decay * np.einsum("pnm,pm->pn", sys.diffusion_at(t, z, jac, z_norm),
                                      noise.increments[k])
         # decay * y + drift_fac * drift_bar + gain_bar, added left to right
         np.multiply(decay, y, out=y)

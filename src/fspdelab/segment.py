@@ -18,11 +18,12 @@ from .errors import InputError
 
 
 def _steps(span: float, dt: float) -> int:
-    k = span / dt
-    rounded = round(k)
-    if abs(k - rounded) > 1e-9 * max(1.0, abs(k)):
+    """The steps dt in span; InputError unless dt > 0 and span / dt is a finite k >= 0
+    within 1e-9 * max(1, k) of a whole number."""
+    k = float(span) / float(dt) if dt > 0 else math.nan
+    if not 0.0 <= k < math.inf or abs(k - round(k)) > 1e-9 * max(1.0, k):
         raise InputError(f"grid step {dt} does not divide span {span}")
-    return int(rounded)
+    return round(k)
 
 
 def _lag_row(s: float, delay: float, grid_step: float, rows: int) -> int:

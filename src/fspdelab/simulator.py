@@ -192,28 +192,24 @@ def _window_maxima(rows: np.ndarray, width: int):
 
 def _history_windows(states: np.ndarray, norms: np.ndarray, delay: float,
                      grid_step: float, steps: int):
-    """Walk a history buffer: (t_k, X(t_k), window [t_k - r, t_k]) for k < steps.
+    """Walk a history buffer: (t_k, X(t_k), |X(t_k)|, window [t_k - r, t_k]) for k < steps.
 
     Row lags + k of `states` holds X(t_k), t_k = k * grid_step, and row k
-    of `norms` is the norm of row k of `states`.  The state and the window
-    are views into `states`, so a row written after a yield is seen by the
-    next window.
+    of `norms` is the norm of row k of `states`.  The state, its norm and
+    the window are read-only views into the buffers: a write through them
+    raises ValueError, and a row written to a buffer after a yield is seen
+    by the next window.
 
     Rows k .. k + lags of both buffers must be final when window k is
     yielded: its sup norm is taken then, by one `_window_maxima` pass over
     `norms`, and stored in the view.
     """
     lags = _steps(delay, grid_step)
+    states, norms = states.view(), norms.view()
+    states.flags.writeable = norms.flags.writeable = False
     for k, sup in zip(range(steps), _window_maxima(norms, lags + 1)):
-        yield (k * grid_step, states[lags + k],
+        yield (k * grid_step, states[lags + k], norms[lags + k],
                SegmentView(states[k: k + lags + 1], grid_step, delay, sup))
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    """A view of a that raises ValueError on a write; a itself stays writable."""
-    ro = a.view()
-    ro.flags.writeable = False
-    return ro
 
 
 def _sorted_unique(values) -> np.ndarray:
@@ -327,16 +323,14 @@ def simulate_ensemble(coeffs: CoefficientSet, xi: SegmentPath, horizon: float,
     norms = np.empty(states.shape[:2])
     norms[: lags + 1] = _row_norms(xi.values)[:, None]
     conv = np.zeros_like(states) if record_convolution else None
-    states_ro, norms_ro = _read_only(states), _read_only(norms)
     alive = np.ones(paths, dtype=bool)
     dead = None  # ~alive, once some path has exploded
     life = np.full(paths, math.inf)
 
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        for k, (t, x, view) in enumerate(_history_windows(states_ro, norms_ro, xi.delay,
-                                                          grid_step, steps)):
+        for k, (t, x, x_norms, view) in enumerate(_history_windows(states, norms, xi.delay,
+                                                                   grid_step, steps)):
             base = lags + k
-            x_norms = norms_ro[base]
             drift = _full_drift(coeffs, t, x, x_norms, view)
             dw = noise.increments[k][:, : coeffs.noise_dim]
             if use_diag:

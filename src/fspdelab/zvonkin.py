@@ -39,6 +39,8 @@ if TYPE_CHECKING:
     from scipy.interpolate import NdBSpline
 
 GH_DIM_CAP = 3
+# the grid axis's nodes nearest 0, at +-INNERMOST_NODE (see ZvonkinGrid)
+INNERMOST_NODE = 0.02
 # solve_u's sweep reads a time slice's quadrature points in chunks of whole
 # slots holding at most this many points (one slot if it alone holds more)
 CHUNK_POINTS = 1 << 15
@@ -94,9 +96,16 @@ class ZvonkinGrid:
     def __post_init__(self):
         if self.nodes_per_dim % 2 == 0:
             raise InputError("nodes_per_dim must be odd: the axis is symmetric about 0")
+        # fewer nodes, or a halfwidth at or inside the innermost node, give an
+        # axis that misses +-halfwidth, repeats a node or is not monotone
+        if self.nodes_per_dim < 5:
+            raise InputError("nodes_per_dim must be at least 5: the axis needs nodes at 0, "
+                             f"+-{INNERMOST_NODE} and +-halfwidth")
+        if not self.halfwidth > INNERMOST_NODE:
+            raise InputError(f"halfwidth must exceed {INNERMOST_NODE}, the innermost node of the axis")
 
     def axis(self) -> np.ndarray:
-        levels = np.geomspace(0.02, self.halfwidth, (self.nodes_per_dim - 1) // 2)
+        levels = np.geomspace(INNERMOST_NODE, self.halfwidth, (self.nodes_per_dim - 1) // 2)
         return np.concatenate([-levels[::-1], [0.0], levels])
 
     def axes(self, n_dims: int):
@@ -288,7 +297,7 @@ class RegularizingField:
     converged: bool
     weight_name: str
     norms: dict
-    # (kind, j) -> spline coefficients of slice j; (kinds, j, up) -> their spline;
+    # (kind, j) -> spline coefficients of slice j; (kinds, j) -> the spline of j and j+1;
     # the bytes of the last distinct read times -> their time plan (one entry)
     _coefs: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
     _splines: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
@@ -352,43 +361,41 @@ class RegularizingField:
             self._coefs[key] = coef.reshape(shape + (-1,))
         return self._coefs[key]
 
-    def _spline(self, kinds: tuple, j: int, up: bool) -> NdBSpline:
-        """Slice j's spline of the tables in kinds, their components stacked in that order.
-
-        When up, each stacked component is followed by that of slice j+1.
-        """
-        key = (kinds, j, up)
+    def _spline(self, kinds: tuple, j: int) -> NdBSpline:
+        """The spline of slices j and j+1 of the tables in kinds, their components stacked
+        in that order, each component of slice j followed by that of slice j+1."""
+        key = (kinds, j)
         if key not in self._splines:
             from scipy.interpolate import NdBSpline
 
             coef = np.stack([np.concatenate([self._coefficients(kind, i) for kind in kinds], axis=-1)
-                             for i in ((j, j + 1) if up else (j,))], axis=-1)
+                             for i in (j, j + 1)], axis=-1)
             self._splines[key] = NdBSpline(tuple(map(_cubic_knots, self.axes)),
                                            coef.reshape(coef.shape[:-2] + (-1,)), 3)
         return self._splines[key]
 
-    def _blend(self, kinds: tuple, lo: int, up: bool, keep, frac, xb: np.ndarray) -> np.ndarray:
-        """keep * A_lo(xb) + frac * A_{lo+1}(xb), the second term only when up; keep = 1 - frac.
+    def _blend(self, kinds: tuple, lo: int, keep, frac, xb: np.ndarray) -> np.ndarray:
+        """keep * A_lo(xb) + frac * A_{lo+1}(xb), keep = 1 - frac.
 
         One spline call reads both slices: a B-spline sums each component on
         its own, so the interleaved components are bitwise those of one
         slice.  A component's two slices sit side by side, so each product
-        runs over one evenly strided view of the spline's values.
+        runs over one evenly strided view of the spline's values.  At
+        frac = 0 the read is A_lo(xb) + 0.0 * A_{lo+1}(xb), which is A_lo(xb)
+        but for the sign of a zero.
         """
-        vals = self._spline(kinds, lo, up)(xb)
-        if not up:
-            return keep * vals
-        pairs = vals.reshape(vals.shape[:-1] + (-1, 2))
+        vals = self._spline(kinds, lo)(xb)
+        pairs = vals.reshape(vals.shape[:-1] + (vals.shape[-1] // 2, 2))
         out = keep * pairs[..., 0]
         out += frac * pairs[..., 1]
         return out
 
     def _time_plan(self, t) -> list:
-        """The time blend of a read at t, as row groups (rows, lo, up, 1 - frac, frac).
+        """The time blend of a read at t, as row groups (rows, lo, 1 - frac, frac).
 
-        Each time is clamped to [0, T] and read at slice lo and offset frac;
-        up is frac > 0.  The rows that share lo and up form one group, and
-        rows is None when that group holds every row; no row has no group.  The weights are
+        Each time is clamped to [0, T] and read at slice lo and offset frac
+        in [0, 1].  The rows that share lo form one group, so the groups
+        partition the rows, and no row means no group.  The weights are
         (rows, 1, 1) and read-only.  A NaN time raises InputError.
 
         The plan of the last distinct t is kept, keyed by the bytes of t as
@@ -404,18 +411,13 @@ class RegularizingField:
                 raise InputError("a field read's time is NaN")
             lo, frac = _axis_stencil(self.times, times.clip(0.0, self.horizon))
             weights = frac.reshape(-1, 1, 1)
-            slot = 2 * lo + (frac > 0.0)
-            if slot.size and (slot == slot[0]).all():
-                groups = [(None, int(lo[0]), bool(frac[0] > 0.0))]
-            else:  # no group when there is no row
-                groups = [(np.flatnonzero(slot == k), k // 2, k % 2 == 1)
-                          for k in _sorted_unique(slot).tolist()]
             plan = []
-            for sel, j, up in groups:
-                w = weights if sel is None else weights[sel]
+            for j in _sorted_unique(lo).tolist():
+                sel = np.flatnonzero(lo == j)
+                w = weights[sel]
                 keep = 1.0 - w
                 keep.flags.writeable = w.flags.writeable = False
-                plan.append((sel, j, up, keep, w))
+                plan.append((sel, j, keep, w))
             self._plan.clear()
             self._plan[key] = plan
         return plan
@@ -442,11 +444,11 @@ class RegularizingField:
         axis of x, or a scalar, which is read as one row holding all of x;
         an array of another length, or a NaN time, raises InputError.  Each
         time is clamped to [0, T] (so +-inf reads T or 0); a row at slice lo
-        and offset frac reads (1 - frac) * A_lo(x) + frac * A_{lo+1}(x), the
-        second term only when frac > 0.  The rows that share the slice and
-        the frac > 0 test are blended as one batch wherever they sit in x,
-        and the cubic spatial interpolation treats every point on its own,
-        so a row's values are bitwise those of a one-row call at its time.
+        and offset frac reads (1 - frac) * A_lo(x) + frac * A_{lo+1}(x).  The
+        rows that share the slice are blended as one batch wherever they sit
+        in x (a plan of one group reads every row without a selection), and
+        the cubic spatial interpolation treats every point on its own, so a
+        row's values are bitwise those of a one-row call at its time.
 
         The slices, weights and row groups are the time plan of t (see
         _time_plan), derived once per distinct value of t and reused by the
@@ -464,7 +466,7 @@ class RegularizingField:
         trailing = [(n,) * {"u": 1, "grad": 2, "hess": 3}[kind] for kind in kinds]
         ends = list(itertools.accumulate(map(math.prod, trailing), initial=0))
         rows = np.clip(x, -self.halfwidth, self.halfwidth).reshape(shape)
-        if plan and plan[0][0] is None:
+        if len(plan) == 1:  # one group holds every row
             out = self._blend(kinds, *plan[0][1:], rows)
         else:
             out = np.empty(shape[:2] + (ends[-1],))

@@ -557,10 +557,12 @@ class TestCli:
         ("lambda_grid", 40.0, "must be a non-empty list of positive numbers"),
         ("halfwidth", 0.0, "must be a positive number"),
         ("halfwidth", -3.0, "must be a positive number"),
+        ("halfwidth", 0.01, "must exceed 0.02, the innermost node of the grid axis"),
+        ("halfwidth", 0.02, "must exceed 0.02, the innermost node of the grid axis"),
     ], ids=["nodes-fraction", "time-steps-bool", "quad-order-string", "nodes-2", "nodes-1",
             "nodes-6", "time-steps-0", "quad-panels-0", "hermite-order-0", "lambdas-empty",
             "lambdas-negative", "lambdas-bool", "lambdas-scalar", "halfwidth-0",
-            "halfwidth-negative"])
+            "halfwidth-negative", "halfwidth-0.01", "halfwidth-0.02"])
     def test_invalid_zvonkin_grid_exit_two(self, tmp_path, capsys, key, value, message):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"zvonkin": {key: value}}))

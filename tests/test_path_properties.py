@@ -151,10 +151,11 @@ class TestHistoryWindows:
             norms = np.linalg.norm(states, axis=-1)
         walked = list(sim._history_windows(states, norms, lags * dt, dt, steps))
         assert len(walked) == steps
-        for k, (t, x, view) in enumerate(walked):
+        for k, (t, x, x_norm, view) in enumerate(walked):
             assert t == k * dt
             assert x.shape == (paths, modes)
             assert np.array_equal(x, states[lags + k], equal_nan=True)
+            assert np.array_equal(x_norm, norms[lags + k], equal_nan=True)
             assert view.window.shape == (lags + 1, paths, modes)
             for j in range(lags + 1):
                 assert np.array_equal(view.window[j], states[k + j], equal_nan=True)
@@ -168,11 +169,23 @@ class TestHistoryWindows:
         dt = 0.125
         states = np.zeros((lags + steps + 1, 2, 1))
         norms = np.zeros(states.shape[:2])
-        for k, (t, x, view) in enumerate(sim._history_windows(states, norms, lags * dt, dt,
-                                                              steps)):
+        for k, (t, x, x_norm, view) in enumerate(sim._history_windows(states, norms, lags * dt,
+                                                                      dt, steps)):
             assert np.all(view.window[-1] == k) and np.all(view.sup_norm() == k)
+            assert np.all(x_norm == k)
             states[lags + k + 1] = x + 1.0
             norms[lags + k + 1] = k + 1.0
+
+    def test_yielded_rows_and_windows_are_read_only(self):
+        """A write through x, |x| or the window raises; the buffers stay writable."""
+        states = np.zeros((4, 2, 1))
+        norms = np.zeros(states.shape[:2])
+        for t, x, x_norm, view in sim._history_windows(states, norms, 0.25, 0.125, 2):
+            for row in (x, x_norm, view.window):
+                assert not row.flags.writeable
+                with pytest.raises(ValueError):
+                    row[...] = 1.0
+        assert states.flags.writeable and norms.flags.writeable
 
 
 # a norm is >= 0, inf or NaN; SENTINEL marks a row not yet written
@@ -213,8 +226,9 @@ class TestWindowWalker:
         norms[: lags + 1] = final[: lags + 1]
         states = np.zeros((rows, paths, 1))
         views = []
-        for k, (t, x, view) in enumerate(sim._history_windows(states, norms, lags * 0.125,
-                                                              0.125, steps)):
+        for k, (t, x, x_norm, view) in enumerate(sim._history_windows(states, norms,
+                                                                      lags * 0.125, 0.125, steps)):
+            _same_max(x_norm, final[lags + k])
             norms[lags + k + 1] = final[lags + k + 1]
             views.append(view)
             for _ in range(calls[k]):
@@ -237,7 +251,7 @@ class TestWindowWalker:
         states = np.zeros((rows, paths, 1))
         views = list(sim._history_windows(states, norms, lags * 0.125, 0.125, steps))
         norms[:] = SENTINEL
-        for k, (t, x, view) in enumerate(views):
+        for k, (t, x, x_norm, view) in enumerate(views):
             _same_max(view.sup_norm(), final[k: k + lags + 1].max(axis=0))
             assert not view.sup_norm().flags.writeable
             with pytest.raises(ValueError):
@@ -270,7 +284,7 @@ class TestWindowWalker:
         norms = np.abs(np.cos(np.arange(reads.size * paths))).reshape(-1, paths)
         base, row_bytes = norms.__array_interface__["data"][0], norms.strides[0]
         states = np.zeros(norms.shape + (1,))
-        for k, (t, x, view) in enumerate(sim._history_windows(
+        for k, (t, x, x_norm, view) in enumerate(sim._history_windows(
                 states, norms.view(CountedRows), lags / 64.0, 1.0 / 64.0, steps)):
             _same_max(np.asarray(view.sup_norm()), norms[k: k + lags + 1].max(axis=0))
         assert reads.sum() >= steps and reads.max() <= 2

@@ -3,7 +3,7 @@ import pytest
 
 from fspdelab.errors import InputError
 from fspdelab.experiments import ExperimentResult
-from fspdelab.segment import SegmentPath, segment_norm, stopping_time
+from fspdelab.segment import SegmentPath, _steps, segment_norm, stopping_time
 from fspdelab.simulator import SegmentView
 
 
@@ -47,6 +47,22 @@ class TestSegmentNorm:
             SegmentPath(1.0, 0.25, np.zeros((4, 2)))  # needs 5 rows
         with pytest.raises(InputError):
             SegmentPath(1.0, 0.3, np.zeros((4, 2)))  # 0.3 does not divide 1.0
+
+
+class TestSteps:
+    def test_whole_counts(self):
+        for span, dt, k in ((1.0, 0.25, 4), (0.0, 0.25, 0), (1.0, 1.0 / 3.0, 3),
+                            (np.float64(0.5), np.float64(1.0 / 128.0), 64)):
+            assert _steps(span, dt) == k and type(_steps(span, dt)) is int
+
+    # a negative step once gave -4 steps, and 0.0, 1e-320 and a NaN span
+    # raised ZeroDivisionError, OverflowError and ValueError
+    @pytest.mark.parametrize("span, dt", [(1.0, -0.25), (-1.0, 0.25), (1.0, 0.0), (1.0, 1e-320),
+                                          (float("nan"), 0.25), (1.0, float("nan")),
+                                          (float("inf"), 0.25), (1.0, 0.3)])
+    def test_a_step_that_does_not_divide_raises(self, span, dt):
+        with pytest.raises(InputError, match="does not divide"):
+            _steps(span, dt)
 
 
 class TestLagReads:

@@ -324,6 +324,17 @@ class TestResolventSolve:
         with pytest.raises(InputError, match="nodes_per_dim must be odd"):
             zv.ZvonkinGrid(nodes_per_dim=nodes)
 
+    @pytest.mark.parametrize("grid, message", [
+        ({"nodes_per_dim": 3}, "at least 5"), ({"nodes_per_dim": 1}, "at least 5"),
+        ({"halfwidth": 0.01}, "exceed 0.02"), ({"halfwidth": 0.02}, "exceed 0.02"),
+        ({"halfwidth": math.nan}, "exceed 0.02")])
+    def test_degenerate_axis_rejected(self, grid, message):
+        # 3 nodes once gave the axis [-0.02, 0, 0.02] and halfwidth 0.01 the unsorted
+        # [-0.01, -0.02, 0, 0.02, 0.01], on which solve_u returned a certified field;
+        # halfwidth 0.02 repeated nodes and ended in an SVD that did not converge
+        with pytest.raises(InputError, match=message):
+            zv.ZvonkinGrid(**grid)
+
     def test_dimension_cap(self):
         spec4 = an.Spectrum(4)
         ref4 = zv.ReferenceSemigroup(spec4, np.ones(4))
@@ -873,8 +884,43 @@ class TestTimePlan:
     def test_plan_weights_read_only(self, field):
         for t in (0.3, np.array([0.05, 0.3, 0.3, 0.5])):
             field.u_at(t, np.zeros((4, 1, 2)))
-            for _, _, _, keep, frac in field._time_plan(t):
+            for _, _, keep, frac in field._time_plan(t):
                 assert not keep.flags.writeable and not frac.flags.writeable
+
+    @given(st.lists(st.one_of(st.floats(-0.3, 0.8), st.integers(0, 15)), max_size=6))
+    def test_plan_groups_partition_the_rows(self, field, times):
+        """Every row is in exactly one group, of its own clamped slice and weights."""
+        ts = np.array([field.times[t % field.times.size] if isinstance(t, int) else t
+                       for t in times], dtype=float)
+        plan = field._time_plan(ts)
+        rows = np.concatenate([sel for sel, *_ in plan] + [np.empty(0, dtype=np.intp)])
+        assert np.array_equal(np.sort(rows), np.arange(ts.size))
+        lo, frac = zv._axis_stencil(field.times, ts.clip(0.0, field.horizon))
+        for sel, j, keep, w in plan:
+            assert np.all(lo[sel] == j)
+            assert np.array_equal(w.reshape(-1), frac[sel])
+            assert np.array_equal(keep.reshape(-1), 1.0 - frac[sel])
+        assert len({j for _, j, _, _ in plan}) == len(plan)
+
+    def test_read_at_a_slice_equals_its_own_spline(self, field):
+        """At t = times[j] a read is slice j's spline, built here from its fit.
+
+        Below the last slice that is 1.0 * A_j + 0.0 * A_{j+1}, and at T it
+        is 0.0 * A_{j-1} + 1.0 * A_j: either equals A_j but for the sign of a zero.
+        """
+        x = np.random.default_rng(7).uniform(-3.5, 3.5, size=(40, 2))
+        knots = tuple(map(zv._cubic_knots, field.axes))
+        for j in range(field.times.size):
+            own = NdBSpline(knots, field._coefficients("u", j), 3)
+            assert np.array_equal(field.u_at(field.times[j], x),
+                                  own(np.clip(x, -field.halfwidth, field.halfwidth)))
+
+    def test_read_before_zero_equals_the_read_at_zero(self, field):
+        x = np.random.default_rng(8).uniform(-3.5, 3.5, size=(3, 5, 2))
+        for read in (field.u_at, field.grad_at, field.u_grad_at):
+            want = np.concatenate(read(0.0, x), axis=None)
+            for t in (-0.25, -1e-300, np.array([-0.1, -0.2, -0.3])):
+                assert np.concatenate(read(t, x), axis=None).tobytes() == want.tobytes()
 
 
 @st.composite
